@@ -23,9 +23,8 @@ from .structure import (ClassShape, EdgePair, EquivClass, ShapeCheckResult,
                         check_twin_free_shapes, check_twin_line_laws,
                         class_size_bound, classify_class, equiv_classes,
                         twin_pairs)
-from .verify import (ClaimsReport, IsoStats, MinLinesRow, SixPointWitness,
-                     SmallSpacesReport, SweepRange, TheoremReport,
-                     canonical_code, claims_sweep, enumerate_codes, iso_stats,
+from .verify import (ClaimsReport, MinLinesRow, SixPointWitness,
+                     SmallSpacesReport, TheoremReport, claims_sweep,
                      min_lines_table, random_rational_metric,
                      six_point_witnesses, verify_small_spaces, verify_theorem)
 
@@ -44,9 +43,7 @@ __all__ = [
     "check_full_cover_classes", "check_twin_free_shapes",
     "check_twin_line_laws", "class_size_bound", "classify_class",
     "equiv_classes", "twin_pairs",
-    "ClaimsReport", "IsoStats", "MinLinesRow", "SixPointWitness",
-    "SmallSpacesReport", "SweepRange", "TheoremReport", "canonical_code",
-    "claims_sweep", "enumerate_codes", "iso_stats", "min_lines_table",
-    "random_rational_metric", "six_point_witnesses", "verify_small_spaces",
-    "verify_theorem",
+    "ClaimsReport", "MinLinesRow", "SixPointWitness", "SmallSpacesReport",
+    "TheoremReport", "claims_sweep", "min_lines_table", "random_rational_metric",
+    "six_point_witnesses", "verify_small_spaces", "verify_theorem",
 ]

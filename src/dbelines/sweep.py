@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .bitset import full_mask, iter_pairs, pair_count, pair_index
-from .structure import class_size_bound
+from .structure import ClassShape, class_size_bound
 
 # Enumeration kernels pack point sets into uint8 masks.
 ENUM_MAX_POINTS = 8
@@ -180,6 +180,63 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
             far = tw & bits[kwv]
             _tally(out["twin-c"], far, far & ~(v_wv & ~u_wv & u_wu & ~v_wu))
     return out
+
+
+def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
+                     twin_free: np.ndarray) -> tuple[dict[str, int], dict[str, LawCounts]]:
+    """Vector form of classify_class, check_full_cover_classes and
+    check_twin_free_shapes: (class-shape histogram, per-law counts).
+
+    Edges with equal lines form a class, tagged by its first-seen edge.  Two
+    classmates conflict for a uniform matching when they share a point or
+    differ in label, and for an alternating 4-cycle subset when they share a
+    point with equal labels or are disjoint with different labels.  A class
+    with matching but no alternation conflicts is an alternating 4-cycle
+    subset: its label-1 and label-2 edges form two matchings, each edge of one
+    meeting each edge of the other, which fits on 4 points with no point on 3
+    edges.
+    """
+    ends = [np.uint8((1 << u) | (1 << v)) for u, v in iter_pairs(n)]
+    P, m = lines.shape
+    # per edge: first-seen in its class; conflicts with an earlier classmate
+    head = np.ones((P, m), dtype=bool)
+    match_bad = np.zeros((P, m), dtype=bool)
+    alt_bad = np.zeros((P, m), dtype=bool)
+    for k in range(P):
+        for j in range(k):
+            eq = lines[j] == lines[k]
+            head[k] &= ~eq
+            diff = eq & (bits[j] != bits[k])
+            if ends[j] & ends[k]:  # the two edges share a point
+                match_bad[k] |= eq
+                alt_bad[k] |= eq ^ diff  # equal labels
+            else:
+                match_bad[k] |= diff
+                alt_bad[k] |= diff
+    hist = {shape.value: 0 for shape in ClassShape}
+    laws = {"full-cover": _new_counts(m), "class-shape": _new_counts(m)}
+    fm = full_mask(n)
+    for h in range(P):
+        cover = np.full(m, ends[h], dtype=np.uint8)
+        mbad = np.zeros(m, dtype=bool)
+        abad = np.zeros(m, dtype=bool)
+        for k in range(h + 1, P):
+            eq = lines[h] == lines[k]
+            cover |= np.where(eq, ends[k], np.uint8(0))
+            mbad |= eq & match_bad[k]
+            abad |= eq & alt_bad[k]
+        is_head = head[h]
+        uniform = is_head & ~mbad
+        alt = is_head & mbad & ~abad
+        other = is_head & abad
+        for shape, flags in ((ClassShape.UNIFORM_MATCHING, uniform),
+                             (ClassShape.ALT_C4_SUBSET, alt),
+                             (ClassShape.OTHER, other)):
+            hist[shape.value] += int(flags.sum())
+        covers = is_head & (cover == fm)
+        _tally(laws["full-cover"], covers, covers & (lines[h] != fm))
+        _tally(laws["class-shape"], is_head & twin_free, other & twin_free)
+    return hist, laws
 
 
 def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,

@@ -8,9 +8,14 @@ associative, order-insensitive reduction, so the report is identical for any
 worker count or chunk size.
 
 Checker depth per sweep ("auto"):
-  full    line stats + all laws + class-shape histogram   (n <= 6, or iso)
-  vector  line stats + vectorized laws, no histogram      (n = 7)
-  none    line stats only                                 (n = 8)
+  full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
+          and sampled claims)
+  vector  line stats + seven laws, no full-cover, class-shape
+          or histogram                                        (n = 7)
+  none    line stats only                                     (n = 8)
+All nine laws are numpy kernels.  n = 7 stays at "vector" so that its report
+keeps its seven-law form, and because the class-law kernel would add about
+half again to the time of that sweep.
 The n = 8 sweep visits 2^28 codes and is opt-in at the CLI; per-code work
 there stays within the word-level line kernels.
 """
@@ -20,18 +25,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bitset import full_mask, iter_pairs, pair_count, pair_index
+from .bitset import iter_pairs, pair_count
 from .lines import all_lines, dbe_verdict
 from .spaces import (DistanceMatrix, MetricSpace, OneTwoSpace, as_one_two,
                      code_from_space, serialize_distance_matrix, space_from_code,
                      validate_metric)
-from .structure import ClassShape, classify_class, equiv_classes
+# equiv_classes and classify_class are looked up here by bench/tracing.py
+from .structure import ClassShape, classify_class, equiv_classes  # noqa: F401
 from . import sweep as sw
 
 CHUNK_CODES = 1 << 20
@@ -43,47 +48,6 @@ LAW_ORDER = ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin"
 SHAPE_TAGS = tuple(shape.value for shape in ClassShape)
 
 Progress = Optional[Callable[[int, int], None]]
-
-
-@dataclass(frozen=True)
-class SweepRange:
-    """Half-open code interval [lo, hi) on n points."""
-
-    n: int
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= sw.ENUM_MAX_POINTS:
-            raise ValueError(f"point count {self.n} outside [1, {sw.ENUM_MAX_POINTS}]")
-        total = 1 << pair_count(self.n)
-        if not 0 <= self.lo <= self.hi <= total:
-            raise ValueError(f"range [{self.lo}, {self.hi}) invalid for n={self.n}")
-
-
-def enumerate_codes(codes_range: SweepRange, visitor) -> int:
-    """Visit space_from_code(n, c) for each c in [lo, hi); returns the count."""
-    for code in range(codes_range.lo, codes_range.hi):
-        visitor(space_from_code(codes_range.n, code))
-    return codes_range.hi - codes_range.lo
-
-
-def canonical_code(space: OneTwoSpace) -> int:
-    """Minimum label code over all n! point relabelings (n <= 8)."""
-    n = space.n
-    if n > sw.ENUM_MAX_POINTS:
-        raise ValueError(f"factorial canonicalization is capped at n={sw.ENUM_MAX_POINTS}")
-    adj = space.adj
-    pairs = list(iter_pairs(n))
-    best = code_from_space(space)
-    for perm in permutations(range(n)):
-        c = 0
-        for i, j in pairs:
-            if not (adj[perm[i]] >> perm[j]) & 1:
-                c |= 1 << pair_index(i, j, n)
-        if c < best:
-            best = c
-    return best
 
 
 @dataclass(frozen=True)
@@ -178,46 +142,13 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
     law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
                                                     distinct, oversize)
-    laws = {}
-    for law, cnt in law_counts.items():
-        bad = [int(codes[i]) for i in np.flatnonzero(cnt.bad_codes)[:max_witnesses]]
-        laws[law] = (cnt.instances, cnt.violations, bad)
-
     if checkers == "full":
-        hist = {tag: 0 for tag in SHAPE_TAGS}
-        cover_inst = cover_viol = 0
-        shape_inst = shape_viol = 0
-        cover_bad: list[int] = []
-        shape_bad: list[int] = []
-        fm = full_mask(n)
-        for ci in range(codes.size):
-            code = int(codes[ci])
-            space = space_from_code(n, code)
-            family = all_lines(space)
-            classes = equiv_classes(family, space)
-            tf = bool(twin_free[ci])
-            for cls in classes:
-                tag = classify_class(space, cls)
-                hist[tag.value] += 1
-                cover = 0
-                for e in cls.edges:
-                    cover |= (1 << e.u) | (1 << e.v)
-                if cover == fm:
-                    cover_inst += 1
-                    if cls.line != fm:
-                        cover_viol += 1
-                        if len(cover_bad) < max_witnesses:
-                            cover_bad.append(code)
-                if tf:
-                    shape_inst += 1
-                    if tag is ClassShape.OTHER:
-                        shape_viol += 1
-                        if len(shape_bad) < max_witnesses:
-                            shape_bad.append(code)
-        out["hist"] = hist
-        laws["full-cover"] = (cover_inst, cover_viol, cover_bad)
-        laws["class-shape"] = (shape_inst, shape_viol, shape_bad)
-    out["laws"] = laws
+        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, twin_free)
+        law_counts.update(class_counts)
+    out["laws"] = {
+        law: (cnt.instances, cnt.violations,
+              [int(codes[i]) for i in np.flatnonzero(cnt.bad_codes)[:max_witnesses]])
+        for law, cnt in law_counts.items()}
     return out
 
 
@@ -297,6 +228,13 @@ def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress,
     return parts
 
 
+def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if max_witnesses < 0:
+        raise ValueError(f"witness cap must be nonnegative, got {max_witnesses}")
+
+
 def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                    max_witnesses: int = 100, checkers: str = "auto",
                    progress: Progress = None) -> TheoremReport:
@@ -308,6 +246,7 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
     """
     if not 2 <= n <= sw.ENUM_MAX_POINTS:
         raise ValueError(f"verify_theorem supports 2 <= n <= {sw.ENUM_MAX_POINTS}")
+    _check_limits(jobs, max_witnesses)
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "iso" and n > 7:
@@ -348,13 +287,14 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     """Run every structural law checker over all codes, or over a seeded
     random sample of codes when trials is given.
 
-    Exhaustive runs use the full checker set through n = 6 and the
-    vectorized subset at n = 7, 8 (the class-shape and full-cover scans are
-    per-code Python and are reported as skipped there).  Sampled runs always
-    use the full set.  Sampling draws codes uniformly with replacement.
+    Exhaustive runs use the full checker set through n = 6 and the "vector"
+    level at n = 7, 8, where full-cover and class-shape are reported as
+    skipped (see the level table of this module).  Sampled runs always use the full
+    set.  Sampling draws codes uniformly with replacement.
     """
     if not 2 <= n <= sw.ENUM_MAX_POINTS:
         raise ValueError(f"claims_sweep supports 2 <= n <= {sw.ENUM_MAX_POINTS}")
+    _check_limits(jobs, max_witnesses)
     if trials is None:
         level = "full" if n <= 6 else "vector"
         rep = verify_theorem(n, mode="all", jobs=jobs,
@@ -373,20 +313,6 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     rep = _merge_chunks(n, "sample", "full", [part], max_witnesses)
     return ClaimsReport(n, (trials, seed), rep.total_codes,
                         rep.twin_free_codes, rep.laws, ())
-
-
-@dataclass(frozen=True)
-class IsoStats:
-    """Isomorphism-class count of 1-2 spaces on n points."""
-
-    n: int
-    canonical_class_count: int
-
-
-def iso_stats(n: int, jobs: int = 1) -> IsoStats:
-    """Count canonical label codes (= unlabeled graphs on n vertices)."""
-    rep = verify_theorem(n, mode="iso", jobs=jobs, checkers="none")
-    return IsoStats(n, rep.total_codes)
 
 
 @dataclass(frozen=True)
@@ -409,6 +335,7 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
     """
     if not 2 <= n_lo <= n_hi <= sw.ENUM_MAX_POINTS:
         raise ValueError("need 2 <= n_lo <= n_hi <= 8")
+    _check_limits(jobs)
     rows = []
     for n in range(n_lo, n_hi + 1):
         rep = verify_theorem(n, mode="all", jobs=jobs, checkers="none",
@@ -541,6 +468,7 @@ def verify_small_spaces(trials: int = 100_000, seed: int = 0,
     """Check the property on every 1-2 code and on random rational metrics
     at n = 2, 3, 4.  Deterministic in seed.  Random results can only say
     "no counterexample found"; they settle nothing beyond the trials run."""
+    _check_limits(max_witnesses=max_examples)
     exhaustive = []
     for n in (2, 3, 4):
         fails = 0

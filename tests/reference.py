@@ -6,7 +6,7 @@ and pair positions are found by counting.  Any agreement between these and
 the package is evidence, not circularity.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def ref_pair_bit(i: int, j: int, n: int) -> int:
@@ -70,3 +70,18 @@ def ref_dbe(rows):
     order, _ = ref_all_lines(rows)
     universal = any(len(line) == n for line in order)
     return len(order), universal, len(order) >= n or universal
+
+
+def ref_canonical_code(n: int, code: int) -> int:
+    """Minimum label code over all n! relabelings, by brute force."""
+    rows = ref_rows_from_code(n, code)
+    bit = {(i, j): ref_pair_bit(i, j, n) for i, j in combinations(range(n), 2)}
+    best = None
+    for perm in permutations(range(n)):
+        relabeled = 0
+        for (i, j), k in bit.items():
+            if rows[perm[i]][perm[j]] == 2:
+                relabeled |= 1 << k
+        if best is None or relabeled < best:
+            best = relabeled
+    return best

@@ -99,6 +99,24 @@ class TestUsageErrors:
         assert res.returncode == 1
         assert "between 2 and 8" in res.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "4", "--jobs", "-3"],
+        ["enumerate", "--n", "4", "--jobs", "0"],
+        ["enumerate", "--n", "4", "--max-witnesses", "-1"],
+        ["enumerate", "--n", "4", "--mode", "iso", "--max-witnesses", "-1"],
+        ["claims", "--n", "4", "--jobs", "0"],
+        ["claims", "--n", "4", "--max-witnesses", "-1"],
+        ["claims", "--n", "4", "--trials", "10", "--jobs", "-1"],
+        ["claims", "--n", "4", "--trials", "10", "--max-witnesses", "-2"],
+        ["min-lines", "--n", "4", "--jobs", "0"],
+        ["random-metrics", "--trials", "10", "--max-witnesses", "-1"],
+    ])
+    def test_bad_limits_are_input_errors(self, argv, capsys):
+        assert cli_mod.main([*argv, "--json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "input error" in out.err
+
     def test_n8_needs_opt_in(self):
         res = run_cli("enumerate", "--n", "8")
         assert res.returncode == 1

@@ -6,12 +6,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dbelines import (all_lines, are_twins, canonical_code,
+from dbelines import (ClassShape, EdgePair, EquivClass, all_lines, are_twins,
                       check_distinct_lines, check_twin_line_laws,
-                      class_size_bound, equiv_classes, line_of_fast,
-                      space_from_code, twin_pairs)
-from dbelines.bitset import iter_pairs, pair_count
+                      class_size_bound, classify_class, equiv_classes,
+                      line_of_fast, space_from_code, twin_pairs)
+from dbelines.bitset import full_mask, iter_pairs, pair_count
 from dbelines import sweep as sw
+
+from reference import ref_canonical_code
 
 
 def random_codes(n, count, seed):
@@ -160,13 +162,96 @@ class TestLawKernels:
         assert cnt.instances == int(distinct[twin_free & ~universal].sum())
 
 
+def kernel_class_counts(n, codes, lines=None):
+    ones, masks = batch(n, codes)
+    twin_free = ~sw.twin_pair_flags(n, codes, ones).any(axis=0)
+    return sw.class_law_counts(n, sw.label_bits(n, codes),
+                               masks if lines is None else lines, twin_free)
+
+
+def scalar_class_counts(n, code):
+    """(shape histogram, full-cover instances, class-shape instances)."""
+    space = space_from_code(n, code)
+    classes = equiv_classes(all_lines(space), space)
+    hist = {shape.value: 0 for shape in ClassShape}
+    cover_inst = 0
+    for cls in classes:
+        hist[classify_class(space, cls).value] += 1
+        cover = 0
+        for e in cls.edges:
+            cover |= (1 << e.u) | (1 << e.v)
+        cover_inst += cover == full_mask(n)
+    shape_inst = 0 if twin_pairs(space) else len(classes)
+    return hist, cover_inst, shape_inst
+
+
+class TestClassLawKernel:
+    @staticmethod
+    def check_per_code(n, codes):
+        for code in codes:
+            hist, laws = kernel_class_counts(n, np.array([code], dtype=np.int64))
+            cover, shape = laws["full-cover"], laws["class-shape"]
+            assert (hist, cover.instances, shape.instances) == \
+                scalar_class_counts(n, int(code)), int(code)
+            assert cover.violations == shape.violations == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exhaustive_against_scalar(self, n):
+        self.check_per_code(n, all_codes(n))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_random_against_scalar(self, n):
+        codes = random_codes(n, 150, seed=60 + n)
+        self.check_per_code(n, codes)
+        # batching sums the per-code counts
+        hist, laws = kernel_class_counts(n, codes)
+        per_code = [scalar_class_counts(n, int(c)) for c in codes]
+        assert hist == {tag: sum(h[tag] for h, _, _ in per_code) for tag in hist}
+        assert laws["full-cover"].instances == sum(c for _, c, _ in per_code)
+        assert laws["class-shape"].instances == sum(s for _, _, s in per_code)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_arbitrary_partitions_against_classify_class(self, n):
+        # lines drawn from a 3-letter alphabet split the edges into classes
+        # no real space has; the shape of each must still match classify_class
+        rng = np.random.default_rng(70 + n)
+        codes = random_codes(n, 200, seed=70 + n)
+        lines = rng.integers(1, 4, size=(pair_count(n), codes.size), dtype=np.uint8)
+        for ci, code in enumerate(codes):
+            space = space_from_code(n, int(code))
+            groups = {}
+            for k, (u, v) in enumerate(iter_pairs(n)):
+                groups.setdefault(int(lines[k, ci]), []).append(
+                    EdgePair(u, v, space.dist(u, v)))
+            expected = {shape.value: 0 for shape in ClassShape}
+            for line, edges in groups.items():
+                expected[classify_class(space, EquivClass(tuple(edges), line)).value] += 1
+            hist, _ = kernel_class_counts(n, codes[ci:ci + 1], lines[:, ci:ci + 1])
+            assert hist == expected, int(code)
+
+    def test_corrupted_line_fails_each_law_once(self):
+        # Code 3 on 4 points has d(0,1) = d(0,2) = 2 and classes {01,13}
+        # (line {0,1,3}), {02,23}, {03}, {12}.  Moving pair (1,2) onto the
+        # line of (0,1) gives the class {01,12,13}: it touches all points
+        # under a 3-point line, and point 1 has three class edges.
+        n = 4
+        codes = all_codes(n)
+        _, lines = batch(n, codes)
+        assert int(lines[0, 3]) == 0b1011
+        lines[3, 3] = lines[0, 3]
+        _, laws = kernel_class_counts(n, codes, lines)
+        for law in ("full-cover", "class-shape"):
+            assert laws[law].violations == 1, law
+            assert np.flatnonzero(laws[law].bad_codes).tolist() == [3], law
+
+
 class TestCanonicalKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_scalar(self, n):
         codes = random_codes(n, 60, seed=50 + n)
         vec = sw.canonical_min(n, codes)
         for ci, code in enumerate(codes):
-            assert int(vec[ci]) == canonical_code(space_from_code(n, int(code)))
+            assert int(vec[ci]) == ref_canonical_code(n, int(code))
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

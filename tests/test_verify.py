@@ -3,15 +3,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dbelines import (SweepRange, all_lines, as_one_two, canonical_code,
-                      claims_sweep, code_from_space, dbe_verdict,
-                      enumerate_codes, min_lines_table, random_rational_metric,
+from dbelines import (all_lines, as_one_two, claims_sweep, code_from_space,
+                      dbe_verdict, min_lines_table, random_rational_metric,
                       six_point_witnesses, space_from_code, twin_pairs,
                       validate_metric, verify_small_spaces, verify_theorem)
+from dbelines import sweep as sw
 from dbelines import verify as verify_mod
-from dbelines.bitset import iter_pairs, pair_count
+from dbelines.bitset import iter_pairs, pair_count, pair_index
+
+from reference import ref_canonical_code
 
 # (n, min_overall, argmin_overall, min_no_universal, argmin_no_universal),
 # frozen from an independent definitional sweep
@@ -36,42 +39,30 @@ ISO_CLASSES = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 WITNESS_LINE_COUNTS = (12, 12, 12, 10, 11, 9)
 
 
-class TestEnumerateCodes:
-    @pytest.mark.parametrize("n, expected", [(3, 8), (4, 64)])
-    def test_visit_count(self, n, expected):
-        seen = []
-        count = enumerate_codes(SweepRange(n, 0, 1 << pair_count(n)),
-                                lambda s: seen.append(code_from_space(s)))
-        assert count == expected
-        assert seen == list(range(expected))
-
-    def test_subrange(self):
-        assert enumerate_codes(SweepRange(4, 10, 20), lambda s: None) == 10
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            SweepRange(3, 0, 9)
-        with pytest.raises(ValueError):
-            SweepRange(3, 5, 4)
+def canonical(n, code):
+    return int(sw.canonical_min(n, np.array([code], dtype=np.int64))[0])
 
 
 class TestCanonicalCode:
+    """sw.canonical_min, pinned to the brute-force oracle."""
+
     def test_all_one_fixed(self):
         for n in (2, 4, 6):
-            assert canonical_code(space_from_code(n, 0)) == 0
+            assert canonical(n, 0) == ref_canonical_code(n, 0) == 0
 
     def test_single_two_edge_class(self):
-        assert [canonical_code(space_from_code(3, c)) for c in (1, 2, 4)] == [1, 1, 1]
+        assert [canonical(3, c) for c in (1, 2, 4)] == [1, 1, 1]
+        assert [ref_canonical_code(3, c) for c in (1, 2, 4)] == [1, 1, 1]
 
     def test_minimum_over_relabelings(self):
         rng = random.Random(3)
         for n in (4, 5, 6):
             for _ in range(10):
                 code = rng.randrange(1 << pair_count(n))
-                space = space_from_code(n, code)
-                canon = canonical_code(space)
+                canon = canonical(n, code)
+                assert canon == ref_canonical_code(n, code)
                 assert canon <= code
-                assert canonical_code(space_from_code(n, canon)) == canon
+                assert canonical(n, canon) == canon
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(4)
@@ -79,15 +70,17 @@ class TestCanonicalCode:
             for _ in range(5):
                 code = rng.randrange(1 << pair_count(n))
                 space = space_from_code(n, code)
-                canon = canonical_code(space)
+                relabeled = []
                 for _ in range(100):
                     perm = list(range(n))
                     rng.shuffle(perm)
-                    relabeled = 0
+                    c = 0
                     for i, j in iter_pairs(n):
                         if space.dist(perm[i], perm[j]) == 2:
-                            relabeled |= 1 << verify_mod.pair_index(i, j, n)
-                    assert canonical_code(space_from_code(n, relabeled)) == canon
+                            c |= 1 << pair_index(i, j, n)
+                    relabeled.append(c)
+                canon = sw.canonical_min(n, np.array(relabeled, dtype=np.int64))
+                assert set(canon.tolist()) == {canonical(n, code)}
 
 
 class TestVerifyTheorem:
@@ -113,11 +106,29 @@ class TestVerifyTheorem:
             assert stat.witnesses == ()
             assert stat.instances > 0, law
 
+    def test_class_law_witnesses_name_each_code_once(self, monkeypatch):
+        # Swapping the lines of pairs (0,1) and (0,2) of code 3 on 4 points
+        # keeps every line count, but makes classes {01,23} and {02,13}:
+        # each touches all points under a 3-point line, and its disjoint
+        # edges have labels 2 and 1.  Two violations per class law, one code.
+        line_masks = sw.line_masks
+
+        def swapped(n, codes, ones):
+            lines = line_masks(n, codes, ones)
+            col = codes == 3
+            lines[0, col], lines[1, col] = lines[1, col], lines[0, col]
+            return lines
+
+        monkeypatch.setattr(sw, "line_masks", swapped)
+        rep = verify_theorem(4)
+        for law in ("full-cover", "class-shape"):
+            assert (rep.laws[law].violations, rep.laws[law].witnesses) == (2, (3,))
+        assert rep.class_counts_by_shape["other"] == SHAPE_HIST_EXPECTED[4]["other"] + 2
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_iso_stats(self, n):
-        from dbelines import iso_stats
-        stats = iso_stats(n)
-        assert (stats.n, stats.canonical_class_count) == (n, ISO_CLASSES[n])
+        rep = verify_theorem(n, mode="iso", checkers="none")
+        assert rep.total_codes == ISO_CLASSES[n]
 
     @pytest.mark.parametrize("n", list(ISO_CLASSES))
     def test_iso_mode_counts_and_agreement(self, n):
