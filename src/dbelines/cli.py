@@ -247,11 +247,11 @@ def _build_parser() -> _CliParser:
     def common(p, n_default=None, n_required=False):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report on stdout")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (never changes the output)")
-        if n_default is not None or n_required:
+        if n_default is not None or n_required:  # the code sweeps
             p.add_argument("--n", type=int, required=n_required,
                            default=n_default, help="point count")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes (never changes the output)")
 
     p = sub.add_parser("analyze", help="analyze one metric space from a file")
     p.add_argument("file", help="distance matrix file")

@@ -101,8 +101,8 @@ class OneTwoSpace:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_BITSET_POINTS:
-            raise ValueError(f"point count {self.n} outside [1, {MAX_BITSET_POINTS}]")
+        if self.n < 1:
+            raise ValueError(f"point count {self.n} is below 1")
         if len(self.adj) != self.n:
             raise ValueError("adjacency list length differs from point count")
         fm = full_mask(self.n)
@@ -222,8 +222,6 @@ def validate_metric(matrix: DistanceMatrix) -> MetricSpace:
 def as_one_two(space: MetricSpace) -> OneTwoSpace:
     """View a metric space as a 1-2 space, or raise NotOneTwoError."""
     n = space.n
-    if n > MAX_BITSET_POINTS:
-        raise ValueError(f"1-2 spaces support at most {MAX_BITSET_POINTS} points")
     adj = [0] * n
     for i, j in iter_pairs(n):
         d = space.dist(i, j)

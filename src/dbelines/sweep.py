@@ -65,21 +65,25 @@ def line_masks(n: int, codes: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return out
 
 
+# uncalled; bench/tracing.py wraps it by name and raises at install if it is gone
 def sorted_lines(lines: np.ndarray) -> np.ndarray:
-    """Lines sorted within each column; input to the counting kernels."""
+    """Lines sorted within each column."""
     return np.sort(lines, axis=0)
 
 
-def _run_boundaries(srt: np.ndarray) -> np.ndarray:
-    boundary = np.empty(srt.shape, dtype=bool)
-    boundary[0] = True
-    np.not_equal(srt[1:], srt[:-1], out=boundary[1:])
-    return boundary
+def edge_classes(lines: np.ndarray) -> np.ndarray:
+    """(C(n,2), len) bool: the edge heads its class, i.e. no earlier edge of
+    the code has an equal line.  Edges with equal lines form one class."""
+    head = np.ones(lines.shape, dtype=bool)
+    for k in range(1, lines.shape[0]):
+        for j in range(k):
+            head[k] &= lines[j] != lines[k]
+    return head
 
 
-def distinct_counts(srt: np.ndarray) -> np.ndarray:
-    """int16 per code: number of distinct lines (= run starts)."""
-    return _run_boundaries(srt).sum(axis=0, dtype=np.int16)
+def distinct_counts(head: np.ndarray) -> np.ndarray:
+    """int16 per code: number of distinct lines (= class heads)."""
+    return head.sum(axis=0, dtype=np.int16)
 
 
 def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
@@ -87,16 +91,16 @@ def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
     return (lines == full_mask(n)).any(axis=0)
 
 
-def class_size_stats(n: int, srt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max class size, count of classes above the size bound) per code."""
-    P = srt.shape[0]
-    boundary = _run_boundaries(srt)
-    idx = np.arange(P, dtype=np.int16)[:, None]
-    start = np.maximum.accumulate(np.where(boundary, idx, np.int16(0)), axis=0)
-    run_len = idx - start + 1
-    # a run longer than the bound passes bound+1 exactly once
-    oversize = (run_len == class_size_bound(n) + 1).sum(axis=0, dtype=np.int16)
-    return run_len.max(axis=0), oversize
+def class_size_stats(n: int, lines: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """int16 per code: count of classes above the size bound."""
+    oversize = np.zeros(lines.shape[1], dtype=np.int16)
+    size = np.empty(lines.shape[1], dtype=np.int8)
+    for h in range(lines.shape[0]):
+        size[:] = 1  # the head, then each later classmate
+        for k in range(h + 1, lines.shape[0]):
+            size += lines[h] == lines[k]
+        oversize += head[h] & (size > class_size_bound(n))
+    return oversize
 
 
 def twin_pair_flags(n: int, codes: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -182,12 +186,12 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     return out
 
 
-def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
+def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, head: np.ndarray,
                      twin_free: np.ndarray) -> tuple[dict[str, int], dict[str, LawCounts]]:
     """Vector form of classify_class, check_full_cover_classes and
     check_twin_free_shapes: (class-shape histogram, per-law counts).
 
-    Edges with equal lines form a class, tagged by its first-seen edge.  Two
+    Each class is tagged by its head from edge_classes.  Two
     classmates conflict for a uniform matching when they share a point or
     differ in label, and for an alternating 4-cycle subset when they share a
     point with equal labels or are disjoint with different labels.  A class
@@ -198,14 +202,12 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     """
     ends = [np.uint8((1 << u) | (1 << v)) for u, v in iter_pairs(n)]
     P, m = lines.shape
-    # per edge: first-seen in its class; conflicts with an earlier classmate
-    head = np.ones((P, m), dtype=bool)
+    # per edge: conflicts with an earlier classmate
     match_bad = np.zeros((P, m), dtype=bool)
     alt_bad = np.zeros((P, m), dtype=bool)
     for k in range(P):
         for j in range(k):
             eq = lines[j] == lines[k]
-            head[k] &= ~eq
             diff = eq & (bits[j] != bits[k])
             if ends[j] & ends[k]:  # the two edges share a point
                 match_bad[k] |= eq
@@ -244,9 +246,8 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
     """Class-size law on twin-free, no-universal codes."""
     applicable = twin_free & ~universal
     bad_counts = np.where(applicable, oversize, 0)
-    cnt = LawCounts(int(distinct[applicable].sum()), int(bad_counts.sum()),
-                    bad_counts > 0)
-    return cnt
+    return LawCounts(int(distinct[applicable].sum()), int(bad_counts.sum()),
+                     bad_counts > 0)
 
 
 def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ Checker depth per sweep ("auto"):
           or histogram                                        (n = 7)
   none    line stats only                                     (n = 8)
 All nine laws are numpy kernels.  n = 7 stays at "vector" so that its report
-keeps its seven-law form, and because the class-law kernel would add about
-half again to the time of that sweep.
+keeps its seven-law form; the class-law kernel would add about a third to
+the time of that sweep.
 The n = 8 sweep visits 2^28 codes and is opt-in at the CLI; per-code work
 there stays within the word-level line kernels.
 """
@@ -25,8 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -110,8 +111,8 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         return out
     ones = sw.one_masks(n, codes)
     lines = sw.line_masks(n, codes, ones)
-    srt = sw.sorted_lines(lines)
-    distinct = sw.distinct_counts(srt)
+    head = sw.edge_classes(lines)
+    distinct = sw.distinct_counts(head)
     universal = sw.universal_flags(n, lines)
 
     holds = (distinct >= n) | universal
@@ -136,14 +137,15 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     twins = sw.twin_pair_flags(n, codes, ones)
     twin_free = ~twins.any(axis=0)
     out["twin_free"] = int(twin_free.sum())
-    _, oversize = sw.class_size_stats(n, srt)
+    oversize = sw.class_size_stats(n, lines, head)
 
     law_counts = sw.distinct_line_counts(n, bits, lines, twins)
     law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
     law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
                                                     distinct, oversize)
     if checkers == "full":
-        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, twin_free)
+        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, head,
+                                                         twin_free)
         law_counts.update(class_counts)
     out["laws"] = {
         law: (cnt.instances, cnt.violations,
@@ -156,15 +158,18 @@ def _worker(task: tuple) -> dict:
     return _sweep_chunk(*task)
 
 
+def _first_witnesses(lists: Iterable[list[int]], cap: int) -> tuple[int, ...]:
+    """The first cap codes, in chunk order."""
+    return tuple(islice(chain.from_iterable(lists), cap))
+
+
 def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
                   max_witnesses: int) -> TheoremReport:
     total = sum(p["total"] for p in parts)
     parts = [p for p in parts if p["total"] > 0]
     failures = sum(p["failures"] for p in parts)
-    witnesses: list[int] = []
-    for p in parts:
-        if len(witnesses) < max_witnesses:
-            witnesses.extend(p["failure_witnesses"][:max_witnesses - len(witnesses)])
+    witnesses = _first_witnesses((p["failure_witnesses"] for p in parts),
+                                 max_witnesses)
     overall = (None, None)
     no_universal = (None, None)
     for p in parts:
@@ -173,27 +178,22 @@ def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
 
     twin_free = None
     hist = None
-    laws = None
+    laws: Optional[dict[str, LawStat]] = None
     if checkers != "none":
         twin_free = sum(p["twin_free"] for p in parts)
-        merged: dict[str, LawStat] = {}
+        laws = {}
         for law in LAW_ORDER:
-            if not any(law in p["laws"] for p in parts):
-                continue
-            inst = sum(p["laws"][law][0] for p in parts if law in p["laws"])
-            viol = sum(p["laws"][law][1] for p in parts if law in p["laws"])
-            bad: list[int] = []
-            for p in parts:
-                if law in p["laws"] and len(bad) < max_witnesses:
-                    bad.extend(p["laws"][law][2][:max_witnesses - len(bad)])
-            merged[law] = LawStat(inst, viol, tuple(bad))
-        laws = merged
+            stats = [p["laws"][law] for p in parts if law in p["laws"]]
+            if stats:
+                inst, viol, bad = zip(*stats)
+                laws[law] = LawStat(sum(inst), sum(viol),
+                                    _first_witnesses(bad, max_witnesses))
         if checkers == "full":
             hist = {tag: sum(p["hist"][tag] for p in parts) for tag in SHAPE_TAGS}
 
     return TheoremReport(
         n=n, mode=mode, checker_level=checkers, total_codes=total,
-        dbe_failures=failures, failure_witnesses=tuple(witnesses),
+        dbe_failures=failures, failure_witnesses=witnesses,
         min_lines_overall=overall[0], argmin_overall=overall[1],
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],

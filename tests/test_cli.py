@@ -83,6 +83,19 @@ class TestAnalyze:
         assert res.returncode == 1
         assert "input error" in res.stderr
 
+    def test_one_two_space_above_64_points(self, tmp_path):
+        # adjacency masks are Python ints, so 1-2 spaces have no point cap
+        n = 65
+        rows = [" ".join("0" if i == j else "1" if (i - j) % n in (1, n - 1)
+                         else "2" for j in range(n)) for i in range(n)]
+        p = tmp_path / "cycle65.txt"
+        p.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+        res = run_cli("analyze", str(p), "--json")
+        assert res.returncode == 0, res.stderr
+        r = json.loads(res.stdout)["results"]
+        assert r["n"] == n and r["is_one_two"]
+        assert r["verdict"]["holds"]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self):
@@ -271,6 +284,11 @@ class TestExitCodeTwo:
         out = capsys.readouterr().out
         assert "dbe_failures: 1" in out
 
-    def test_jobs_accepted_everywhere(self, path3_file):
-        assert run_cli("analyze", path3_file, "--jobs", "3").returncode == 0
-        assert run_cli("witnesses", "--jobs", "2").returncode == 0
+    def test_jobs_only_on_sweeps(self, path3_file):
+        assert run_cli("analyze", path3_file, "--jobs", "3").returncode == 1
+        assert run_cli("witnesses", "--jobs", "2").returncode == 1
+        assert run_cli("random-metrics", "--trials", "5",
+                       "--jobs", "2").returncode == 1
+        for argv in (("enumerate", "--n", "3"), ("claims", "--n", "3"),
+                     ("min-lines", "--n", "3")):
+            assert run_cli(*argv, "--jobs", "2").returncode == 0, argv

@@ -1,6 +1,7 @@
 """Vector kernels against the scalar reference implementations."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -69,10 +70,10 @@ class TestLineStats:
     def test_counts_against_scalar(self, n):
         codes = random_codes(n, 250, seed=30 + n)
         _, lines = batch(n, codes)
-        srt = sw.sorted_lines(lines)
-        distinct = sw.distinct_counts(srt)
+        head = sw.edge_classes(lines)
+        distinct = sw.distinct_counts(head)
         universal = sw.universal_flags(n, lines)
-        max_class, oversize = sw.class_size_stats(n, srt)
+        oversize = sw.class_size_stats(n, lines, head)
         bound = class_size_bound(n)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
@@ -81,8 +82,25 @@ class TestLineStats:
             sizes = [len(c.edges) for c in classes]
             assert int(distinct[ci]) == family.count
             assert bool(universal[ci]) == family.has_universal
-            assert int(max_class[ci]) == max(sizes)
             assert int(oversize[ci]) == sum(s > bound for s in sizes)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_arbitrary_lines_against_grouping(self, n):
+        # real codes almost never reach an oversize class; lines drawn from a
+        # 3-letter alphabet make large classes common
+        rng = np.random.default_rng(80 + n)
+        lines = rng.integers(1, 4, size=(pair_count(n), 300), dtype=np.uint8)
+        head = sw.edge_classes(lines)
+        distinct = sw.distinct_counts(head)
+        oversize = sw.class_size_stats(n, lines, head)
+        bound = class_size_bound(n)
+        hits = 0
+        for ci in range(lines.shape[1]):
+            sizes = Counter(lines[:, ci].tolist())
+            assert int(distinct[ci]) == len(sizes)
+            assert int(oversize[ci]) == sum(s > bound for s in sizes.values())
+            hits += int(oversize[ci]) > 0
+        assert hits > 0
 
 
 def scalar_law_counts(n, codes):
@@ -149,10 +167,10 @@ class TestLawKernels:
         n = 6
         codes = all_codes(n)
         ones, lines = batch(n, codes)
-        srt = sw.sorted_lines(lines)
-        distinct = sw.distinct_counts(srt)
+        head = sw.edge_classes(lines)
+        distinct = sw.distinct_counts(head)
         universal = sw.universal_flags(n, lines)
-        _, oversize = sw.class_size_stats(n, srt)
+        oversize = sw.class_size_stats(n, lines, head)
         twins = sw.twin_pair_flags(n, codes, ones)
         twin_free = ~twins.any(axis=0)
         cnt = sw.size_bound_counts(twin_free, universal, distinct, oversize)
@@ -165,8 +183,10 @@ class TestLawKernels:
 def kernel_class_counts(n, codes, lines=None):
     ones, masks = batch(n, codes)
     twin_free = ~sw.twin_pair_flags(n, codes, ones).any(axis=0)
-    return sw.class_law_counts(n, sw.label_bits(n, codes),
-                               masks if lines is None else lines, twin_free)
+    if lines is None:
+        lines = masks
+    return sw.class_law_counts(n, sw.label_bits(n, codes), lines,
+                               sw.edge_classes(lines), twin_free)
 
 
 def scalar_class_counts(n, code):

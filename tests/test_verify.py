@@ -148,6 +148,28 @@ class TestVerifyTheorem:
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         assert verify_theorem(5) == base
 
+    def test_witness_cap_spans_chunks(self, monkeypatch):
+        # Every line of codes 3, 20, 21 and 40 on 4 points set to {0, 1}:
+        # the property and disjoint-diff-label fail there, in three of the
+        # four 16-code chunks.
+        line_masks = sw.line_masks
+
+        def collapsed(n, codes, ones):
+            lines = line_masks(n, codes, ones)
+            lines[:, np.isin(codes, (3, 20, 21, 40))] = 0b11
+            return lines
+
+        monkeypatch.setattr(sw, "line_masks", collapsed)
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 16)
+        full = verify_theorem(4)
+        assert full.failure_witnesses == (3, 20, 21, 40)
+        assert full.laws["disjoint-diff-label"].witnesses == (3, 20, 21, 40)
+        for cap in (0, 1, 2, 3):
+            rep = verify_theorem(4, max_witnesses=cap)
+            assert rep.failure_witnesses == full.failure_witnesses[:cap]
+            for law, stat in rep.laws.items():
+                assert stat.witnesses == full.laws[law].witnesses[:cap], law
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_theorem(1)
