@@ -1,10 +1,13 @@
 """Vectorized enumeration kernels over arrays of label codes.
 
-Every kernel takes a 1-D int64 array of label codes for a fixed n <= 8 and
-works column-parallel: per-point distance-1 masks, per-pair line masks (the
-same closed form as line_of_fast), line-count statistics, and the law
-checkers, each as a few hundred numpy operations independent of how many
-codes are in the batch.  Point-set masks fit uint8 since n <= 8.
+label_bits decodes a 1-D int64 array of label codes for a fixed n <= 8 into
+a (C(n,2), len) bool table, one row per pair; it is the only kernel that
+reads code bits.  Every other kernel takes that table or arrays derived from
+it and works column-parallel: per-point distance-1 masks, per-pair line masks
+(the same closed form as line_of_fast), line-count statistics, the law
+checkers and the canonical relabeling, each as a few hundred numpy
+operations independent of how many codes are in the batch.  Point-set masks
+fit uint8 since n <= 8.
 
 The scalar implementations in lines/structure are the reference; the test
 suite pins these kernels against them exhaustively at small n and on random
@@ -39,29 +42,22 @@ def label_bits(n: int, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def one_masks(n: int, codes: np.ndarray) -> np.ndarray:
+def one_masks(n: int, bits: np.ndarray) -> np.ndarray:
     """(n, len) uint8: distance-1 neighborhood mask of each point."""
-    _check_n(n)
-    out = np.zeros((n, codes.shape[0]), dtype=np.uint8)
-    for p in range(n):
-        acc = np.zeros(codes.shape[0], dtype=np.uint8)
-        for q in range(n):
-            if q == p:
-                continue
-            adj = ((~codes >> pair_index(p, q, n)) & 1).astype(np.uint8)
-            acc |= adj << q
-        out[p] = acc
+    out = np.zeros((n, bits.shape[1]), dtype=np.uint8)
+    for k, (u, v) in enumerate(iter_pairs(n)):
+        adj = (~bits[k]).view(np.uint8)
+        out[u] |= adj << v
+        out[v] |= adj << u
     return out
 
 
-def line_masks(n: int, codes: np.ndarray, ones: np.ndarray) -> np.ndarray:
+def line_masks(n: int, bits: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """(C(n,2), len) uint8: line mask of each pair (line_of_fast, columnwise)."""
-    _check_n(n)
-    out = np.empty((pair_count(n), codes.shape[0]), dtype=np.uint8)
+    out = np.empty(bits.shape, dtype=np.uint8)
     for k, (u, v) in enumerate(iter_pairs(n)):
-        two = ((codes >> k) & 1).astype(bool)
         base = np.uint8((1 << u) | (1 << v))
-        out[k] = np.where(two, ones[u] & ones[v], ones[u] ^ ones[v]) | base
+        out[k] = np.where(bits[k], ones[u] & ones[v], ones[u] ^ ones[v]) | base
     return out
 
 
@@ -103,12 +99,11 @@ def class_size_stats(n: int, lines: np.ndarray, head: np.ndarray) -> np.ndarray:
     return oversize
 
 
-def twin_pair_flags(n: int, codes: np.ndarray, ones: np.ndarray) -> np.ndarray:
+def twin_pair_flags(n: int, bits: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """(C(n,2), len) bool: whether each pair is a twin pair."""
-    _check_n(n)
-    out = np.empty((pair_count(n), codes.shape[0]), dtype=bool)
+    out = np.empty(bits.shape, dtype=bool)
     for k, (u, v) in enumerate(iter_pairs(n)):
-        out[k] = (((codes >> k) & 1) == 1) & (ones[u] == ones[v])
+        out[k] = bits[k] & (ones[u] == ones[v])
     return out
 
 
@@ -250,21 +245,20 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
                      bad_counts > 0)
 
 
-def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
-    """Minimum label code over all n! relabelings, per code.
+def canonical_min(n: int, bits: np.ndarray) -> np.ndarray:
+    """int64 per code: minimum label code over all n! relabelings.
 
     Brute-force permutation minimization; fine through n = 6 on full
     enumerations and on modest batches beyond that.
     """
-    _check_n(n)
-    best = codes.copy()
-    acc = np.empty_like(codes)
+    best = np.full(bits.shape[1], np.iinfo(np.int64).max)
+    acc = np.empty_like(best)
+    bit = np.empty_like(best)
     for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
         acc[:] = 0
         for i, j in iter_pairs(n):
-            src = pair_index(perm[i], perm[j], n)
-            acc |= ((codes >> src) & 1) << pair_index(i, j, n)
+            np.left_shift(bits[pair_index(perm[i], perm[j], n)],
+                          pair_index(i, j, n), out=bit, dtype=np.int64)
+            acc |= bit
         np.minimum(best, acc, out=best)
     return best

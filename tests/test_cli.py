@@ -123,6 +123,7 @@ class TestUsageErrors:
         ["claims", "--n", "4", "--trials", "10", "--max-witnesses", "-2"],
         ["min-lines", "--n", "4", "--jobs", "0"],
         ["random-metrics", "--trials", "10", "--max-witnesses", "-1"],
+        ["random-metrics", "--trials", "-3"],
     ])
     def test_bad_limits_are_input_errors(self, argv, capsys):
         assert cli_mod.main([*argv, "--json"]) == 1

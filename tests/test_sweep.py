@@ -11,10 +11,10 @@ from dbelines import (ClassShape, EdgePair, EquivClass, all_lines, are_twins,
                       check_distinct_lines, check_twin_line_laws,
                       class_size_bound, classify_class, equiv_classes,
                       line_of_fast, space_from_code, twin_pairs)
-from dbelines.bitset import full_mask, iter_pairs, pair_count
+from dbelines.bitset import full_mask, iter_pairs, pair_count, pair_index
 from dbelines import sweep as sw
 
-from reference import ref_canonical_code
+from reference import ref_canonical_code, ref_pair_bit, ref_rows_from_code
 
 
 def random_codes(n, count, seed):
@@ -29,16 +29,42 @@ def all_codes(n):
 
 
 def batch(n, codes):
-    ones = sw.one_masks(n, codes)
-    lines = sw.line_masks(n, codes, ones)
-    return ones, lines
+    bits = sw.label_bits(n, codes)
+    ones = sw.one_masks(n, bits)
+    lines = sw.line_masks(n, bits, ones)
+    return bits, ones, lines
+
+
+class TestDecodeKernels:
+    """label_bits and one_masks against the definitional distance rows."""
+
+    @staticmethod
+    def check_against_rows(n, codes):
+        bits = sw.label_bits(n, codes)
+        ones = sw.one_masks(n, bits)
+        assert bits.shape == (pair_count(n), codes.size) and bits.dtype == bool
+        for ci, code in enumerate(codes):
+            rows = ref_rows_from_code(n, int(code))
+            for i, j in combinations(range(n), 2):
+                assert bits[ref_pair_bit(i, j, n), ci] == (rows[i][j] == 2)
+            for p in range(n):
+                near = sum(1 << q for q in range(n) if rows[p][q] == 1)
+                assert int(ones[p, ci]) == near, (int(code), p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exhaustive(self, n):
+        self.check_against_rows(n, all_codes(n))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_random(self, n):
+        self.check_against_rows(n, random_codes(n, 300, seed=90 + n))
 
 
 class TestMaskKernels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_line_masks_exhaustive(self, n):
         codes = all_codes(n)
-        ones, lines = batch(n, codes)
+        _, ones, lines = batch(n, codes)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
             assert tuple(space.adj) == tuple(int(ones[p, ci]) for p in range(n))
@@ -48,7 +74,7 @@ class TestMaskKernels:
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_line_masks_random(self, n):
         codes = random_codes(n, 400, seed=n)
-        _, lines = batch(n, codes)
+        _, _, lines = batch(n, codes)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
             for k, (u, v) in enumerate(iter_pairs(n)):
@@ -57,8 +83,8 @@ class TestMaskKernels:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_twin_flags(self, n):
         codes = random_codes(n, 300, seed=20 + n)
-        ones = sw.one_masks(n, codes)
-        twins = sw.twin_pair_flags(n, codes, ones)
+        bits, ones, _ = batch(n, codes)
+        twins = sw.twin_pair_flags(n, bits, ones)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
             for k, (u, v) in enumerate(iter_pairs(n)):
@@ -69,7 +95,7 @@ class TestLineStats:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_counts_against_scalar(self, n):
         codes = random_codes(n, 250, seed=30 + n)
-        _, lines = batch(n, codes)
+        _, _, lines = batch(n, codes)
         head = sw.edge_classes(lines)
         distinct = sw.distinct_counts(head)
         universal = sw.universal_flags(n, lines)
@@ -139,9 +165,8 @@ class TestLawKernels:
     @pytest.mark.parametrize("n", [4, 5])
     def test_exhaustive_against_scalar(self, n):
         codes = all_codes(n)
-        ones, lines = batch(n, codes)
-        bits = sw.label_bits(n, codes)
-        twins = sw.twin_pair_flags(n, codes, ones)
+        bits, ones, lines = batch(n, codes)
+        twins = sw.twin_pair_flags(n, bits, ones)
         counts = sw.distinct_line_counts(n, bits, lines, twins)
         counts.update(sw.twin_law_counts(n, bits, lines, twins))
         inst, viol = scalar_law_counts(n, codes)
@@ -153,9 +178,8 @@ class TestLawKernels:
     @pytest.mark.parametrize("n", [6, 7])
     def test_random_against_scalar(self, n):
         codes = random_codes(n, 120, seed=40 + n)
-        ones, lines = batch(n, codes)
-        bits = sw.label_bits(n, codes)
-        twins = sw.twin_pair_flags(n, codes, ones)
+        bits, ones, lines = batch(n, codes)
+        twins = sw.twin_pair_flags(n, bits, ones)
         counts = sw.distinct_line_counts(n, bits, lines, twins)
         counts.update(sw.twin_law_counts(n, bits, lines, twins))
         inst, viol = scalar_law_counts(n, codes)
@@ -163,15 +187,42 @@ class TestLawKernels:
             assert cnt.instances == inst[law], law
             assert cnt.violations == viol[law], law
 
+    # Code 1 on 4 points has d(0,1) = 2 and every other distance 1: twin
+    # pair (0,1), lines 01:{0,1,2,3}, 02 and 12:{0,1,2}, 03 and 13:{0,1,3},
+    # 23:{2,3}.  Code 19 on 5 points has d(0,1) = d(0,2) = d(1,2) = 2 and
+    # every other distance 1: twin pairs (0,1), (0,2), (1,2), line 12:{1,2,3,4}.
+    @pytest.mark.parametrize("n, code, pair, line, law, violations", [
+        # 23 gains 0 but not 1
+        (4, 1, (2, 3), 0b1101, "twin-a", 1),
+        # 12 loses 0
+        (4, 1, (1, 2), 0b0110, "twin-b", 1),
+        # 12 gains 0: twin pair (0,1) sees it from 2, twin pair (0,2) from 1
+        (5, 19, (1, 2), 0b11111, "twin-c", 2),
+        # 23 becomes the line of 02 and of 12; 03 and 13 are not twins
+        (4, 1, (2, 3), 0b0111, "adjacent-label1-nontwin", 2),
+    ])
+    def test_corrupted_line_fails_one_law(self, n, code, pair, line, law,
+                                          violations):
+        codes = all_codes(n)
+        bits, ones, lines = batch(n, codes)
+        twins = sw.twin_pair_flags(n, bits, ones)
+        assert twins[:, code].any()
+        lines[pair_index(*pair, n), code] = line
+        counts = sw.distinct_line_counts(n, bits, lines, twins)
+        counts.update(sw.twin_law_counts(n, bits, lines, twins))
+        fired = {name: (cnt.violations, np.flatnonzero(cnt.bad_codes).tolist())
+                 for name, cnt in counts.items() if cnt.violations}
+        assert fired == {law: (violations, [code])}
+
     def test_size_bound_counts(self):
         n = 6
         codes = all_codes(n)
-        ones, lines = batch(n, codes)
+        bits, ones, lines = batch(n, codes)
         head = sw.edge_classes(lines)
         distinct = sw.distinct_counts(head)
         universal = sw.universal_flags(n, lines)
         oversize = sw.class_size_stats(n, lines, head)
-        twins = sw.twin_pair_flags(n, codes, ones)
+        twins = sw.twin_pair_flags(n, bits, ones)
         twin_free = ~twins.any(axis=0)
         cnt = sw.size_bound_counts(twin_free, universal, distinct, oversize)
         assert cnt.violations == 0
@@ -181,11 +232,11 @@ class TestLawKernels:
 
 
 def kernel_class_counts(n, codes, lines=None):
-    ones, masks = batch(n, codes)
-    twin_free = ~sw.twin_pair_flags(n, codes, ones).any(axis=0)
+    bits, ones, masks = batch(n, codes)
+    twin_free = ~sw.twin_pair_flags(n, bits, ones).any(axis=0)
     if lines is None:
         lines = masks
-    return sw.class_law_counts(n, sw.label_bits(n, codes), lines,
+    return sw.class_law_counts(n, bits, lines,
                                sw.edge_classes(lines), twin_free)
 
 
@@ -256,7 +307,7 @@ class TestClassLawKernel:
         # under a 3-point line, and point 1 has three class edges.
         n = 4
         codes = all_codes(n)
-        _, lines = batch(n, codes)
+        _, _, lines = batch(n, codes)
         assert int(lines[0, 3]) == 0b1011
         lines[3, 3] = lines[0, 3]
         _, laws = kernel_class_counts(n, codes, lines)
@@ -269,10 +320,10 @@ class TestCanonicalKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_scalar(self, n):
         codes = random_codes(n, 60, seed=50 + n)
-        vec = sw.canonical_min(n, codes)
+        vec = sw.canonical_min(n, sw.label_bits(n, codes))
         for ci, code in enumerate(codes):
             assert int(vec[ci]) == ref_canonical_code(n, int(code))
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
-            sw.one_masks(9, np.zeros(1, dtype=np.int64))
+            sw.label_bits(9, np.zeros(1, dtype=np.int64))

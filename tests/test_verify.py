@@ -39,8 +39,18 @@ ISO_CLASSES = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 WITNESS_LINE_COUNTS = (12, 12, 12, 10, 11, 9)
 
 
+def canonical_codes(n, codes):
+    return sw.canonical_min(n, sw.label_bits(n, np.array(codes, dtype=np.int64)))
+
+
 def canonical(n, code):
-    return int(sw.canonical_min(n, np.array([code], dtype=np.int64))[0])
+    return int(canonical_codes(n, [code])[0])
+
+
+def codes_of(bits):
+    """The label codes whose sw.label_bits table is bits."""
+    weights = np.left_shift(1, np.arange(bits.shape[0], dtype=np.int64))
+    return weights @ bits
 
 
 class TestCanonicalCode:
@@ -79,7 +89,7 @@ class TestCanonicalCode:
                         if space.dist(perm[i], perm[j]) == 2:
                             c |= 1 << pair_index(i, j, n)
                     relabeled.append(c)
-                canon = sw.canonical_min(n, np.array(relabeled, dtype=np.int64))
+                canon = canonical_codes(n, relabeled)
                 assert set(canon.tolist()) == {canonical(n, code)}
 
 
@@ -113,9 +123,9 @@ class TestVerifyTheorem:
         # edges have labels 2 and 1.  Two violations per class law, one code.
         line_masks = sw.line_masks
 
-        def swapped(n, codes, ones):
-            lines = line_masks(n, codes, ones)
-            col = codes == 3
+        def swapped(n, bits, ones):
+            lines = line_masks(n, bits, ones)
+            col = codes_of(bits) == 3
             lines[0, col], lines[1, col] = lines[1, col], lines[0, col]
             return lines
 
@@ -154,9 +164,9 @@ class TestVerifyTheorem:
         # four 16-code chunks.
         line_masks = sw.line_masks
 
-        def collapsed(n, codes, ones):
-            lines = line_masks(n, codes, ones)
-            lines[:, np.isin(codes, (3, 20, 21, 40))] = 0b11
+        def collapsed(n, bits, ones):
+            lines = line_masks(n, bits, ones)
+            lines[:, np.isin(codes_of(bits), (3, 20, 21, 40))] = 0b11
             return lines
 
         monkeypatch.setattr(sw, "line_masks", collapsed)
