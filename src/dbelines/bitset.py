@@ -19,27 +19,9 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def mask_of(points) -> int:
-    """Mask from an iterable of point indices."""
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
-
-
-def iter_points(mask: int) -> Iterator[int]:
-    """Yield the members of a mask in ascending order."""
-    p = 0
-    while mask:
-        if mask & 1:
-            yield p
-        mask >>= 1
-        p += 1
-
-
 def mask_to_points(mask: int) -> list[int]:
     """Sorted list of the members of a mask."""
-    return list(iter_points(mask))
+    return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
 
 
 def pair_count(n: int) -> int:
@@ -51,19 +33,6 @@ def pair_index(i: int, j: int, n: int) -> int:
     if i > j:
         i, j = j, i
     return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def pair_from_index(k: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index: the k-th pair (i, j) with i < j."""
-    if not 0 <= k < pair_count(n):
-        raise ValueError(f"pair index {k} out of range for n={n}")
-    i = 0
-    row = n - 1
-    while k >= row:
-        k -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + k
 
 
 def iter_pairs(n: int) -> Iterator[tuple[int, int]]:

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 from . import reports
+from .bitset import mask_to_points
 from .lines import all_lines, dbe_verdict
 from .spaces import (NotOneTwoError, as_one_two, parse_distance_matrix,
                      validate_metric)
@@ -112,7 +113,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
             "twin_pairs": [list(p) for p in tp],
             "classes": [{
                 "edges": [[e.u, e.v, e.label] for e in cls.edges],
-                "line": reports.point_set(cls.line),
+                "line": mask_to_points(cls.line),
                 "shape": classify_class(ots, cls).value,
             } for cls in classes],
             "shape_check": reports.shape_result_to_json(shape),
@@ -314,9 +315,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
-        return 1
-    if getattr(args, "n", None) is not None and not 2 <= args.n <= 8:
-        print("point count must be between 2 and 8", file=sys.stderr)
         return 1
     start = time.monotonic()
     try:

@@ -22,13 +22,6 @@ from .bitset import full_mask, iter_pairs, pair_index
 from .spaces import OneTwoSpace
 
 
-def is_between(space, u: int, p: int, v: int) -> bool:
-    """True iff d(u,p) + d(p,v) = d(u,v) exactly.  Requires u != v."""
-    if u == v:
-        raise ValueError("betweenness needs distinct endpoints")
-    return space.dist(u, p) + space.dist(p, v) == space.dist(u, v)
-
-
 def line_of(space, u: int, v: int) -> int:
     """Point-set mask of the line of u, v, from the definition."""
     if u == v:
@@ -80,9 +73,6 @@ class LineFamily:
     def line_index(self, u: int, v: int) -> int:
         return self.pair_line[pair_index(u, v, self.n)]
 
-    def line_mask(self, u: int, v: int) -> int:
-        return self.lines[self.line_index(u, v)]
-
     @property
     def count(self) -> int:
         return len(self.lines)
@@ -110,11 +100,6 @@ def all_lines(space) -> LineFamily:
                 universal = True
         pair_line.append(idx)
     return LineFamily(n, tuple(order), tuple(pair_line), universal)
-
-
-def is_universal(space, line: int) -> bool:
-    """True iff the line is the whole point set."""
-    return line == full_mask(space.n)
 
 
 @dataclass(frozen=True)

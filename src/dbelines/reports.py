@@ -25,10 +25,6 @@ def rational_str(x) -> str:
     return str(Fraction(x))
 
 
-def point_set(mask: int) -> list[int]:
-    return mask_to_points(mask)
-
-
 def matrix_to_json(matrix: DistanceMatrix) -> list[list[str]]:
     return [[rational_str(x) for x in row] for row in matrix.rows]
 
@@ -42,7 +38,7 @@ def family_to_json(family: LineFamily) -> dict:
     return {
         "count": family.count,
         "has_universal": family.has_universal,
-        "lines": [point_set(m) for m in family.lines],
+        "lines": [mask_to_points(m) for m in family.lines],
         "pairs": [{"pair": [u, v], "line": family.line_index(u, v)}
                   for u, v in iter_pairs(family.n)],
     }
@@ -50,7 +46,7 @@ def family_to_json(family: LineFamily) -> dict:
 
 def violation_to_json(v: Violation) -> dict:
     return {"law": v.law, "points": list(v.points), "labels": list(v.labels),
-            "lines": [point_set(m) for m in v.lines]}
+            "lines": [mask_to_points(m) for m in v.lines]}
 
 
 def shape_result_to_json(r: ShapeCheckResult) -> dict:

@@ -63,9 +63,6 @@ class DistanceMatrix:
                     raise MatrixFormatError(f"negative entry {x} at ({i},{j})")
         return cls(n, rows)
 
-    def entry(self, i: int, j: int) -> Rational:
-        return self.rows[i][j]
-
 
 @dataclass(frozen=True)
 class MetricSpace:
@@ -115,10 +112,6 @@ class OneTwoSpace:
             if ((self.adj[i] >> j) & 1) != ((self.adj[j] >> i) & 1):
                 raise ValueError(f"asymmetric adjacency at pair ({i},{j})")
 
-    @property
-    def full_mask(self) -> int:
-        return full_mask(self.n)
-
     def dist(self, i: int, j: int) -> int:
         if i == j:
             return 0
@@ -129,11 +122,6 @@ class OneTwoSpace:
         r = [1 if (a >> j) & 1 else 2 for j in range(self.n)]
         r[i] = 0
         return r
-
-    def to_metric_space(self) -> MetricSpace:
-        # {1,2} labelings always satisfy the triangle inequality.
-        rows = tuple(tuple(self.row(i)) for i in range(self.n))
-        return MetricSpace(DistanceMatrix(self.n, rows))
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -179,17 +167,6 @@ def serialize_distance_matrix(matrix: DistanceMatrix) -> str:
     for row in matrix.rows:
         out.append(" ".join(str(Fraction(x)) for x in row))
     return "\n".join(out) + "\n"
-
-
-def scale_matrix(matrix: DistanceMatrix, factor: Rational) -> DistanceMatrix:
-    """Multiply every distance by a positive rational.
-
-    Scaling preserves every metric axiom and every line, hence the verdict.
-    """
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
-    rows = tuple(tuple(x * factor for x in row) for row in matrix.rows)
-    return DistanceMatrix(matrix.n, rows)
 
 
 def validate_metric(matrix: DistanceMatrix) -> MetricSpace:

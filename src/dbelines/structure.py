@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .bitset import full_mask, iter_pairs, pair_from_index, pair_index
+from .bitset import full_mask, iter_pairs, pair_index
 from .lines import LineFamily, all_lines, line_of_fast
 from .spaces import OneTwoSpace
 
@@ -80,8 +80,7 @@ def equiv_classes(family: LineFamily, space: OneTwoSpace) -> list[EquivClass]:
     if family.n != space.n:
         raise ValueError("family and space disagree on point count")
     buckets: list[list[EdgePair]] = [[] for _ in family.lines]
-    for k, idx in enumerate(family.pair_line):
-        u, v = pair_from_index(k, space.n)
+    for idx, (u, v) in zip(family.pair_line, iter_pairs(space.n)):
         buckets[idx].append(EdgePair(u, v, space.dist(u, v)))
     return [EquivClass(tuple(edges), family.lines[idx])
             for idx, edges in enumerate(buckets)]
@@ -209,6 +208,11 @@ def check_twin_line_laws(space: OneTwoSpace) -> list[Violation]:
     return bad
 
 
+def _class_violation(law: str, cls: EquivClass) -> Violation:
+    return Violation(law, tuple(p for e in cls.edges for p in (e.u, e.v)),
+                     tuple(e.label for e in cls.edges), (cls.line,))
+
+
 def check_full_cover_classes(space: OneTwoSpace) -> list[Violation]:
     """A class whose edges touch every point must have a universal line."""
     fm = full_mask(space.n)
@@ -218,9 +222,7 @@ def check_full_cover_classes(space: OneTwoSpace) -> list[Violation]:
         for e in cls.edges:
             cover |= (1 << e.u) | (1 << e.v)
         if cover == fm and cls.line != fm:
-            pts = tuple(p for e in cls.edges for p in (e.u, e.v))
-            bad.append(Violation("full-cover", pts,
-                                 tuple(e.label for e in cls.edges), (cls.line,)))
+            bad.append(_class_violation("full-cover", cls))
     return bad
 
 
@@ -229,13 +231,10 @@ def check_twin_free_shapes(space: OneTwoSpace) -> ShapeCheckResult:
     4-cycle subset; skipped (not applicable) when the space has twins."""
     if twin_pairs(space):
         return ShapeCheckResult(False, ())
-    bad = []
-    for cls in equiv_classes(all_lines(space), space):
-        if classify_class(space, cls) is ClassShape.OTHER:
-            pts = tuple(p for e in cls.edges for p in (e.u, e.v))
-            bad.append(Violation("class-shape", pts,
-                                 tuple(e.label for e in cls.edges), (cls.line,)))
-    return ShapeCheckResult(True, tuple(bad))
+    return ShapeCheckResult(True, tuple(
+        _class_violation("class-shape", cls)
+        for cls in equiv_classes(all_lines(space), space)
+        if classify_class(space, cls) is ClassShape.OTHER))
 
 
 def class_size_bound(n: int) -> int:
@@ -252,10 +251,6 @@ def check_class_size_bound(space: OneTwoSpace) -> ShapeCheckResult:
     if family.has_universal:
         return ShapeCheckResult(False, ())
     bound = class_size_bound(space.n)
-    bad = []
-    for cls in equiv_classes(family, space):
-        if len(cls.edges) > bound:
-            pts = tuple(p for e in cls.edges for p in (e.u, e.v))
-            bad.append(Violation("class-size", pts,
-                                 tuple(e.label for e in cls.edges), (cls.line,)))
-    return ShapeCheckResult(True, tuple(bad))
+    return ShapeCheckResult(True, tuple(
+        _class_violation("class-size", cls)
+        for cls in equiv_classes(family, space) if len(cls.edges) > bound))

@@ -28,14 +28,15 @@ from .structure import ClassShape, class_size_bound
 ENUM_MAX_POINTS = 8
 
 
-def _check_n(n: int) -> None:
+def check_point_count(n: int) -> None:
+    """The point-count bound of every sweep, from the kernels' uint8 masks."""
     if not 2 <= n <= ENUM_MAX_POINTS:
-        raise ValueError(f"enumeration kernels support 2 <= n <= {ENUM_MAX_POINTS}, got {n}")
+        raise ValueError(f"point count must be between 2 and {ENUM_MAX_POINTS}, got {n}")
 
 
 def label_bits(n: int, codes: np.ndarray) -> np.ndarray:
     """(C(n,2), len) bool: bit k set means the k-th pair is at distance 2."""
-    _check_n(n)
+    check_point_count(n)
     out = np.empty((pair_count(n), codes.shape[0]), dtype=bool)
     for k in range(pair_count(n)):
         out[k] = (codes >> k) & 1

@@ -24,6 +24,7 @@ there stays within the word-level line kernels.
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -214,20 +215,20 @@ def _chunk_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress,
                 total: int) -> list[dict]:
+    # a pool only when two tasks can share it, and no idle workers
+    workers = min(jobs, len(tasks))
     parts = []
     done = 0
-    if jobs <= 1:
-        for task in tasks:
-            parts.append(_worker(task))
-            done += task[2] - task[1]
-            if progress:
-                progress(done, total)
-        return parts
-    import multiprocessing as mp
-    with mp.Pool(processes=jobs) as pool:
-        for i, part in enumerate(pool.imap(_worker, tasks)):
+    with ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing as mp
+            pool = stack.enter_context(mp.Pool(processes=workers))
+            results = pool.imap(_worker, tasks)
+        else:
+            results = map(_worker, tasks)
+        for task, part in zip(tasks, results):
             parts.append(part)
-            done += tasks[i][2] - tasks[i][1]
+            done += task[2] - task[1]
             if progress:
                 progress(done, total)
     return parts
@@ -249,8 +250,7 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
     per isomorphism class (n <= 7; the factorial filter is slow at n = 7).
     The report is independent of jobs and of chunking.
     """
-    if not 2 <= n <= sw.ENUM_MAX_POINTS:
-        raise ValueError(f"verify_theorem supports 2 <= n <= {sw.ENUM_MAX_POINTS}")
+    sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -297,8 +297,7 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     skipped (see the level table of this module).  Sampled runs always use the full
     set.  Sampling draws codes uniformly with replacement.
     """
-    if not 2 <= n <= sw.ENUM_MAX_POINTS:
-        raise ValueError(f"claims_sweep supports 2 <= n <= {sw.ENUM_MAX_POINTS}")
+    sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if trials is None:
         level = "full" if n <= 6 else "vector"
@@ -338,8 +337,10 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
     The no-universal column is None when every space on n points has a
     universal line (only n = 2).
     """
-    if not 2 <= n_lo <= n_hi <= sw.ENUM_MAX_POINTS:
-        raise ValueError("need 2 <= n_lo <= n_hi <= 8")
+    sw.check_point_count(n_lo)
+    sw.check_point_count(n_hi)
+    if n_lo > n_hi:
+        raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
     _check_limits(jobs)
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -442,13 +443,6 @@ def _draw_int_rows(rng: random.Random, n: int,
             for a, b in ((i, j), (j, k), (i, k)):
                 rows[a][b] = rows[b][a] = _draw_numerator(rng)
             retries += 1
-
-
-def random_rational_metric(rng: random.Random, n: int) -> MetricSpace:
-    """Random metric space with entries p/q, q <= 16, p/q in (0, 4]."""
-    rows = _draw_int_rows(rng, n)
-    frac = tuple(tuple(Fraction(x, _COMMON_DENOM) for x in row) for row in rows)
-    return validate_metric(DistanceMatrix(n, frac))
 
 
 @dataclass(frozen=True)

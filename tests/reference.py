@@ -3,9 +3,11 @@
 Deliberately dumb and independent of the package's bit tricks: matrices are
 lists of lists, lines come straight from the three betweenness equations,
 and pair positions are found by counting.  Any agreement between these and
-the package is evidence, not circularity.
+the package is evidence, not circularity.  The two helpers at the end
+build test inputs and are not oracles.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
@@ -85,3 +87,19 @@ def ref_canonical_code(n: int, code: int) -> int:
         if best is None or relabeled < best:
             best = relabeled
     return best
+
+
+def mask_of(points) -> int:
+    """Mask from an iterable of point indices."""
+    m = 0
+    for p in points:
+        m |= 1 << p
+    return m
+
+
+def random_metric(rng, n: int):
+    """Random rational metric space from the generator random-metrics runs."""
+    from dbelines.spaces import MetricSpace
+    from dbelines.verify import _COMMON_DENOM, _draw_int_rows
+    return MetricSpace.from_rows([Fraction(x, _COMMON_DENOM) for x in row]
+                                 for row in _draw_int_rows(rng, n))

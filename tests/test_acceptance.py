@@ -16,11 +16,11 @@ import time
 
 import pytest
 
-from dbelines import (check_distinct_lines, check_twin_line_laws, claims_sweep,
-                      dbe_verdict, line_of, line_of_fast, min_lines_table,
-                      six_point_witnesses, space_from_code, verify_small_spaces,
-                      verify_theorem)
+from dbelines import (claims_sweep, dbe_verdict, line_of, line_of_fast,
+                      min_lines_table, six_point_witnesses, space_from_code,
+                      verify_small_spaces, verify_theorem)
 from dbelines.bitset import iter_pairs, pair_count
+from dbelines.structure import check_distinct_lines, check_twin_line_laws
 
 RUN_N8 = os.environ.get("DBELINES_RUN_N8") == "1"
 needs_n8 = pytest.mark.skipif(

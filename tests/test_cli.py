@@ -124,6 +124,10 @@ class TestUsageErrors:
         ["min-lines", "--n", "4", "--jobs", "0"],
         ["random-metrics", "--trials", "10", "--max-witnesses", "-1"],
         ["random-metrics", "--trials", "-3"],
+        ["claims", "--n", "9", "--trials", "10"],
+        ["claims", "--n", "9"],
+        ["min-lines", "--n", "1"],
+        ["min-lines", "--n", "9"],
     ])
     def test_bad_limits_are_input_errors(self, argv, capsys):
         assert cli_mod.main([*argv, "--json"]) == 1
@@ -159,8 +163,10 @@ class TestEnumerate:
         assert json.loads(res.stdout)["results"]["total_codes"] == 11
 
     def test_jobs_do_not_change_bytes(self):
-        a = run_cli("enumerate", "--n", "5", "--json", "--jobs", "1")
-        b = run_cli("enumerate", "--n", "5", "--json", "--jobs", "4")
+        # n = 6 is the smallest n split into several chunks, so --jobs
+        # starts a pool; below it a sweep is one task and runs in-process
+        a = run_cli("enumerate", "--n", "6", "--json", "--jobs", "1")
+        b = run_cli("enumerate", "--n", "6", "--json", "--jobs", "4")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -211,11 +217,14 @@ class TestClaims:
         assert all(law["violations"] == 0 for law in r["laws"].values())
 
     def test_jobs_do_not_change_bytes(self):
-        a = run_cli("claims", "--n", "5", "--json", "--jobs", "1")
-        b = run_cli("claims", "--n", "5", "--json", "--jobs", "3")
+        # n = 6 so that --jobs starts a pool (see TestEnumerate)
+        a = run_cli("claims", "--n", "6", "--json", "--jobs", "1")
+        b = run_cli("claims", "--n", "6", "--json", "--jobs", "3")
+        assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
-        a = run_cli("min-lines", "--n", "4", "--json", "--jobs", "1")
-        b = run_cli("min-lines", "--n", "4", "--json", "--jobs", "3")
+        a = run_cli("min-lines", "--n", "6", "--json", "--jobs", "1")
+        b = run_cli("min-lines", "--n", "6", "--json", "--jobs", "3")
+        assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
 

@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbelines import (DistanceMatrix, MetricSpace, all_lines, dbe_verdict,
-                      full_mask, is_between, is_universal, line_of,
-                      line_of_fast, mask_of, mask_to_points,
-                      random_rational_metric, space_from_code,
-                      validate_metric)
+from dbelines import (MetricSpace, all_lines, dbe_verdict, line_of,
+                      line_of_fast, mask_to_points, space_from_code)
 from dbelines.bitset import iter_pairs, pair_count
-from dbelines.spaces import scale_matrix
 
-from reference import ref_line, ref_rows_from_code
+from reference import mask_of, random_metric, ref_line, ref_rows_from_code
 
 PATH3 = space_from_code(3, 0b010)
 ALL1_4 = space_from_code(4, 0)
@@ -24,22 +20,6 @@ ALL2_3 = space_from_code(3, 0b111)
 
 def codes_strategy(n):
     return st.integers(0, (1 << pair_count(n)) - 1)
-
-
-class TestIsBetween:
-    def test_path_midpoint(self):
-        assert is_between(PATH3, 0, 1, 2)
-
-    def test_endpoint_is_always_between(self):
-        assert is_between(PATH3, 0, 0, 1)
-        assert is_between(ALL2_3, 1, 2, 2)
-
-    def test_all_one_triangle(self):
-        assert not is_between(space_from_code(3, 0), 0, 2, 1)
-
-    def test_equal_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            is_between(PATH3, 1, 0, 1)
 
 
 class TestLineOf:
@@ -130,7 +110,7 @@ class TestAllLines:
                 assert len(set(family.lines)) == len(family.lines)
                 assert len(family.pair_line) == pair_count(n)
                 for u, v in iter_pairs(n):
-                    line = family.line_mask(u, v)
+                    line = family.lines[family.line_index(u, v)]
                     assert line & mask_of([u, v]) == mask_of([u, v])
 
     def test_single_point_rejected(self):
@@ -140,9 +120,9 @@ class TestAllLines:
 
 class TestUniversalAndVerdict:
     def test_is_universal(self):
-        assert is_universal(PATH3, mask_of([0, 1, 2]))
-        assert not is_universal(ALL1_4, mask_of([0, 1]))
-        assert is_universal(space_from_code(2, 0), mask_of([0, 1]))
+        assert all_lines(PATH3).has_universal
+        assert not all_lines(ALL1_4).has_universal
+        assert all_lines(space_from_code(2, 0)).has_universal
 
     @pytest.mark.parametrize("code", [0, 1])
     def test_two_points_always_hold(self, code):
@@ -185,7 +165,7 @@ class TestLineProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10**9))
     def test_endpoints_and_symmetry_general(self, n, seed):
-        space = random_rational_metric(random.Random(seed), n)
+        space = random_metric(random.Random(seed), n)
         for u, v in iter_pairs(n):
             line = line_of(space, u, v)
             assert line == line_of(space, v, u)
@@ -209,9 +189,10 @@ class TestLineProperties:
     @given(st.integers(2, 5), st.integers(0, 10**9),
            st.integers(1, 40), st.integers(1, 12))
     def test_scaling_preserves_lines_and_verdict(self, n, seed, num, den):
-        space = random_rational_metric(random.Random(seed), n)
+        space = random_metric(random.Random(seed), n)
         factor = Fraction(num, den)
-        scaled = validate_metric(scale_matrix(space.matrix, factor))
+        scaled = MetricSpace.from_rows([x * factor for x in row]
+                                       for row in space.matrix.rows)
         for u, v in iter_pairs(n):
             assert line_of(space, u, v) == line_of(scaled, u, v)
         assert dbe_verdict(space) == dbe_verdict(scaled)

@@ -5,15 +5,16 @@ from itertools import combinations
 
 import pytest
 
-from dbelines import (ClassShape, EdgePair, EquivClass, all_lines, are_twins,
-                      check_class_size_bound, check_distinct_lines,
-                      check_full_cover_classes, check_twin_free_shapes,
-                      check_twin_line_laws, class_size_bound, classify_class,
-                      equiv_classes, line_of, mask_of, space_from_code,
-                      twin_pairs)
+from dbelines import all_lines, line_of, space_from_code
 from dbelines.bitset import pair_count
+from dbelines.structure import (ClassShape, EdgePair, EquivClass, are_twins,
+                                check_class_size_bound, check_distinct_lines,
+                                check_full_cover_classes,
+                                check_twin_free_shapes, check_twin_line_laws,
+                                class_size_bound, classify_class,
+                                equiv_classes, twin_pairs)
 
-from reference import ref_twins, ref_rows_from_code
+from reference import mask_of, ref_twins, ref_rows_from_code
 
 PATH3 = space_from_code(3, 0b010)
 ALL1_4 = space_from_code(4, 0)

@@ -7,12 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dbelines import (ClassShape, EdgePair, EquivClass, all_lines, are_twins,
-                      check_distinct_lines, check_twin_line_laws,
-                      class_size_bound, classify_class, equiv_classes,
-                      line_of_fast, space_from_code, twin_pairs)
+from dbelines import all_lines, line_of_fast, space_from_code
 from dbelines.bitset import full_mask, iter_pairs, pair_count, pair_index
 from dbelines import sweep as sw
+from dbelines.structure import (ClassShape, EdgePair, EquivClass, are_twins,
+                                check_distinct_lines, check_twin_line_laws,
+                                class_size_bound, classify_class,
+                                equiv_classes, twin_pairs)
 
 from reference import ref_canonical_code, ref_pair_bit, ref_rows_from_code
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dbelines import (all_lines, as_one_two, claims_sweep, code_from_space,
-                      dbe_verdict, min_lines_table, random_rational_metric,
+from dbelines import (MetricSpace, all_lines, as_one_two, claims_sweep,
+                      code_from_space, dbe_verdict, min_lines_table,
                       six_point_witnesses, space_from_code, twin_pairs,
-                      validate_metric, verify_small_spaces, verify_theorem)
+                      verify_small_spaces, verify_theorem)
 from dbelines import sweep as sw
 from dbelines import verify as verify_mod
 from dbelines.bitset import iter_pairs, pair_count, pair_index
@@ -197,6 +197,38 @@ class TestVerifyTheorem:
         verify_theorem(4, progress=lambda done, total: calls.append((done, total)))
         assert calls == [(64, 64)]
 
+    def test_pool_has_no_idle_workers(self, monkeypatch):
+        import multiprocessing
+        sizes = []
+
+        class FakePool:
+            """Records its size and runs tasks in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        # n <= 5 is one 1024-code task at any jobs: no pool at all
+        assert verify_theorem(4, jobs=64) == verify_theorem(4)
+        assert sizes == []
+        base = verify_theorem(6)
+        calls = []
+        rep = verify_theorem(6, jobs=64, progress=lambda d, t: calls.append(d))
+        assert rep == base
+        assert sizes == [32]  # 32 tasks of 1024 codes
+        assert calls == list(range(1024, 32769, 1024))
+        assert verify_theorem(6, jobs=3) == base
+        assert sizes == [32, 3]
+
 
 class TestClaimsSweep:
     def test_exhaustive_matches_scalar_aggregation(self):
@@ -205,7 +237,8 @@ class TestClaimsSweep:
         assert rep.sampling is None and rep.skipped_laws == ()
         assert rep.total_codes == 64
         # recompute two law entries directly from the scalar checkers
-        from dbelines import check_full_cover_classes, check_twin_free_shapes
+        from dbelines.structure import (check_full_cover_classes,
+                                        check_twin_free_shapes)
         cover_inst = 0
         shape_inst = 0
         tf_codes = 0
@@ -285,7 +318,8 @@ class TestSixPointWitnesses:
     def test_spaces_are_valid_one_two(self):
         for w in six_point_witnesses():
             # reconstructs and revalidates the matrix
-            again = as_one_two(validate_metric(w.space.to_metric_space().matrix))
+            again = as_one_two(MetricSpace.from_rows(
+                w.space.row(i) for i in range(6)))
             assert again == w.space
             assert code_from_space(w.space) == w.code
 
@@ -311,16 +345,17 @@ class TestRandomMetrics:
         rng = random.Random(17)
         for n in (2, 3, 4):
             for _ in range(50):
-                space = random_rational_metric(rng, n)
+                rows = verify_mod._draw_int_rows(rng, n)
+                MetricSpace.from_rows(rows)  # must not raise
                 for i, j in iter_pairs(n):
-                    d = Fraction(space.dist(i, j))
+                    d = Fraction(rows[i][j], verify_mod._COMMON_DENOM)
                     assert 0 < d <= 4
                     assert d.denominator <= 16
 
     def test_generator_deterministic(self):
-        a = random_rational_metric(random.Random(23), 4)
-        b = random_rational_metric(random.Random(23), 4)
-        assert a.matrix.rows == b.matrix.rows
+        a = verify_mod._draw_int_rows(random.Random(23), 4)
+        b = verify_mod._draw_int_rows(random.Random(23), 4)
+        assert a == b
 
     def test_small_run_clean(self):
         rep = verify_small_spaces(trials=300, seed=42)
