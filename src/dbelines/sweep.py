@@ -7,7 +7,8 @@ it and works column-parallel: per-point distance-1 masks, per-pair line masks
 (the same closed form as line_of_fast), line-count statistics, the law
 checkers and the canonical relabeling, each as a few hundred numpy
 operations independent of how many codes are in the batch.  Point-set masks
-fit uint8 since n <= 8.
+fit uint8 since n <= 8.  The twin and distinct-line law kernels work on
+gathered twin columns and equal-line indices: only there can a law fail.
 
 The scalar implementations in lines/structure are the reference; the test
 suite pins these kernels against them exhaustively at small n and on random
@@ -127,58 +128,74 @@ def _tally(cnt: LawCounts, applicable: np.ndarray, bad: np.ndarray) -> None:
     cnt.bad_codes |= bad
 
 
+def _flag(cnt: LawCounts, idx: np.ndarray, bad: np.ndarray) -> None:
+    # bad holds one row of flags, or several, over the codes idx
+    cnt.violations += int(np.count_nonzero(bad))
+    cnt.bad_codes[idx[np.atleast_2d(bad).any(axis=0)]] = True
+
+
 def distinct_line_counts(n: int, bits: np.ndarray, lines: np.ndarray,
                          twins: np.ndarray) -> dict[str, LawCounts]:
-    """Vector form of check_distinct_lines, counted per law."""
+    """Vector form of check_distinct_lines, counted per law.
+
+    A point with d edges at distance 2 is the middle of C(d, 2) edge pairs
+    labelled 2, 2, of C(n-1-d, 2) labelled 1, 1 (less those whose ends are
+    twins) and of d (n-1-d) with different labels; the rest of a code's
+    t (C(n,2) - t) such pairs, t its edges at distance 2, are disjoint.
+    Labels are read only where an edge pair's lines agree.
+    """
     m = bits.shape[1]
     out = {law: _new_counts(m) for law in
            ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin")}
-    for quad in combinations(range(n), 4):
-        a, b, c, d = quad
-        for (p, q) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            k1, k2 = pair_index(*p, n), pair_index(*q, n)
-            applicable = bits[k1] != bits[k2]
-            _tally(out["disjoint-diff-label"], applicable,
-                   applicable & (lines[k1] == lines[k2]))
-    for mid in range(n):
-        rest = [x for x in range(n) if x != mid]
-        for a, b in combinations(rest, 2):
-            k1, k2 = pair_index(a, mid, n), pair_index(mid, b, n)
-            eq = lines[k1] == lines[k2]
-            both2 = bits[k1] & bits[k2]
-            _tally(out["adjacent-label2"], both2, both2 & eq)
-            both1 = ~bits[k1] & ~bits[k2] & ~twins[pair_index(a, b, n)]
-            _tally(out["adjacent-label1-nontwin"], both1, both1 & eq)
+    disjoint, label2, label1 = out.values()
+    t = np.zeros(m, dtype=np.int16)
+    for p in range(n):
+        d2 = sum(bits[pair_index(p, w, n)].view(np.int8) for w in range(n) if w != p)
+        d1 = n - 1 - d2
+        t += d2
+        label2.instances += int((d2 * (d2 - 1)).sum()) // 2
+        label1.instances += int((d1 * (d1 - 1)).sum()) // 2 - sum(
+            int(d1[twins[pair_index(p, b, n)]].sum()) for b in range(p + 1, n))
+        disjoint.instances -= int((d2 * d1).sum())
+    t //= 2
+    disjoint.instances += int((t * (pair_count(n) - t)).sum())
+    ends = [{u, v} for u, v in iter_pairs(n)]
+    for k1, k2 in combinations(range(len(ends)), 2):
+        eq = np.flatnonzero(lines[k1] == lines[k2])
+        b1, b2 = bits[k1][eq], bits[k2][eq]
+        if ends[k1] & ends[k2]:
+            tw = twins[pair_index(*sorted(ends[k1] ^ ends[k2]), n)][eq]
+            _flag(label2, eq, b1 & b2)
+            _flag(label1, eq, ~b1 & ~b2 & ~tw)
+        else:
+            _flag(disjoint, eq, b1 != b2)
     return out
-
-
-def _has_point(lines_k: np.ndarray, p: int) -> np.ndarray:
-    return ((lines_k >> p) & 1).astype(bool)
 
 
 def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
                     twins: np.ndarray) -> dict[str, LawCounts]:
-    """Vector form of check_twin_line_laws, counted per law."""
+    """Vector form of check_twin_line_laws, counted per law, each twin
+    pair's laws on the gathered columns of the codes where it is one."""
     m = bits.shape[1]
     out = {law: _new_counts(m) for law in ("twin-a", "twin-b", "twin-c")}
     for k, (u, v) in enumerate(iter_pairs(n)):
-        tw = twins[k]
-        if not tw.any():
+        idx = np.flatnonzero(twins[k])
+        if idx.size == 0:
             continue
+        cols = lines[:, idx]
+        has_u, has_v = ((cols & np.uint8(1 << x)) != 0 for x in (u, v))
         others = [w for w in range(n) if w != u and w != v]
-        for x, y in combinations(others, 2):
-            mxy = lines[pair_index(x, y, n)]
-            _tally(out["twin-a"], tw,
-                   tw & (_has_point(mxy, u) != _has_point(mxy, v)))
-        for w in others:
-            kwv = pair_index(w, v, n)
-            mwv, mwu = lines[kwv], lines[pair_index(w, u, n)]
-            u_wv, v_wv = _has_point(mwv, u), _has_point(mwv, v)
-            u_wu, v_wu = _has_point(mwu, u), _has_point(mwu, v)
-            near = tw & ~bits[kwv]
-            _tally(out["twin-b"], near, near & ~(u_wv & v_wv & u_wu & v_wu))
-            far = tw & bits[kwv]
-            _tally(out["twin-c"], far, far & ~(v_wv & ~u_wv & u_wu & ~v_wu))
+        xy = [pair_index(x, y, n) for x, y in combinations(others, 2)]
+        wv, wu = ([pair_index(w, x, n) for w in others] for x in (v, u))
+        far = bits[np.ix_(wv, idx)]
+        near_ok = has_u[wv] & has_v[wv] & has_u[wu] & has_v[wu]
+        far_ok = has_v[wv] & ~has_u[wv] & has_u[wu] & ~has_v[wu]
+        out["twin-a"].instances += len(xy) * idx.size
+        out["twin-b"].instances += int(np.count_nonzero(~far))
+        out["twin-c"].instances += int(np.count_nonzero(far))
+        _flag(out["twin-a"], idx, has_u[xy] != has_v[xy])
+        _flag(out["twin-b"], idx, ~far & ~near_ok)
+        _flag(out["twin-c"], idx, far & ~far_ok)
     return out
 
 

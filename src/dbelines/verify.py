@@ -14,9 +14,9 @@ Checker depth per sweep ("auto"):
           or histogram                                        (n = 7)
   none    line stats only                                     (n = 8)
 All nine laws are numpy kernels.  n = 7 stays at "vector" so that its report
-keeps its seven-law form; the class-law kernel would add about a third to
-the time of that sweep (4.1-4.8 s against 3.3-3.4 s per 2^20 codes on a
-2-core host).
+keeps its seven-law form; the class-law kernel would more than double the
+time of that sweep (1.6-1.8 s against 0.75-0.8 s per 2^20 codes on a 2-core
+host).
 The n = 8 sweep visits 2^28 codes and is opt-in at the CLI; per-code work
 there stays within the word-level line kernels.
 """
@@ -206,11 +206,14 @@ def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
         twin_free_codes=twin_free, class_counts_by_shape=hist, laws=laws)
 
 
-def _chunk_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
+def _sweep_tasks(n: int, iso: bool, checkers: str, jobs: int,
+                 max_witnesses: int) -> list[tuple]:
+    total = 1 << pair_count(n)
     chunk = CHUNK_CODES
     if jobs > 1:
         chunk = min(chunk, max(1024, -(-total // (jobs * 4))))
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    return [(n, lo, min(lo + chunk, total), iso, checkers, max_witnesses)
+            for lo in range(0, total, chunk)]
 
 
 def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress,
@@ -262,11 +265,8 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
             "vector" if n == 7 else "none")
     if checkers not in ("full", "vector", "none"):
         raise ValueError(f"unknown checker level {checkers!r}")
-    total = 1 << pair_count(n)
-    iso = mode == "iso"
-    tasks = [(n, lo, hi, iso, checkers, max_witnesses)
-             for lo, hi in _chunk_bounds(total, jobs)]
-    parts = _run_chunks(tasks, jobs, progress, total)
+    tasks = _sweep_tasks(n, mode == "iso", checkers, jobs, max_witnesses)
+    parts = _run_chunks(tasks, jobs, progress, 1 << pair_count(n))
     return _merge_chunks(n, mode, checkers, parts, max_witnesses)
 
 
@@ -332,24 +332,25 @@ class MinLinesRow:
 
 def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
                     progress: Progress = None) -> tuple[MinLinesRow, ...]:
-    """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending.
-
-    The no-universal column is None when every space on n points has a
-    universal line (only n = 2).
+    """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending,
+    from one run (one pool) over the chunks of every n.  The no-universal
+    column is None when every space on n points has a universal line (n = 2).
     """
     sw.check_point_count(n_lo)
     sw.check_point_count(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
     _check_limits(jobs)
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        rep = verify_theorem(n, mode="all", jobs=jobs, checkers="none",
-                             progress=progress)
-        rows.append(MinLinesRow(n, rep.min_lines_overall, rep.argmin_overall,
-                                rep.min_lines_no_universal,
-                                rep.argmin_no_universal))
-    return tuple(rows)
+    ns = range(n_lo, n_hi + 1)
+    tasks = [task for n in ns for task in _sweep_tasks(n, False, "none", jobs, 0)]
+    parts = _run_chunks(tasks, jobs, progress,
+                        sum(1 << pair_count(n) for n in ns))
+    reps = (_merge_chunks(n, "all", "none",
+                          [p for t, p in zip(tasks, parts) if t[0] == n], 0)
+            for n in ns)
+    return tuple(MinLinesRow(r.n, r.min_lines_overall, r.argmin_overall,
+                             r.min_lines_no_universal, r.argmin_no_universal)
+                 for r in reps)
 
 
 @dataclass(frozen=True)

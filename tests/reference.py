@@ -74,6 +74,51 @@ def ref_dbe(rows):
     return len(order), universal, len(order) >= n or universal
 
 
+def ref_law_counts(n: int, code: int, line_column) -> dict[str, tuple[int, int]]:
+    """Per-law (instances, violations) of the six label laws on one code,
+    with the line of pair {i, j} read from line_column[ref_pair_bit(i, j, n)]
+    rather than computed, so that a corrupted line table can be checked."""
+    rows = ref_rows_from_code(n, code)
+    counts = {law: [0, 0] for law in (
+        "disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
+        "twin-a", "twin-b", "twin-c")}
+
+    def line(i, j):
+        return line_column[ref_pair_bit(i, j, n)]
+
+    def on(p, i, j):
+        return (line(i, j) >> p) & 1 == 1
+
+    def count(law, bad):
+        counts[law][0] += 1
+        counts[law][1] += int(bad)
+
+    for e, f in combinations(combinations(range(n), 2), 2):
+        same = line(*e) == line(*f)
+        le, lf = rows[e[0]][e[1]], rows[f[0]][f[1]]
+        if not set(e) & set(f):
+            if le != lf:
+                count("disjoint-diff-label", same)
+        elif le == lf == 2:
+            count("adjacent-label2", same)
+        elif le == lf == 1 and not ref_twins(rows, *(set(e) ^ set(f))):
+            count("adjacent-label1-nontwin", same)
+    for u, v in combinations(range(n), 2):
+        if not ref_twins(rows, u, v):
+            continue
+        others = [w for w in range(n) if w not in (u, v)]
+        for x, y in combinations(others, 2):
+            count("twin-a", on(u, x, y) != on(v, x, y))
+        for w in others:
+            if rows[w][v] == 1:
+                count("twin-b", not (on(u, w, v) and on(v, w, v)
+                                     and on(u, w, u) and on(v, w, u)))
+            else:
+                count("twin-c", not (on(v, w, v) and not on(u, w, v)
+                                     and on(u, w, u) and not on(v, w, u)))
+    return {law: tuple(c) for law, c in counts.items()}
+
+
 def ref_canonical_code(n: int, code: int) -> int:
     """Minimum label code over all n! relabelings, by brute force."""
     rows = ref_rows_from_code(n, code)

@@ -15,7 +15,8 @@ from dbelines.structure import (ClassShape, EdgePair, EquivClass, are_twins,
                                 class_size_bound, classify_class,
                                 equiv_classes, twin_pairs)
 
-from reference import ref_canonical_code, ref_pair_bit, ref_rows_from_code
+from reference import (ref_canonical_code, ref_law_counts, ref_pair_bit,
+                       ref_rows_from_code)
 
 
 def random_codes(n, count, seed):
@@ -162,6 +163,18 @@ def scalar_law_counts(n, codes):
     return inst, viol
 
 
+def corrupt_lines(n, lines, rng, rate=0.05):
+    """Copy of lines with about rate of its entries overwritten: half by
+    another edge's line of the same code, so that two lines agree, half with
+    one point toggled, so that a twin pair's lines split."""
+    rows, cols = np.nonzero(rng.random(lines.shape) < rate)
+    other = lines[rng.integers(0, lines.shape[0], rows.size), cols]
+    toggled = lines[rows, cols] ^ (1 << rng.integers(0, n, rows.size)).astype(np.uint8)
+    out = lines.copy()
+    out[rows, cols] = np.where(rng.random(rows.size) < 0.5, other, toggled)
+    return out
+
+
 class TestLawKernels:
     @pytest.mark.parametrize("n", [4, 5])
     def test_exhaustive_against_scalar(self, n):
@@ -188,10 +201,32 @@ class TestLawKernels:
             assert cnt.instances == inst[law], law
             assert cnt.violations == viol[law], law
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_corrupted_lines_against_oracle(self, n):
+        # real codes break no law, so only corrupted line tables reach the
+        # gathers and scatters of the violation paths
+        codes = all_codes(n) if n <= 5 else random_codes(n, 300, seed=110 + n)
+        bits, ones, lines = batch(n, codes)
+        twins = sw.twin_pair_flags(n, bits, ones)
+        lines = corrupt_lines(n, lines, np.random.default_rng(120 + n))
+        counts = sw.distinct_line_counts(n, bits, lines, twins)
+        counts.update(sw.twin_law_counts(n, bits, lines, twins))
+        oracle = [ref_law_counts(n, int(code), lines[:, ci].tolist())
+                  for ci, code in enumerate(codes)]
+        for law, cnt in counts.items():
+            assert cnt.instances == sum(r[law][0] for r in oracle), law
+            assert cnt.violations == sum(r[law][1] for r in oracle), law
+            assert cnt.violations > 0, law
+            assert np.flatnonzero(cnt.bad_codes).tolist() == \
+                [ci for ci, r in enumerate(oracle) if r[law][1]], law
+
     # Code 1 on 4 points has d(0,1) = 2 and every other distance 1: twin
     # pair (0,1), lines 01:{0,1,2,3}, 02 and 12:{0,1,2}, 03 and 13:{0,1,3},
-    # 23:{2,3}.  Code 19 on 5 points has d(0,1) = d(0,2) = d(1,2) = 2 and
-    # every other distance 1: twin pairs (0,1), (0,2), (1,2), line 12:{1,2,3,4}.
+    # 23:{2,3}.  Code 15 on 4 points has d(1,3) = d(2,3) = 1 and every other
+    # distance 2: twin pair (1,2), lines 01:{0,1}, 02:{0,2}, 03:{0,3}, and
+    # {1,2,3} for 12, 13 and 23.  Code 19 on 5 points has d(0,1) = d(0,2) =
+    # d(1,2) = 2 and every other distance 1: twin pairs (0,1), (0,2), (1,2),
+    # line 12:{1,2,3,4}.
     @pytest.mark.parametrize("n, code, pair, line, law, violations", [
         # 23 gains 0 but not 1
         (4, 1, (2, 3), 0b1101, "twin-a", 1),
@@ -201,6 +236,10 @@ class TestLawKernels:
         (5, 19, (1, 2), 0b11111, "twin-c", 2),
         # 23 becomes the line of 02 and of 12; 03 and 13 are not twins
         (4, 1, (2, 3), 0b0111, "adjacent-label1-nontwin", 2),
+        # 01 takes the line of 23, whose label differs
+        (4, 1, (0, 1), 0b1100, "disjoint-diff-label", 1),
+        # 12 takes the line of 01: both labelled 2, sharing point 1
+        (4, 15, (1, 2), 0b0011, "adjacent-label2", 1),
     ])
     def test_corrupted_line_fails_one_law(self, n, code, pair, line, law,
                                           violations):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbelines import (MetricSpace, all_lines, as_one_two, claims_sweep,
                       code_from_space, dbe_verdict, min_lines_table,
@@ -180,6 +182,30 @@ class TestVerifyTheorem:
             for law, stat in rep.laws.items():
                 assert stat.witnesses == full.laws[law].witnesses[:cap], law
 
+    @settings(max_examples=25, deadline=None)
+    @given(chunk=st.integers(1, 1 << 15),
+           bad=st.sets(st.integers(0, (1 << 10) - 1), min_size=1, max_size=6))
+    def test_chunking_cannot_move_a_witness(self, chunk, bad):
+        # every line of the codes in bad collapsed to {0, 1}: one distinct
+        # line, so the property fails there and laws break
+        line_masks = sw.line_masks
+
+        def collapsed(n, bits, ones):
+            lines = line_masks(n, bits, ones)
+            lines[:, np.isin(codes_of(bits), sorted(bad))] = 0b11
+            return lines
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sw, "line_masks", collapsed)
+            whole = verify_theorem(5)
+            mp.setattr(verify_mod, "CHUNK_CODES", chunk)
+            assert verify_theorem(5) == whole
+        assert whole.failure_witnesses == tuple(sorted(bad))
+        assert whole.total_law_violations > 0
+        for stat in whole.laws.values():
+            assert bool(stat.witnesses) == bool(stat.violations)
+            assert set(stat.witnesses) <= bad
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_theorem(1)
@@ -228,6 +254,10 @@ class TestVerifyTheorem:
         assert calls == list(range(1024, 32769, 1024))
         assert verify_theorem(6, jobs=3) == base
         assert sizes == [32, 3]
+        # one pool serves every n of a min-lines table
+        sizes.clear()
+        assert min_lines_table(2, 7, jobs=2) == min_lines_table(2, 7)
+        assert sizes == [2]
 
 
 class TestClaimsSweep:
