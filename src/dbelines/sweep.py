@@ -3,12 +3,14 @@
 label_bits decodes a 1-D int64 array of label codes for a fixed n <= 8 into
 a (C(n,2), len) bool table, one row per pair; it is the only kernel that
 reads code bits.  Every other kernel takes that table or arrays derived from
-it and works column-parallel: per-point distance-1 masks, per-pair line masks
-(the same closed form as line_of_fast), line-count statistics, the law
-checkers and the canonical relabeling, each as a few hundred numpy
-operations independent of how many codes are in the batch.  Point-set masks
-fit uint8 since n <= 8.  The twin and distinct-line law kernels work on
-gathered twin columns and equal-line indices: only there can a law fail.
+it and works column-parallel, as a few hundred numpy operations independent
+of how many codes are in the batch.  Point-set masks fit uint8 since n <= 8.
+
+Two edges are in one class exactly when their lines are equal.
+distinct_counts is the only kernel that compares two edges' lines; for the
+law kernels it keeps the equal pairs, and the class-size, class and
+distinct-line law kernels read only those.  The twin-law kernel reads the
+gathered columns of each twin pair.  Only there can a law fail.
 
 The scalar implementations in lines/structure are the reference; the test
 suite pins these kernels against them exhaustively at small n and on random
@@ -27,6 +29,10 @@ from .structure import ClassShape, class_size_bound
 
 # Enumeration kernels pack point sets into uint8 masks.
 ENUM_MAX_POINTS = 8
+
+# entry k: (j, ascending int32 codes where lines[j] == lines[k]) for each
+# earlier edge j whose line edge k shares at some code
+EqualPairs = list[list[tuple[int, np.ndarray]]]
 
 
 def check_point_count(n: int) -> None:
@@ -69,19 +75,25 @@ def sorted_lines(lines: np.ndarray) -> np.ndarray:
     return np.sort(lines, axis=0)
 
 
-def edge_classes(lines: np.ndarray) -> np.ndarray:
-    """(C(n,2), len) bool: the edge heads its class, i.e. no earlier edge of
-    the code has an equal line.  Edges with equal lines form one class."""
-    head = np.ones(lines.shape, dtype=bool)
-    for k in range(1, lines.shape[0]):
+def distinct_counts(lines: np.ndarray, keep: bool) -> tuple[np.ndarray, EqualPairs | None]:
+    """int16 per code: number of distinct lines, i.e. of edges whose line no
+    earlier edge has; and, if keep, the equal pairs (see EqualPairs)."""
+    P, m = lines.shape
+    distinct = np.full(m, P, dtype=np.int16)
+    eq = np.empty(m, dtype=bool)
+    seen = np.empty(m, dtype=bool)
+    pairs: EqualPairs = [[] for _ in range(P)]
+    for k in range(1, P):
+        seen[:] = False
         for j in range(k):
-            head[k] &= lines[j] != lines[k]
-    return head
-
-
-def distinct_counts(head: np.ndarray) -> np.ndarray:
-    """int16 per code: number of distinct lines (= class heads)."""
-    return head.sum(axis=0, dtype=np.int16)
+            np.equal(lines[j], lines[k], out=eq)
+            seen |= eq
+            if keep:
+                idx = np.flatnonzero(eq).astype(np.int32)
+                if idx.size:
+                    pairs[k].append((j, idx))
+        distinct -= seen
+    return distinct, (pairs if keep else None)
 
 
 def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
@@ -89,15 +101,16 @@ def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
     return (lines == full_mask(n)).any(axis=0)
 
 
-def class_size_stats(n: int, lines: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """int16 per code: count of classes above the size bound."""
+def class_size_stats(n: int, lines: np.ndarray, pairs: EqualPairs) -> np.ndarray:
+    """int16 per code: count of classes above the size bound.  Of the edges
+    of such a class, exactly one has exactly bound earlier classmates."""
     oversize = np.zeros(lines.shape[1], dtype=np.int16)
-    size = np.empty(lines.shape[1], dtype=np.int8)
-    for h in range(lines.shape[0]):
-        size[:] = 1  # the head, then each later classmate
-        for k in range(h + 1, lines.shape[0]):
-            size += lines[h] == lines[k]
-        oversize += head[h] & (size > class_size_bound(n))
+    before = np.empty(lines.shape[1], dtype=np.int8)
+    for row in pairs:
+        before[:] = 0
+        for _, idx in row:
+            before[idx] += 1
+        oversize += before == class_size_bound(n)
     return oversize
 
 
@@ -134,7 +147,7 @@ def _flag(cnt: LawCounts, idx: np.ndarray, bad: np.ndarray) -> None:
     cnt.bad_codes[idx[np.atleast_2d(bad).any(axis=0)]] = True
 
 
-def distinct_line_counts(n: int, bits: np.ndarray, lines: np.ndarray,
+def distinct_line_counts(n: int, bits: np.ndarray, pairs: EqualPairs,
                          twins: np.ndarray) -> dict[str, LawCounts]:
     """Vector form of check_distinct_lines, counted per law.
 
@@ -142,7 +155,7 @@ def distinct_line_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     labelled 2, 2, of C(n-1-d, 2) labelled 1, 1 (less those whose ends are
     twins) and of d (n-1-d) with different labels; the rest of a code's
     t (C(n,2) - t) such pairs, t its edges at distance 2, are disjoint.
-    Labels are read only where an edge pair's lines agree.
+    Labels are read only at the equal pairs.
     """
     m = bits.shape[1]
     out = {law: _new_counts(m) for law in
@@ -160,15 +173,15 @@ def distinct_line_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     t //= 2
     disjoint.instances += int((t * (pair_count(n) - t)).sum())
     ends = [{u, v} for u, v in iter_pairs(n)]
-    for k1, k2 in combinations(range(len(ends)), 2):
-        eq = np.flatnonzero(lines[k1] == lines[k2])
-        b1, b2 = bits[k1][eq], bits[k2][eq]
-        if ends[k1] & ends[k2]:
-            tw = twins[pair_index(*sorted(ends[k1] ^ ends[k2]), n)][eq]
-            _flag(label2, eq, b1 & b2)
-            _flag(label1, eq, ~b1 & ~b2 & ~tw)
-        else:
-            _flag(disjoint, eq, b1 != b2)
+    for k, row in enumerate(pairs):
+        for j, idx in row:
+            b1, b2 = bits[j][idx], bits[k][idx]
+            if ends[j] & ends[k]:
+                tw = twins[pair_index(*sorted(ends[j] ^ ends[k]), n)][idx]
+                _flag(label2, idx, b1 & b2)
+                _flag(label1, idx, ~b1 & ~b2 & ~tw)
+            else:
+                _flag(disjoint, idx, b1 != b2)
     return out
 
 
@@ -199,58 +212,55 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     return out
 
 
-def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, head: np.ndarray,
+def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, pairs: EqualPairs,
                      twin_free: np.ndarray) -> tuple[dict[str, int], dict[str, LawCounts]]:
     """Vector form of classify_class, check_full_cover_classes and
     check_twin_free_shapes: (class-shape histogram, per-law counts).
 
-    Each class is tagged by its head from edge_classes.  Two
-    classmates conflict for a uniform matching when they share a point or
-    differ in label, and for an alternating 4-cycle subset when they share a
-    point with equal labels or are disjoint with different labels.  A class
-    with matching but no alternation conflicts is an alternating 4-cycle
-    subset: its label-1 and label-2 edges form two matchings, each edge of one
-    meeting each edge of the other, which fits on 4 points with no point on 3
-    edges.
+    Two classmates rule out a uniform matching when they share a point or
+    differ in label, and also an alternating 4-cycle subset when they share
+    a point with equal labels or are disjoint with different labels.  A
+    class's shape, an index into ClassShape, is its worst conflict: with
+    matching conflicts only, its label-1 and label-2 edges form two
+    matchings, each edge of one meeting each edge of the other, which fits
+    on 4 points with no point on 3 edges.  The conflicts and ends of each
+    edge join the rows of its head, the first earlier edge in its equal
+    pairs; cover 0 marks an edge that heads no class.
     """
     ends = [np.uint8((1 << u) | (1 << v)) for u, v in iter_pairs(n)]
+    alt, other = np.uint8(1), np.uint8(2)
     P, m = lines.shape
-    # per edge: conflicts with an earlier classmate
-    match_bad = np.zeros((P, m), dtype=bool)
-    alt_bad = np.zeros((P, m), dtype=bool)
-    for k in range(P):
-        for j in range(k):
-            eq = lines[j] == lines[k]
-            diff = eq & (bits[j] != bits[k])
+    cover = np.repeat(np.array(ends)[:, None], m, axis=1)
+    shape = np.zeros((P, m), dtype=np.uint8)
+    seen = np.empty(m, dtype=bool)
+    for k, row in enumerate(pairs):
+        seen[:] = False
+        heads = []
+        for j, idx in row:
+            new = idx[~seen[idx]]  # the codes where j heads the class of k
+            seen[new] = True
+            heads.append((j, new))
+            same = bits[j][idx] == bits[k][idx]
             if ends[j] & ends[k]:  # the two edges share a point
-                match_bad[k] |= eq
-                alt_bad[k] |= eq ^ diff  # equal labels
+                worst = np.where(same, other, alt)
             else:
-                match_bad[k] |= diff
-                alt_bad[k] |= diff
-    hist = {shape.value: 0 for shape in ClassShape}
+                worst = np.where(same, np.uint8(0), other)
+            shape[k, idx] = np.maximum(shape[k, idx], worst)
+        for h, new in heads:
+            cover[h, new] |= ends[k]
+            cover[k, new] = 0
+            shape[h, new] = np.maximum(shape[h, new], shape[k, new])
+    hist = {s.value: 0 for s in ClassShape}
     laws = {"full-cover": _new_counts(m), "class-shape": _new_counts(m)}
     fm = full_mask(n)
     for h in range(P):
-        cover = np.full(m, ends[h], dtype=np.uint8)
-        mbad = np.zeros(m, dtype=bool)
-        abad = np.zeros(m, dtype=bool)
-        for k in range(h + 1, P):
-            eq = lines[h] == lines[k]
-            cover |= np.where(eq, ends[k], np.uint8(0))
-            mbad |= eq & match_bad[k]
-            abad |= eq & alt_bad[k]
-        is_head = head[h]
-        uniform = is_head & ~mbad
-        alt = is_head & mbad & ~abad
-        other = is_head & abad
-        for shape, flags in ((ClassShape.UNIFORM_MATCHING, uniform),
-                             (ClassShape.ALT_C4_SUBSET, alt),
-                             (ClassShape.OTHER, other)):
-            hist[shape.value] += int(flags.sum())
-        covers = is_head & (cover == fm)
+        is_head = cover[h] != 0
+        for i, s in enumerate(ClassShape):
+            hist[s.value] += int(np.count_nonzero(is_head & (shape[h] == i)))
+        covers = cover[h] == fm
         _tally(laws["full-cover"], covers, covers & (lines[h] != fm))
-        _tally(laws["class-shape"], is_head & twin_free, other & twin_free)
+        _tally(laws["class-shape"], is_head & twin_free,
+               is_head & twin_free & (shape[h] == other))
     return hist, laws
 
 

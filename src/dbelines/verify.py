@@ -13,12 +13,9 @@ Checker depth per sweep ("auto"):
   vector  line stats + seven laws, no full-cover, class-shape
           or histogram                                        (n = 7)
   none    line stats only                                     (n = 8)
-All nine laws are numpy kernels.  n = 7 stays at "vector" so that its report
-keeps its seven-law form; the class-law kernel would more than double the
-time of that sweep (1.6-1.8 s against 0.75-0.8 s per 2^20 codes on a 2-core
-host).
-The n = 8 sweep visits 2^28 codes and is opt-in at the CLI; per-code work
-there stays within the word-level line kernels.
+n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
+takes 0.8-0.9 s against 0.55-0.7 s per 2^20 n = 7 codes on a 2-core host.
+The n = 8 sweep visits 2^28 codes and is opt-in at the CLI.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ CHUNK_CODES = 1 << 20
 LAW_ORDER = ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
              "twin-a", "twin-b", "twin-c",
              "full-cover", "class-shape", "class-size")
+CLASS_LAWS = ("full-cover", "class-shape")  # checked at the "full" level only
 
 SHAPE_TAGS = tuple(shape.value for shape in ClassShape)
 
@@ -84,9 +82,7 @@ class TheoremReport:
 
     @property
     def total_law_violations(self) -> int:
-        if not self.laws:
-            return 0
-        return sum(stat.violations for stat in self.laws.values())
+        return sum(stat.violations for stat in (self.laws or {}).values())
 
 
 def _merge_min(a: tuple[Optional[int], Optional[int]],
@@ -99,8 +95,8 @@ def _merge_min(a: tuple[Optional[int], Optional[int]],
     return min(a, b)
 
 
-def _sweep_chunk(n: int, lo: int, hi: int, iso: bool, checkers: str,
-                 max_witnesses: int) -> dict:
+def _sweep_chunk(task: tuple) -> dict:
+    n, lo, hi, iso, checkers, max_witnesses = task
     codes = np.arange(lo, hi, dtype=np.int64)
     if iso:
         codes = codes[sw.canonical_min(n, sw.label_bits(n, codes)) == codes]
@@ -116,10 +112,8 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     ones = sw.one_masks(n, bits)
     lines = sw.line_masks(n, bits, ones)
     if checkers == "none":
-        # free the tables before edge_classes allocates head
-        del bits, ones
-    head = sw.edge_classes(lines)
-    distinct = sw.distinct_counts(head)
+        del bits, ones  # the line-only path reads neither again
+    distinct, pairs = sw.distinct_counts(lines, checkers != "none")
     universal = sw.universal_flags(n, lines)
 
     holds = (distinct >= n) | universal
@@ -143,14 +137,14 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     twins = sw.twin_pair_flags(n, bits, ones)
     twin_free = ~twins.any(axis=0)
     out["twin_free"] = int(twin_free.sum())
-    oversize = sw.class_size_stats(n, lines, head)
+    oversize = sw.class_size_stats(n, lines, pairs)
 
-    law_counts = sw.distinct_line_counts(n, bits, lines, twins)
+    law_counts = sw.distinct_line_counts(n, bits, pairs, twins)
     law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
     law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
                                                     distinct, oversize)
     if checkers == "full":
-        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, head,
+        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, pairs,
                                                          twin_free)
         law_counts.update(class_counts)
     out["laws"] = {
@@ -158,10 +152,6 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
               [int(codes[i]) for i in np.flatnonzero(cnt.bad_codes)[:max_witnesses]])
         for law, cnt in law_counts.items()}
     return out
-
-
-def _worker(task: tuple) -> dict:
-    return _sweep_chunk(*task)
 
 
 def _first_witnesses(lists: Iterable[list[int]], cap: int) -> tuple[int, ...]:
@@ -182,18 +172,15 @@ def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
         overall = _merge_min(overall, p["overall"])
         no_universal = _merge_min(no_universal, p["no_universal"])
 
-    twin_free = None
-    hist = None
-    laws: Optional[dict[str, LawStat]] = None
+    twin_free, hist, laws = None, None, None
     if checkers != "none":
         twin_free = sum(p["twin_free"] for p in parts)
         laws = {}
-        for law in LAW_ORDER:
-            stats = [p["laws"][law] for p in parts if law in p["laws"]]
-            if stats:
-                inst, viol, bad = zip(*stats)
-                laws[law] = LawStat(sum(inst), sum(viol),
-                                    _first_witnesses(bad, max_witnesses))
+        for law in LAW_ORDER:  # from the level, so an empty sample has them all
+            if checkers == "full" or law not in CLASS_LAWS:
+                stats = [p["laws"][law] for p in parts]
+                laws[law] = LawStat(sum(s[0] for s in stats), sum(s[1] for s in stats),
+                                    _first_witnesses((s[2] for s in stats), max_witnesses))
         if checkers == "full":
             hist = {tag: sum(p["hist"][tag] for p in parts) for tag in SHAPE_TAGS}
 
@@ -226,9 +213,9 @@ def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress,
         if workers > 1:
             import multiprocessing as mp
             pool = stack.enter_context(mp.Pool(processes=workers))
-            results = pool.imap(_worker, tasks)
+            results = pool.imap(_sweep_chunk, tasks)
         else:
-            results = map(_worker, tasks)
+            results = map(_sweep_chunk, tasks)
         for task, part in zip(tasks, results):
             parts.append(part)
             done += task[2] - task[1]
@@ -294,8 +281,8 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
 
     Exhaustive runs use the full checker set through n = 6 and the "vector"
     level at n = 7, 8, where full-cover and class-shape are reported as
-    skipped (see the level table of this module).  Sampled runs always use the full
-    set.  Sampling draws codes uniformly with replacement.
+    skipped (see the level table of this module).  Sampled runs, drawn
+    uniformly with replacement, always use the full set.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)

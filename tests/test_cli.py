@@ -1,10 +1,14 @@
 """CLI surface: subcommands, exit codes, JSON determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbelines import cli as cli_mod
 from dbelines.verify import TheoremReport
@@ -302,3 +306,35 @@ class TestExitCodeTwo:
         for argv in (("enumerate", "--n", "3"), ("claims", "--n", "3"),
                      ("min-lines", "--n", "3")):
             assert run_cli(*argv, "--jobs", "2").returncode == 0, argv
+
+
+class TestExitCodeProperty:
+    """Exit 1 exactly when an argument is out of range, 0 otherwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cmd=st.sampled_from(["enumerate", "claims", "min-lines",
+                                "random-metrics"]),
+           n=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9]),
+           jobs=st.integers(-2, 2), cap=st.integers(-2, 3),
+           trials=st.integers(-3, 40))
+    def test_exit_code(self, cmd, n, jobs, cap, trials):
+        args = {"enumerate": {"--n": n, "--jobs": jobs, "--max-witnesses": cap},
+                "claims": {"--n": n, "--jobs": jobs, "--max-witnesses": cap,
+                           "--trials": trials},
+                "min-lines": {"--n": n, "--jobs": jobs},
+                "random-metrics": {"--trials": trials, "--max-witnesses": cap},
+                }[cmd]
+        bad = ("--n" in args and not 2 <= n <= 8
+               or cmd in ("enumerate", "min-lines") and n == 8  # no --allow-large
+               or args.get("--jobs", 1) < 1
+               or args.get("--max-witnesses", 0) < 0
+               or args.get("--trials", 0) < 0)
+        argv = [cmd, "--json", *(str(x) for kv in args.items() for x in kv)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_mod.main(argv)
+        assert code == (1 if bad else 0), (argv, err.getvalue())
+        if bad:
+            assert out.getvalue() == "" and err.getvalue(), argv
+        else:
+            assert json.loads(out.getvalue())["subcommand"] == cmd

@@ -1,5 +1,8 @@
-"""The package surface: every exported name resolves and README names it."""
+"""The package surface: every exported name resolves and README names it,
+and every attribute the benchmark tracer wraps exists."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -14,3 +17,16 @@ def test_exports_resolve_and_are_documented():
     for name in dbelines.__all__:
         assert hasattr(dbelines, name), name
         assert re.search(rf"\b{name}\b", text), name
+
+
+def test_bench_tracer_targets_resolve():
+    # the benchmark tracer wraps these attributes by name; a renamed or
+    # deleted one would otherwise fail only the benchmark's own tests
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for modname, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), \
+            f"{modname}.{attr}"

@@ -37,6 +37,10 @@ def batch(n, codes):
     return bits, ones, lines
 
 
+def equal_pairs(lines):
+    return sw.distinct_counts(lines, True)[1]
+
+
 class TestDecodeKernels:
     """label_bits and one_masks against the definitional distance rows."""
 
@@ -98,10 +102,9 @@ class TestLineStats:
     def test_counts_against_scalar(self, n):
         codes = random_codes(n, 250, seed=30 + n)
         _, _, lines = batch(n, codes)
-        head = sw.edge_classes(lines)
-        distinct = sw.distinct_counts(head)
+        distinct, pairs = sw.distinct_counts(lines, True)
         universal = sw.universal_flags(n, lines)
-        oversize = sw.class_size_stats(n, lines, head)
+        oversize = sw.class_size_stats(n, lines, pairs)
         bound = class_size_bound(n)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
@@ -118,9 +121,8 @@ class TestLineStats:
         # 3-letter alphabet make large classes common
         rng = np.random.default_rng(80 + n)
         lines = rng.integers(1, 4, size=(pair_count(n), 300), dtype=np.uint8)
-        head = sw.edge_classes(lines)
-        distinct = sw.distinct_counts(head)
-        oversize = sw.class_size_stats(n, lines, head)
+        distinct, pairs = sw.distinct_counts(lines, True)
+        oversize = sw.class_size_stats(n, lines, pairs)
         bound = class_size_bound(n)
         hits = 0
         for ci in range(lines.shape[1]):
@@ -129,6 +131,20 @@ class TestLineStats:
             assert int(oversize[ci]) == sum(s > bound for s in sizes.values())
             hits += int(oversize[ci]) > 0
         assert hits > 0
+        # each edge keeps, for every earlier edge whose line it shares at
+        # some code, exactly those codes, ascending
+        rows = lines.tolist()
+        assert len(pairs) == pair_count(n)
+        for k in range(pair_count(n)):
+            expected = [(j, [c for c, (a, b) in enumerate(zip(rows[j], rows[k]))
+                             if a == b]) for j in range(k)]
+            assert [(j, idx.tolist()) for j, idx in pairs[k]] == \
+                [(j, idx) for j, idx in expected if idx]
+            assert all(idx.dtype == np.int32 for _, idx in pairs[k])
+        # the line-only path counts the same and keeps no lists
+        plain, kept = sw.distinct_counts(lines, False)
+        assert kept is None
+        assert np.array_equal(plain, distinct)
 
 
 def scalar_law_counts(n, codes):
@@ -181,7 +197,7 @@ class TestLawKernels:
         codes = all_codes(n)
         bits, ones, lines = batch(n, codes)
         twins = sw.twin_pair_flags(n, bits, ones)
-        counts = sw.distinct_line_counts(n, bits, lines, twins)
+        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
         counts.update(sw.twin_law_counts(n, bits, lines, twins))
         inst, viol = scalar_law_counts(n, codes)
         for law, cnt in counts.items():
@@ -194,7 +210,7 @@ class TestLawKernels:
         codes = random_codes(n, 120, seed=40 + n)
         bits, ones, lines = batch(n, codes)
         twins = sw.twin_pair_flags(n, bits, ones)
-        counts = sw.distinct_line_counts(n, bits, lines, twins)
+        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
         counts.update(sw.twin_law_counts(n, bits, lines, twins))
         inst, viol = scalar_law_counts(n, codes)
         for law, cnt in counts.items():
@@ -209,7 +225,7 @@ class TestLawKernels:
         bits, ones, lines = batch(n, codes)
         twins = sw.twin_pair_flags(n, bits, ones)
         lines = corrupt_lines(n, lines, np.random.default_rng(120 + n))
-        counts = sw.distinct_line_counts(n, bits, lines, twins)
+        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
         counts.update(sw.twin_law_counts(n, bits, lines, twins))
         oracle = [ref_law_counts(n, int(code), lines[:, ci].tolist())
                   for ci, code in enumerate(codes)]
@@ -248,7 +264,7 @@ class TestLawKernels:
         twins = sw.twin_pair_flags(n, bits, ones)
         assert twins[:, code].any()
         lines[pair_index(*pair, n), code] = line
-        counts = sw.distinct_line_counts(n, bits, lines, twins)
+        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
         counts.update(sw.twin_law_counts(n, bits, lines, twins))
         fired = {name: (cnt.violations, np.flatnonzero(cnt.bad_codes).tolist())
                  for name, cnt in counts.items() if cnt.violations}
@@ -258,10 +274,9 @@ class TestLawKernels:
         n = 6
         codes = all_codes(n)
         bits, ones, lines = batch(n, codes)
-        head = sw.edge_classes(lines)
-        distinct = sw.distinct_counts(head)
+        distinct, pairs = sw.distinct_counts(lines, True)
         universal = sw.universal_flags(n, lines)
-        oversize = sw.class_size_stats(n, lines, head)
+        oversize = sw.class_size_stats(n, lines, pairs)
         twins = sw.twin_pair_flags(n, bits, ones)
         twin_free = ~twins.any(axis=0)
         cnt = sw.size_bound_counts(twin_free, universal, distinct, oversize)
@@ -276,8 +291,7 @@ def kernel_class_counts(n, codes, lines=None):
     twin_free = ~sw.twin_pair_flags(n, bits, ones).any(axis=0)
     if lines is None:
         lines = masks
-    return sw.class_law_counts(n, bits, lines,
-                               sw.edge_classes(lines), twin_free)
+    return sw.class_law_counts(n, bits, lines, equal_pairs(lines), twin_free)
 
 
 def scalar_class_counts(n, code):
@@ -321,24 +335,59 @@ class TestClassLawKernel:
         assert laws["full-cover"].instances == sum(c for _, c, _ in per_code)
         assert laws["class-shape"].instances == sum(s for _, _, s in per_code)
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @staticmethod
+    def grouping_oracle(n, code, line_column):
+        """(histogram, {law: (instances, violations)}) of one code whose
+        edges are grouped by the given lines."""
+        space = space_from_code(n, code)
+        groups = {}
+        for k, (u, v) in enumerate(iter_pairs(n)):
+            groups.setdefault(line_column[k], []).append(
+                EdgePair(u, v, space.dist(u, v)))
+        twin_free = not twin_pairs(space)
+        hist = {shape.value: 0 for shape in ClassShape}
+        laws = {"full-cover": [0, 0], "class-shape": [0, 0]}
+        for line, edges in groups.items():
+            shape = classify_class(space, EquivClass(tuple(edges), line))
+            hist[shape.value] += 1
+            cover = 0
+            for e in edges:
+                cover |= (1 << e.u) | (1 << e.v)
+            if cover == full_mask(n):
+                laws["full-cover"][0] += 1
+                laws["full-cover"][1] += line != full_mask(n)
+            if twin_free:
+                laws["class-shape"][0] += 1
+                laws["class-shape"][1] += shape is ClassShape.OTHER
+        return hist, {law: tuple(c) for law, c in laws.items()}
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_arbitrary_partitions_against_classify_class(self, n):
         # lines drawn from a 3-letter alphabet split the edges into classes
-        # no real space has; the shape of each must still match classify_class
+        # no real space has; the shape of each must still match
+        # classify_class, and the full-cover and class-shape counts must
+        # match the classes.  The full line is one letter, so that covering
+        # classes both pass and fail full-cover.
         rng = np.random.default_rng(70 + n)
         codes = random_codes(n, 200, seed=70 + n)
-        lines = rng.integers(1, 4, size=(pair_count(n), codes.size), dtype=np.uint8)
+        alphabet = np.array([1, 2, full_mask(n)], dtype=np.uint8)
+        lines = alphabet[rng.integers(0, 3, size=(pair_count(n), codes.size))]
+        oracle = [self.grouping_oracle(n, int(code), lines[:, ci].tolist())
+                  for ci, code in enumerate(codes)]
         for ci, code in enumerate(codes):
-            space = space_from_code(n, int(code))
-            groups = {}
-            for k, (u, v) in enumerate(iter_pairs(n)):
-                groups.setdefault(int(lines[k, ci]), []).append(
-                    EdgePair(u, v, space.dist(u, v)))
-            expected = {shape.value: 0 for shape in ClassShape}
-            for line, edges in groups.items():
-                expected[classify_class(space, EquivClass(tuple(edges), line)).value] += 1
-            hist, _ = kernel_class_counts(n, codes[ci:ci + 1], lines[:, ci:ci + 1])
-            assert hist == expected, int(code)
+            hist, laws = kernel_class_counts(n, codes[ci:ci + 1], lines[:, ci:ci + 1])
+            assert hist == oracle[ci][0], int(code)
+            assert {law: (cnt.instances, cnt.violations)
+                    for law, cnt in laws.items()} == oracle[ci][1], int(code)
+        # one batch sums the per-code counts and flags the same codes
+        hist, laws = kernel_class_counts(n, codes, lines)
+        assert hist == {tag: sum(h[tag] for h, _ in oracle) for tag in hist}
+        for law, cnt in laws.items():
+            assert cnt.instances == sum(r[law][0] for _, r in oracle), law
+            assert cnt.violations == sum(r[law][1] for _, r in oracle), law
+            assert cnt.violations > 0, law
+            assert np.flatnonzero(cnt.bad_codes).tolist() == \
+                [ci for ci, (_, r) in enumerate(oracle) if r[law][1]], law
 
     def test_corrupted_line_fails_each_law_once(self):
         # Code 3 on 4 points has d(0,1) = d(0,2) = 2 and classes {01,13}

@@ -310,8 +310,16 @@ class TestClaimsSweep:
         assert claims_sweep(6, trials=200, seed=5) == claims_sweep(6, trials=200, seed=5)
 
     def test_trials_zero(self):
+        # an empty sample still reports every law, each at 0/0
         rep = claims_sweep(5, trials=0, seed=1)
         assert rep.total_codes == 0 and rep.total_violations == 0
+        assert list(rep.laws) == [
+            "disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
+            "twin-a", "twin-b", "twin-c", "full-cover", "class-shape",
+            "class-size"]
+        assert all(stat == verify_mod.LawStat(0, 0, ())
+                   for stat in rep.laws.values())
+        assert rep.skipped_laws == ()
 
 
 class TestMinLinesTable:
