@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-# Bitmask fast paths are guaranteed up to one machine word of points.
+# Largest point count space_from_code decodes.  Masks are Python ints of any
+# width, so nothing else is bounded by it.
 MAX_BITSET_POINTS = 64
 
 

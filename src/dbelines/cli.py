@@ -19,9 +19,7 @@ from .bitset import mask_to_points
 from .lines import all_lines, dbe_verdict
 from .spaces import (NotOneTwoError, as_one_two, parse_distance_matrix,
                      validate_metric)
-from .structure import (check_class_size_bound, check_distinct_lines,
-                        check_full_cover_classes, check_twin_free_shapes,
-                        check_twin_line_laws, classify_class, equiv_classes,
+from .structure import (classify_class, equiv_classes, law_violations,
                         twin_pairs)
 from .verify import (claims_sweep, min_lines_table, six_point_witnesses,
                      verify_small_spaces, verify_theorem)
@@ -55,6 +53,14 @@ def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
     sys.stdout.flush()
+
+
+def _confirm_n8(args, sweeps_all: bool, what: str) -> None:
+    """Exit 1 unless a sweep of all 2^28 n = 8 codes was confirmed."""
+    if args.n == 8 and sweeps_all and not args.allow_large:
+        print(f"{what} sweeps 2^28 codes; pass --allow-large to confirm",
+              file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _law_text_lines(laws: dict, skipped=()) -> list[str]:
@@ -103,11 +109,8 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
     if ots is not None:
         tp = twin_pairs(ots)
         classes = equiv_classes(family, ots)
-        violations = (check_distinct_lines(ots) + check_twin_line_laws(ots)
-                      + check_full_cover_classes(ots))
-        shape = check_twin_free_shapes(ots)
-        size = check_class_size_bound(ots)
-        violations += list(shape.violations) + list(size.violations)
+        violations = [v for found in law_violations(ots, family).values()
+                      for v in found]
         failures += len(violations)
         results.update({
             "twin_pairs": [list(p) for p in tp],
@@ -116,8 +119,6 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
                 "line": mask_to_points(cls.line),
                 "shape": classify_class(ots, cls).value,
             } for cls in classes],
-            "shape_check": reports.shape_result_to_json(shape),
-            "size_check": reports.shape_result_to_json(size),
             "violations": [reports.violation_to_json(v) for v in violations],
         })
         text_lines.append(f"twin pairs: {[tuple(p) for p in tp] or 'none'}")
@@ -134,10 +135,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
-    if args.n == 8 and args.mode == "all" and not args.allow_large:
-        print("enumerate --n 8 --mode all sweeps 2^28 codes; "
-              "pass --allow-large to confirm", file=sys.stderr)
-        raise SystemExit(1)
+    _confirm_n8(args, args.mode == "all", "enumerate --n 8 --mode all")
     progress = _progress_printer(f"enumerate n={args.n}")
     rep = verify_theorem(args.n, mode=args.mode, jobs=args.jobs,
                          max_witnesses=args.max_witnesses, progress=progress)
@@ -160,10 +158,7 @@ def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_claims(args) -> tuple[dict, int, list[str]]:
-    if args.n == 8 and args.trials is None and not args.allow_large:
-        print("claims --n 8 without --trials sweeps 2^28 codes; "
-              "pass --allow-large to confirm", file=sys.stderr)
-        raise SystemExit(1)
+    _confirm_n8(args, args.trials is None, "claims --n 8 without --trials")
     progress = _progress_printer(f"claims n={args.n}")
     rep = claims_sweep(args.n, trials=args.trials, seed=args.seed,
                        jobs=args.jobs, max_witnesses=args.max_witnesses,
@@ -198,10 +193,7 @@ def _cmd_witnesses(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
-    if args.n == 8 and not args.allow_large:
-        print("min-lines --n 8 sweeps 2^28 codes; pass --allow-large "
-              "to confirm", file=sys.stderr)
-        raise SystemExit(1)
+    _confirm_n8(args, True, "min-lines --n 8")
     progress = _progress_printer("min-lines")
     rows = min_lines_table(2, args.n, jobs=args.jobs, progress=progress)
     results = reports.min_lines_to_json(rows)

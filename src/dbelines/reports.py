@@ -13,7 +13,7 @@ from fractions import Fraction
 from .bitset import iter_pairs, mask_to_points
 from .lines import DbeVerdict, LineFamily
 from .spaces import DistanceMatrix
-from .structure import ShapeCheckResult, Violation
+from .structure import Violation
 from .verify import (ClaimsReport, MinLinesRow, SixPointWitness,
                      SmallSpacesReport, TheoremReport)
 
@@ -47,11 +47,6 @@ def family_to_json(family: LineFamily) -> dict:
 def violation_to_json(v: Violation) -> dict:
     return {"law": v.law, "points": list(v.points), "labels": list(v.labels),
             "lines": [mask_to_points(m) for m in v.lines]}
-
-
-def shape_result_to_json(r: ShapeCheckResult) -> dict:
-    return {"applicable": r.applicable,
-            "violations": [violation_to_json(v) for v in r.violations]}
 
 
 def law_stats_to_json(laws) -> dict:

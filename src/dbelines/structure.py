@@ -1,11 +1,12 @@
-"""Structure of 1-2 spaces: twins, edge equivalence classes, and law checkers.
+"""Structure of 1-2 spaces: twins, edge equivalence classes, and the laws.
 
 Two points are twins when they are at distance 2 and every third point sees
 them at equal distance.  Writing uv ~ xy when the two pairs have equal lines
-partitions the C(n,2) edges of the labeled complete graph into classes; the
-checkers below verify the structural laws those classes obey.  Each checker
-returns violation records (expected empty on every 1-2 space); violations
-carry the witnessing points, labels and line masks.
+partitions the C(n,2) edges of the labeled complete graph into classes.
+law_violations checks the nine structural laws those lines and classes obey
+in one pass over a space and its line family; every law is expected to hold
+on every 1-2 space, and each failure is recorded with the witnessing points,
+labels and line masks.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .bitset import full_mask, iter_pairs, pair_index
-from .lines import LineFamily, all_lines, line_of_fast
+from .bitset import full_mask, iter_pairs
+from .lines import LineFamily
 from .spaces import OneTwoSpace
+
+LAW_ORDER = ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
+             "twin-a", "twin-b", "twin-c",
+             "full-cover", "class-shape", "class-size")
 
 
 class EdgePair(NamedTuple):
@@ -50,14 +55,6 @@ class Violation:
     points: tuple[int, ...]
     labels: tuple[int, ...]
     lines: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ShapeCheckResult:
-    """Violations plus whether the check's hypothesis applied at all."""
-
-    applicable: bool
-    violations: tuple[Violation, ...]
 
 
 def are_twins(space: OneTwoSpace, u: int, v: int) -> bool:
@@ -129,83 +126,9 @@ def classify_class(space: OneTwoSpace, cls: EquivClass) -> ClassShape:
     return ClassShape.OTHER
 
 
-def _pair_lines(space: OneTwoSpace) -> list[int]:
-    return [line_of_fast(space, u, v) for u, v in iter_pairs(space.n)]
-
-
-def check_distinct_lines(space: OneTwoSpace) -> list[Violation]:
-    """Laws forcing distinct lines from labels.
-
-    disjoint-diff-label:      edges on 4 distinct points with different
-                              labels have different lines;
-    adjacent-label2:          edges sharing a point, both labeled 2,
-                              have different lines;
-    adjacent-label1-nontwin:  edges sharing a point, both labeled 1, have
-                              different lines unless the outer points are
-                              twins.
-
-    The 4-distinct-points restriction on the first law is essential: a
-    3-point path has equal lines on overlapping pairs with labels 1 and 2.
-    """
-    n = space.n
-    lines = _pair_lines(space)
-    bad: list[Violation] = []
-    for quad in combinations(range(n), 4):
-        a, b, c, d = quad
-        for (p, q) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            lp, lq = space.dist(*p), space.dist(*q)
-            if lp != lq:
-                mp, mq = lines[pair_index(*p, n)], lines[pair_index(*q, n)]
-                if mp == mq:
-                    bad.append(Violation("disjoint-diff-label", p + q, (lp, lq), (mp, mq)))
-    for mid in range(n):
-        rest = [x for x in range(n) if x != mid]
-        for a, b in combinations(rest, 2):
-            la, lb = space.dist(a, mid), space.dist(mid, b)
-            if la != lb:
-                continue
-            ma, mb = lines[pair_index(a, mid, n)], lines[pair_index(mid, b, n)]
-            if la == 2 and ma == mb:
-                bad.append(Violation("adjacent-label2", (a, mid, b), (2, 2), (ma, mb)))
-            elif la == 1 and ma == mb and not are_twins(space, a, b):
-                bad.append(Violation("adjacent-label1-nontwin", (a, mid, b), (1, 1), (ma, mb)))
-    return bad
-
-
-def check_twin_line_laws(space: OneTwoSpace) -> list[Violation]:
-    """Line membership laws at a twin pair u, v.
-
-    twin-a: a line defined by two points outside {u,v} contains both of
-            u, v or neither;
-    twin-b: d(w,v) = 1 forces both u, v onto the lines of (w,v) and (w,u);
-    twin-c: d(w,v) = 2 forces v and not u onto the line of (w,v), and
-            u and not v onto the line of (w,u).
-    """
-    n = space.n
-    tp = twin_pairs(space)
-    if not tp:
-        return []
-    lines = _pair_lines(space)
-    bad: list[Violation] = []
-    for u, v in tp:
-        others = [w for w in range(n) if w != u and w != v]
-        for x, y in combinations(others, 2):
-            m = lines[pair_index(x, y, n)]
-            if ((m >> u) & 1) != ((m >> v) & 1):
-                bad.append(Violation("twin-a", (u, v, x, y), (space.dist(x, y),), (m,)))
-        both = (1 << u) | (1 << v)
-        for w in others:
-            mwv = lines[pair_index(w, v, n)]
-            mwu = lines[pair_index(w, u, n)]
-            if space.dist(w, v) == 1:
-                if (mwv & both) != both or (mwu & both) != both:
-                    bad.append(Violation("twin-b", (u, v, w), (1,), (mwv, mwu)))
-            else:
-                ok = ((mwv >> v) & 1 and not (mwv >> u) & 1
-                      and (mwu >> u) & 1 and not (mwu >> v) & 1)
-                if not ok:
-                    bad.append(Violation("twin-c", (u, v, w), (2,), (mwv, mwu)))
-    return bad
+def class_size_bound(n: int) -> int:
+    """Largest legal class size on a twin-free space with no universal line."""
+    return max((n - 1) // 2, 4)
 
 
 def _class_violation(law: str, cls: EquivClass) -> Violation:
@@ -213,44 +136,92 @@ def _class_violation(law: str, cls: EquivClass) -> Violation:
                      tuple(e.label for e in cls.edges), (cls.line,))
 
 
-def check_full_cover_classes(space: OneTwoSpace) -> list[Violation]:
-    """A class whose edges touch every point must have a universal line."""
-    fm = full_mask(space.n)
-    bad: list[Violation] = []
-    for cls in equiv_classes(all_lines(space), space):
+def law_violations(space: OneTwoSpace,
+                   family: LineFamily) -> dict[str, list[Violation]]:
+    """Every failed instance of the nine laws, keyed by law in LAW_ORDER.
+
+    The line of each pair and the edge classes are read from family, which
+    is normally all_lines(space); any other table is checked as given.
+
+    Lines forced distinct by labels:
+      disjoint-diff-label:      edges on 4 distinct points with different
+                                labels have different lines;
+      adjacent-label2:          edges sharing a point, both labeled 2,
+                                have different lines;
+      adjacent-label1-nontwin:  edges sharing a point, both labeled 1, have
+                                different lines unless the outer points are
+                                twins.
+      The 4-distinct-points restriction on the first law is essential: a
+      3-point path has equal lines on overlapping pairs with labels 1 and 2.
+    Line membership at a twin pair u, v:
+      twin-a: a line defined by two points outside {u,v} contains both of
+              u, v or neither;
+      twin-b: d(w,v) = 1 forces both u, v onto the lines of (w,v) and (w,u);
+      twin-c: d(w,v) = 2 forces v and not u onto the line of (w,v), and
+              u and not v onto the line of (w,u).
+    Edge classes:
+      full-cover:   a class whose edges touch every point has a universal
+                    line;
+      class-shape:  on a twin-free space every class is a uniform matching
+                    or an alternating 4-cycle subset (classify_class);
+      class-size:   on a twin-free space without a universal line no class
+                    has more than class_size_bound(n) edges.
+    """
+    n = space.n
+    classes = equiv_classes(family, space)
+    d = [space.row(p) for p in range(n)]
+    line = [[0] * n for _ in range(n)]
+    for (u, v), idx in zip(iter_pairs(n), family.pair_line):
+        line[u][v] = line[v][u] = family.lines[idx]
+    bad: dict[str, list[Violation]] = {law: [] for law in LAW_ORDER}
+
+    def flag(law, points, labels, masks):
+        bad[law].append(Violation(law, points, labels, masks))
+
+    for a, b, c, z in combinations(range(n), 4):
+        for (p, q), (r, s) in (((a, b), (c, z)), ((a, c), (b, z)), ((a, z), (b, c))):
+            if d[p][q] != d[r][s] and line[p][q] == line[r][s]:
+                flag("disjoint-diff-label", (p, q, r, s), (d[p][q], d[r][s]),
+                     (line[p][q], line[r][s]))
+    for mid in range(n):
+        for a, b in combinations([x for x in range(n) if x != mid], 2):
+            if d[a][mid] != d[mid][b] or line[a][mid] != line[mid][b]:
+                continue
+            if d[a][mid] == 2:
+                law = "adjacent-label2"
+            elif not are_twins(space, a, b):
+                law = "adjacent-label1-nontwin"
+            else:
+                continue
+            flag(law, (a, mid, b), (d[a][mid],) * 2, (line[a][mid], line[mid][b]))
+
+    tp = twin_pairs(space)
+    for u, v in tp:
+        others = [w for w in range(n) if w != u and w != v]
+        for x, y in combinations(others, 2):
+            m = line[x][y]
+            if ((m >> u) & 1) != ((m >> v) & 1):
+                flag("twin-a", (u, v, x, y), (d[x][y],), (m,))
+        both = (1 << u) | (1 << v)
+        for w in others:
+            on_v, on_u = line[w][v] & both, line[w][u] & both
+            if d[w][v] == 1:
+                if on_v != both or on_u != both:
+                    flag("twin-b", (u, v, w), (1,), (line[w][v], line[w][u]))
+            elif on_v != 1 << v or on_u != 1 << u:
+                flag("twin-c", (u, v, w), (2,), (line[w][v], line[w][u]))
+
+    fm = full_mask(n)
+    for cls in classes:
         cover = 0
         for e in cls.edges:
             cover |= (1 << e.u) | (1 << e.v)
         if cover == fm and cls.line != fm:
-            bad.append(_class_violation("full-cover", cls))
+            bad["full-cover"].append(_class_violation("full-cover", cls))
+    if not tp:
+        bad["class-shape"] = [_class_violation("class-shape", cls) for cls in classes
+                              if classify_class(space, cls) is ClassShape.OTHER]
+        if not family.has_universal:
+            bad["class-size"] = [_class_violation("class-size", cls) for cls in classes
+                                 if len(cls.edges) > class_size_bound(n)]
     return bad
-
-
-def check_twin_free_shapes(space: OneTwoSpace) -> ShapeCheckResult:
-    """On twin-free spaces every class must be a matching or an alternating
-    4-cycle subset; skipped (not applicable) when the space has twins."""
-    if twin_pairs(space):
-        return ShapeCheckResult(False, ())
-    return ShapeCheckResult(True, tuple(
-        _class_violation("class-shape", cls)
-        for cls in equiv_classes(all_lines(space), space)
-        if classify_class(space, cls) is ClassShape.OTHER))
-
-
-def class_size_bound(n: int) -> int:
-    """Largest legal class size on a twin-free space with no universal line."""
-    return max((n - 1) // 2, 4)
-
-
-def check_class_size_bound(space: OneTwoSpace) -> ShapeCheckResult:
-    """Class sizes on twin-free spaces without a universal line stay within
-    class_size_bound; skipped otherwise."""
-    if twin_pairs(space):
-        return ShapeCheckResult(False, ())
-    family = all_lines(space)
-    if family.has_universal:
-        return ShapeCheckResult(False, ())
-    bound = class_size_bound(space.n)
-    return ShapeCheckResult(True, tuple(
-        _class_violation("class-size", cls)
-        for cls in equiv_classes(family, space) if len(cls.edges) > bound))

@@ -12,9 +12,9 @@ law kernels it keeps the equal pairs, and the class-size, class and
 distinct-line law kernels read only those.  The twin-law kernel reads the
 gathered columns of each twin pair.  Only there can a law fail.
 
-The scalar implementations in lines/structure are the reference; the test
-suite pins these kernels against them exhaustively at small n and on random
-batches at larger n.
+The scalar implementations in lines/structure (law_violations for the
+laws) are the reference; the test suite pins these kernels against them
+exhaustively at small n and on random batches at larger n.
 """
 
 from __future__ import annotations
@@ -98,7 +98,11 @@ def distinct_counts(lines: np.ndarray, keep: bool) -> tuple[np.ndarray, EqualPai
 
 def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
     """bool per code: some line contains all n points."""
-    return (lines == full_mask(n)).any(axis=0)
+    fm = np.uint8(full_mask(n))
+    out = np.zeros(lines.shape[1], dtype=bool)
+    for row in lines:
+        out |= row == fm
+    return out
 
 
 def class_size_stats(n: int, lines: np.ndarray, pairs: EqualPairs) -> np.ndarray:
@@ -149,7 +153,8 @@ def _flag(cnt: LawCounts, idx: np.ndarray, bad: np.ndarray) -> None:
 
 def distinct_line_counts(n: int, bits: np.ndarray, pairs: EqualPairs,
                          twins: np.ndarray) -> dict[str, LawCounts]:
-    """Vector form of check_distinct_lines, counted per law.
+    """Vector form of the three distinct-line laws of
+    structure.law_violations, counted per law.
 
     A point with d edges at distance 2 is the middle of C(d, 2) edge pairs
     labelled 2, 2, of C(n-1-d, 2) labelled 1, 1 (less those whose ends are
@@ -187,8 +192,9 @@ def distinct_line_counts(n: int, bits: np.ndarray, pairs: EqualPairs,
 
 def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
                     twins: np.ndarray) -> dict[str, LawCounts]:
-    """Vector form of check_twin_line_laws, counted per law, each twin
-    pair's laws on the gathered columns of the codes where it is one."""
+    """Vector form of the three twin laws of structure.law_violations,
+    counted per law, each twin pair's laws on the gathered columns of the
+    codes where it is one."""
     m = bits.shape[1]
     out = {law: _new_counts(m) for law in ("twin-a", "twin-b", "twin-c")}
     for k, (u, v) in enumerate(iter_pairs(n)):
@@ -214,8 +220,9 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
 
 def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, pairs: EqualPairs,
                      twin_free: np.ndarray) -> tuple[dict[str, int], dict[str, LawCounts]]:
-    """Vector form of classify_class, check_full_cover_classes and
-    check_twin_free_shapes: (class-shape histogram, per-law counts).
+    """Vector form of classify_class and of the full-cover and class-shape
+    laws of structure.law_violations: (class-shape histogram, per-law
+    counts).
 
     Two classmates rule out a uniform matching when they share a point or
     differ in label, and also an alternating 4-cycle subset when they share

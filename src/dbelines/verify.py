@@ -37,14 +37,11 @@ from .spaces import (DistanceMatrix, MetricSpace, OneTwoSpace, as_one_two,
 # space_from_code, equiv_classes and classify_class are looked up here by
 # bench/tracing.py
 from .spaces import space_from_code  # noqa: F401
-from .structure import ClassShape, classify_class, equiv_classes  # noqa: F401
+from .structure import LAW_ORDER, ClassShape, classify_class, equiv_classes  # noqa: F401
 from . import sweep as sw
 
 CHUNK_CODES = 1 << 20
 
-LAW_ORDER = ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
-             "twin-a", "twin-b", "twin-c",
-             "full-cover", "class-shape", "class-size")
 CLASS_LAWS = ("full-cover", "class-shape")  # checked at the "full" level only
 
 SHAPE_TAGS = tuple(shape.value for shape in ClassShape)

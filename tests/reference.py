@@ -3,7 +3,7 @@
 Deliberately dumb and independent of the package's bit tricks: matrices are
 lists of lists, lines come straight from the three betweenness equations,
 and pair positions are found by counting.  Any agreement between these and
-the package is evidence, not circularity.  The two helpers at the end
+the package is evidence, not circularity.  The three helpers at the end
 build test inputs and are not oracles.
 """
 
@@ -148,3 +148,12 @@ def random_metric(rng, n: int):
     from dbelines.verify import _COMMON_DENOM, _draw_int_rows
     return MetricSpace.from_rows([Fraction(x, _COMMON_DENOM) for x in row]
                                  for row in _draw_int_rows(rng, n))
+
+
+def family_of(n: int, column):
+    """LineFamily of an arbitrary per-pair line list (corrupted or not),
+    deduplicated in first-seen order as all_lines does."""
+    from dbelines.lines import LineFamily
+    order = list(dict.fromkeys(column))
+    return LineFamily(n, tuple(order), tuple(order.index(m) for m in column),
+                      (1 << n) - 1 in order)

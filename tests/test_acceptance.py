@@ -16,11 +16,11 @@ import time
 
 import pytest
 
-from dbelines import (claims_sweep, dbe_verdict, line_of, line_of_fast,
-                      min_lines_table, six_point_witnesses, space_from_code,
-                      verify_small_spaces, verify_theorem)
+from dbelines import (all_lines, claims_sweep, dbe_verdict, line_of,
+                      line_of_fast, min_lines_table, six_point_witnesses,
+                      space_from_code, verify_small_spaces, verify_theorem)
 from dbelines.bitset import iter_pairs, pair_count
-from dbelines.structure import check_distinct_lines, check_twin_line_laws
+from dbelines.structure import LAW_ORDER, law_violations
 
 RUN_N8 = os.environ.get("DBELINES_RUN_N8") == "1"
 needs_n8 = pytest.mark.skipif(
@@ -40,6 +40,20 @@ def n7_sampled_claims():
     if "n7sample" not in _CACHE:
         _CACHE["n7sample"] = claims_sweep(7, trials=100_000, seed=7)
     return _CACHE["n7sample"]
+
+
+def scalar_violations():
+    # one law_violations pass over every code at n <= 6, shared by criteria
+    # 4 and 5: violations per law
+    if "scalar" not in _CACHE:
+        counts = dict.fromkeys(LAW_ORDER, 0)
+        for n in range(2, 7):
+            for code in range(1 << pair_count(n)):
+                space = space_from_code(n, code)
+                for law, found in law_violations(space, all_lines(space)).items():
+                    counts[law] += len(found)
+        _CACHE["scalar"] = counts
+    return _CACHE["scalar"]
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -81,34 +95,26 @@ def test_criterion_03_six_point_witnesses():
 
 
 def test_criterion_04_distinct_line_laws():
-    scalar_violations = 0
-    for n in range(2, 7):
-        for code in range(1 << pair_count(n)):
-            scalar_violations += len(check_distinct_lines(space_from_code(n, code)))
+    laws = ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin")
+    scalar = sum(scalar_violations()[law] for law in laws)
     sampled = n7_sampled_claims()
-    sampled_violations = sum(
-        sampled.laws[law].violations
-        for law in ("disjoint-diff-label", "adjacent-label2",
-                    "adjacent-label1-nontwin"))
-    ok = scalar_violations == 0 and sampled_violations == 0
+    sampled_violations = sum(sampled.laws[law].violations for law in laws)
+    ok = scalar == 0 and sampled_violations == 0
     report("C4", ok,
            f"distinct-line laws: 0 violations exhaustively for n<=6 "
-           f"(got {scalar_violations}) and on 10^5 random codes at n=7 "
+           f"(got {scalar}) and on 10^5 random codes at n=7 "
            f"(got {sampled_violations})")
 
 
 def test_criterion_05_twin_line_laws():
-    violations = 0
-    for n in range(2, 6):
-        for code in range(1 << pair_count(n)):
-            violations += len(check_twin_line_laws(space_from_code(n, code)))
+    laws = ("twin-a", "twin-b", "twin-c")
+    violations = sum(scalar_violations()[law] for law in laws)
     sampled = n7_sampled_claims()
-    sampled_violations = sum(sampled.laws[law].violations
-                             for law in ("twin-a", "twin-b", "twin-c"))
+    sampled_violations = sum(sampled.laws[law].violations for law in laws)
     ok = violations == 0 and sampled_violations == 0
     report("C5", ok,
            f"twin line laws (a,b,c): {violations} violations over every code "
-           f"at n<=5, {sampled_violations} on 10^5 random codes at n=7")
+           f"at n<=6, {sampled_violations} on 10^5 random codes at n=7")
 
 
 def test_criterion_06_class_structure_laws():

@@ -52,6 +52,17 @@ class TestAnalyze:
         assert r["violations"] == []
         assert r["classes"][0]["shape"] == "other"
 
+    def test_json_result_keys(self, path3_file, tmp_path, capsys):
+        # law violations are reported in "violations" alone
+        general = tmp_path / "gen.txt"
+        general.write_text("3\n0 1 3/2\n1 0 1\n3/2 1 0\n")
+        keys = []
+        for path in (path3_file, str(general)):
+            assert cli_mod.main(["analyze", path, "--json"]) == 0
+            keys.append(list(json.loads(capsys.readouterr().out)["results"]))
+        common = ["n", "is_one_two", "matrix", "verdict", "family"]
+        assert keys == [common + ["twin_pairs", "classes", "violations"], common]
+
     def test_general_metric_space(self, tmp_path):
         p = tmp_path / "gen.txt"
         p.write_text("3\n0 1 3/2\n1 0 1\n3/2 1 0\n")
@@ -338,3 +349,28 @@ class TestExitCodeProperty:
             assert out.getvalue() == "" and err.getvalue(), argv
         else:
             assert json.loads(out.getvalue())["subcommand"] == cmd
+
+
+class TestJobsProperty:
+    """--jobs never changes stdout."""
+
+    serial: dict = {}
+
+    @staticmethod
+    def stdout_of(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli_mod.main(argv) == 0, (argv, err.getvalue())
+        return out.getvalue()
+
+    # n = 6 is the smallest n that starts a pool (see TestEnumerate); at most
+    # 3 workers exist at a time
+    @settings(max_examples=10, deadline=None)
+    @given(cmd=st.sampled_from(["enumerate", "claims", "min-lines"]),
+           as_json=st.booleans(), jobs=st.sampled_from([2, 3]))
+    def test_jobs_never_change_stdout(self, cmd, as_json, jobs):
+        argv = [cmd, "--n", "6", *(["--json"] if as_json else [])]
+        key = tuple(argv)
+        if key not in self.serial:
+            self.serial[key] = self.stdout_of([*argv, "--jobs", "1"])
+        assert self.stdout_of([*argv, "--jobs", str(jobs)]) == self.serial[key]

@@ -1,4 +1,4 @@
-"""Twins, edge classes, shape classification, and the law checkers."""
+"""Twins, edge classes, shape classification, and the scalar law pass."""
 
 import random
 from itertools import combinations
@@ -6,15 +6,12 @@ from itertools import combinations
 import pytest
 
 from dbelines import all_lines, line_of, space_from_code
-from dbelines.bitset import pair_count
-from dbelines.structure import (ClassShape, EdgePair, EquivClass, are_twins,
-                                check_class_size_bound, check_distinct_lines,
-                                check_full_cover_classes,
-                                check_twin_free_shapes, check_twin_line_laws,
-                                class_size_bound, classify_class,
-                                equiv_classes, twin_pairs)
+from dbelines.bitset import full_mask, pair_count
+from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, EquivClass,
+                                are_twins, class_size_bound, classify_class,
+                                equiv_classes, law_violations, twin_pairs)
 
-from reference import mask_of, ref_twins, ref_rows_from_code
+from reference import family_of, mask_of, ref_twins, ref_rows_from_code
 
 PATH3 = space_from_code(3, 0b010)
 ALL1_4 = space_from_code(4, 0)
@@ -141,63 +138,94 @@ class TestClassifyClass:
         assert classify_class(ALL1_4, cls) is ClassShape.OTHER
 
 
+def violations(space, family=None):
+    """law_violations of a space, on its own lines unless family is given."""
+    got = law_violations(space, family or all_lines(space))
+    assert list(got) == list(LAW_ORDER)
+    return got
+
+
+def found(space, laws, family=None):
+    """Violation count of the given laws."""
+    got = violations(space, family)
+    return sum(len(got[law]) for law in laws)
+
+
+DISTINCT = ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin")
+TWIN = ("twin-a", "twin-b", "twin-c")
+
+
 class TestDistinctLineLaws:
     def test_all_one_clean(self):
-        assert check_distinct_lines(ALL1_4) == []
+        assert found(ALL1_4, DISTINCT) == 0
 
     def test_all_two_clean(self):
-        assert check_distinct_lines(space_from_code(4, 0b111111)) == []
+        assert found(space_from_code(4, 0b111111), DISTINCT) == 0
 
     def test_exhaustive_n5(self):
         for code in range(1 << 10):
-            assert check_distinct_lines(space_from_code(5, code)) == []
+            assert found(space_from_code(5, code), DISTINCT) == 0
 
     def test_small_n_no_instances(self):
-        assert check_distinct_lines(space_from_code(2, 1)) == []
+        assert found(space_from_code(2, 1), DISTINCT) == 0
 
 
 class TestTwinLineLaws:
     def test_constructed_twin_space_law_b(self):
         # d(2,1)=1 so the lines of (2,1) and (2,0) must contain both twins
         assert line_of(TWIN4, 2, 1) & mask_of([0, 1]) == mask_of([0, 1])
-        assert check_twin_line_laws(TWIN4) == []
+        assert found(TWIN4, TWIN) == 0
 
     def test_path_law_b(self):
         assert line_of(PATH3, 1, 2) == mask_of([0, 1, 2])
-        assert check_twin_line_laws(PATH3) == []
+        assert found(PATH3, TWIN) == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exhaustive_small(self, n):
         for code in range(1 << pair_count(n)):
-            assert check_twin_line_laws(space_from_code(n, code)) == []
+            assert found(space_from_code(n, code), TWIN) == 0
 
 
 class TestFullCoverClasses:
     def test_path_class_covers_and_is_universal(self):
-        assert check_full_cover_classes(PATH3) == []
+        assert found(PATH3, ["full-cover"]) == 0
+        # the same class under a 2-point line breaks the law
+        bad = violations(PATH3, family_of(3, [0b011] * 3))["full-cover"]
+        assert [(v.points, v.labels, v.lines) for v in bad] == \
+            [((0, 1, 0, 2, 1, 2), (1, 2, 1), (0b011,))]
 
     def test_all_one_vacuous(self):
-        assert check_full_cover_classes(ALL1_4) == []
+        assert found(ALL1_4, ["full-cover"]) == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exhaustive_small(self, n):
         for code in range(1 << pair_count(n)):
-            assert check_full_cover_classes(space_from_code(n, code)) == []
+            assert found(space_from_code(n, code), ["full-cover"]) == 0
 
 
 class TestShapeAndSizeChecks:
     def test_all_one_applicable_and_clean(self):
-        res = check_twin_free_shapes(ALL1_4)
-        assert res.applicable and res.violations == ()
+        assert found(ALL1_4, ["class-shape", "class-size"]) == 0
+        # twin-free with no universal line: both laws apply, so one
+        # 6-edge class on a 3-point line breaks both
+        column = [mask_of([0, 1, 2])] * 6
+        got = violations(ALL1_4, family_of(4, column))
+        assert [len(got[law]) for law in ("class-shape", "class-size")] == [1, 1]
 
     def test_path_skipped_for_twins(self):
-        res = check_twin_free_shapes(PATH3)
-        assert not res.applicable and res.violations == ()
+        # the path's one class is of neither legal shape, but it has twins
+        cls = equiv_classes(all_lines(PATH3), PATH3)[0]
+        assert classify_class(PATH3, cls) is ClassShape.OTHER
+        assert found(PATH3, ["class-shape", "class-size"]) == 0
 
     def test_size_check_needs_no_universal_line(self):
-        assert check_class_size_bound(ALL1_4).applicable
-        assert not check_class_size_bound(PATH3).applicable      # twins
-        assert not check_class_size_bound(ALT4).applicable       # universal line
+        one_class = [mask_of([0, 1, 2])] * 6
+        assert found(ALL1_4, ["class-size"], family_of(4, one_class)) == 1
+        assert found(TWIN4, ["class-size"], family_of(4, one_class)) == 0  # twins
+        # a universal line elsewhere lifts the bound
+        universal = one_class[:5] + [full_mask(4)]
+        assert found(ALL1_4, ["class-size"], family_of(4, universal)) == 0
+        assert found(ALL1_4, ["class-shape"], family_of(4, universal)) == 1
 
     def test_size_bound_values(self):
         assert class_size_bound(2) == 4
@@ -209,8 +237,4 @@ class TestShapeAndSizeChecks:
     def test_exhaustive_small(self, n):
         for code in range(1 << pair_count(n)):
             space = space_from_code(n, code)
-            shape = check_twin_free_shapes(space)
-            size = check_class_size_bound(space)
-            assert shape.violations == ()
-            assert size.violations == ()
-            assert shape.applicable == (not twin_pairs(space))
+            assert found(space, LAW_ORDER) == 0

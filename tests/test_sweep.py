@@ -10,13 +10,12 @@ import pytest
 from dbelines import all_lines, line_of_fast, space_from_code
 from dbelines.bitset import full_mask, iter_pairs, pair_count, pair_index
 from dbelines import sweep as sw
-from dbelines.structure import (ClassShape, EdgePair, EquivClass, are_twins,
-                                check_distinct_lines, check_twin_line_laws,
-                                class_size_bound, classify_class,
-                                equiv_classes, twin_pairs)
+from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, EquivClass,
+                                are_twins, class_size_bound, classify_class,
+                                equiv_classes, law_violations, twin_pairs)
 
-from reference import (ref_canonical_code, ref_law_counts, ref_pair_bit,
-                       ref_rows_from_code)
+from reference import (family_of, ref_canonical_code, ref_law_counts,
+                       ref_pair_bit, ref_rows_from_code)
 
 
 def random_codes(n, count, seed):
@@ -167,15 +166,14 @@ def scalar_law_counts(n, codes):
                     inst["adjacent-label2"] += 1
                 if d(a, mid) == d(mid, b) == 1 and not are_twins(space, a, b):
                     inst["adjacent-label1-nontwin"] += 1
-        for v in check_distinct_lines(space):
-            viol[v.law] += 1
         for u, v in twin_pairs(space):
             others = [w for w in range(n) if w not in (u, v)]
             inst["twin-a"] += len(others) * (len(others) - 1) // 2
             for w in others:
                 inst["twin-b" if d(w, v) == 1 else "twin-c"] += 1
-        for v in check_twin_line_laws(space):
-            viol[v.law] += 1
+        for law, found in law_violations(space, all_lines(space)).items():
+            if law in viol:
+                viol[law] += len(found)
     return inst, viol
 
 
@@ -189,6 +187,14 @@ def corrupt_lines(n, lines, rng, rate=0.05):
     out = lines.copy()
     out[rows, cols] = np.where(rng.random(rows.size) < 0.5, other, toggled)
     return out
+
+
+def merge_lines(lines, rng, share=0.5):
+    """Copy of lines in which about share of the edges of each code take the
+    line of one edge of that code, so that large classes form."""
+    P, m = lines.shape
+    src = lines[rng.integers(0, P, m), np.arange(m)]
+    return np.where(rng.random(lines.shape) < share, src, lines)
 
 
 class TestLawKernels:
@@ -269,6 +275,11 @@ class TestLawKernels:
         fired = {name: (cnt.violations, np.flatnonzero(cnt.bad_codes).tolist())
                  for name, cnt in counts.items() if cnt.violations}
         assert fired == {law: (violations, [code])}
+        # the scalar pass on the same table; its class laws are not asked
+        got = law_violations(space_from_code(n, code),
+                             family_of(n, lines[:, code].tolist()))
+        assert {name: len(got[name]) for name in counts if got[name]} == \
+            {law: violations}
 
     def test_size_bound_counts(self):
         n = 6
@@ -400,9 +411,49 @@ class TestClassLawKernel:
         assert int(lines[0, 3]) == 0b1011
         lines[3, 3] = lines[0, 3]
         _, laws = kernel_class_counts(n, codes, lines)
+        got = law_violations(space_from_code(n, 3),
+                             family_of(n, lines[:, 3].tolist()))
         for law in ("full-cover", "class-shape"):
             assert laws[law].violations == 1, law
             assert np.flatnonzero(laws[law].bad_codes).tolist() == [3], law
+            assert [(v.points, v.lines) for v in got[law]] == \
+                [((0, 1, 1, 2, 1, 3), (0b1011,))], law
+
+
+class TestScalarLawPass:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_corrupted_tables_against_references(self, n):
+        # real codes break no law, so only corrupted line tables reach the
+        # violation branches of law_violations: its label-law counts must
+        # match the oracle code by code, and its class-law counts and
+        # violating codes the kernels on the same table
+        codes = all_codes(n) if n <= 5 else random_codes(n, 300, seed=130 + n)
+        bits, ones, real = batch(n, codes)
+        twin_free = ~sw.twin_pair_flags(n, bits, ones).any(axis=0)
+        rng = np.random.default_rng(140 + n)
+        fired = Counter()
+        for lines in (corrupt_lines(n, real, rng), merge_lines(real, rng)):
+            found = {law: [] for law in LAW_ORDER}  # violation count per code
+            for ci, code in enumerate(codes):
+                column = lines[:, ci].tolist()
+                got = law_violations(space_from_code(n, int(code)),
+                                     family_of(n, column))
+                for law in LAW_ORDER:
+                    found[law].append(len(got[law]))
+                oracle = ref_law_counts(n, int(code), column)
+                assert {law: len(got[law]) for law in oracle} == \
+                    {law: c[1] for law, c in oracle.items()}, int(code)
+            distinct, pairs = sw.distinct_counts(lines, True)
+            _, kernel = sw.class_law_counts(n, bits, lines, pairs, twin_free)
+            kernel["class-size"] = sw.size_bound_counts(
+                twin_free, sw.universal_flags(n, lines), distinct,
+                sw.class_size_stats(n, lines, pairs))
+            for law, cnt in kernel.items():
+                assert cnt.violations == sum(found[law]), law
+                assert np.flatnonzero(cnt.bad_codes).tolist() == \
+                    [ci for ci, c in enumerate(found[law]) if c], law
+            fired.update({law: sum(c) for law, c in found.items()})
+        assert all(fired[law] > 0 for law in LAW_ORDER), fired
 
 
 class TestCanonicalKernel:

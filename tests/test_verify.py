@@ -266,9 +266,8 @@ class TestClaimsSweep:
         rep = claims_sweep(n)
         assert rep.sampling is None and rep.skipped_laws == ()
         assert rep.total_codes == 64
-        # recompute two law entries directly from the scalar checkers
-        from dbelines.structure import (check_full_cover_classes,
-                                        check_twin_free_shapes)
+        # recompute two law entries directly from the scalar law pass
+        from dbelines.structure import law_violations
         cover_inst = 0
         shape_inst = 0
         tf_codes = 0
@@ -287,8 +286,8 @@ class TestClaimsSweep:
             if not twin_pairs(space):
                 tf_codes += 1
                 shape_inst += len(classes)
-            assert check_full_cover_classes(space) == []
-            assert check_twin_free_shapes(space).violations == ()
+            found = law_violations(space, family)
+            assert found["full-cover"] == found["class-shape"] == []
         assert rep.twin_free_codes == tf_codes
         assert rep.laws["full-cover"].instances == cover_inst
         assert rep.laws["class-shape"].instances == shape_inst
