@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import reports
 from .bitset import mask_to_points
-from .lines import all_lines, dbe_verdict
+from .lines import all_lines
 from .spaces import (NotOneTwoError, as_one_two, parse_distance_matrix,
                      validate_metric)
 from .structure import (classify_class, equiv_classes, law_violations,
@@ -36,13 +36,13 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _progress_printer(label: str):
-    state = {"next": PROGRESS_STEP}
+def _progress_printer(label: str, unit: str = "codes", step: int = PROGRESS_STEP):
+    state = {"next": step}
 
     def cb(done: int, total: int) -> None:
         if done >= state["next"] or done == total:
-            state["next"] = done + PROGRESS_STEP
-            print(f"{label}: {done}/{total} codes", file=sys.stderr)
+            state["next"] = done + step
+            print(f"{label}: {done}/{total} {unit}", file=sys.stderr)
 
     return cb
 
@@ -86,7 +86,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
         ots = None
     target = ots if ots is not None else space
     family = all_lines(target)
-    verdict = dbe_verdict(target)
+    verdict = family.verdict()
 
     results: dict = {
         "n": space.n,
@@ -136,7 +136,10 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
     _confirm_n8(args, args.mode == "all", "enumerate --n 8 --mode all")
-    progress = _progress_printer(f"enumerate n={args.n}")
+    # iso mode reports once per point added to the class representatives
+    progress = (_progress_printer(f"enumerate n={args.n}", "points", 1)
+                if args.mode == "iso" else
+                _progress_printer(f"enumerate n={args.n}"))
     rep = verify_theorem(args.n, mode=args.mode, jobs=args.jobs,
                          max_witnesses=args.max_witnesses, progress=progress)
     results = reports.theorem_report_to_json(rep)

@@ -77,6 +77,11 @@ class LineFamily:
     def count(self) -> int:
         return len(self.lines)
 
+    def verdict(self) -> DbeVerdict:
+        """De Bruijn-Erdos verdict: >= n distinct lines or a universal line."""
+        holds = self.count >= self.n or self.has_universal
+        return DbeVerdict(self.count, self.has_universal, holds)
+
 
 def all_lines(space) -> LineFamily:
     """Compute and deduplicate the lines of every pair; n >= 2 required."""
@@ -113,6 +118,4 @@ class DbeVerdict:
 
 def dbe_verdict(space) -> DbeVerdict:
     """De Bruijn-Erdos verdict: >= n distinct lines or a universal line."""
-    family = all_lines(space)
-    holds = family.count >= space.n or family.has_universal
-    return DbeVerdict(family.count, family.has_universal, holds)
+    return all_lines(space).verdict()

@@ -1,11 +1,12 @@
 """Exhaustive verification over 1-2 spaces and the randomized general harness.
 
-verify_theorem sweeps every label code on n points (or one canonical
-representative per isomorphism class), checks the De Bruijn-Erdos property
-plus the structural laws, and aggregates a TheoremReport.  The code interval
-is split into disjoint chunks processed independently and merged by an
-associative, order-insensitive reduction, so the report is identical for any
-worker count or chunk size.
+verify_theorem sweeps every label code on n points (or the minimum code of
+each isomorphism class, from sweep.iso_codes), checks the De Bruijn-Erdos
+property plus the structural laws, and aggregates a TheoremReport.  The code
+interval is split into disjoint chunks processed independently and merged by
+an associative, order-insensitive reduction, so the report is identical for
+any worker count or chunk size.  The class representatives are one array,
+swept in one piece.
 
 Checker depth per sweep ("auto"):
   full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
@@ -93,11 +94,9 @@ def _merge_min(a: tuple[Optional[int], Optional[int]],
 
 
 def _sweep_chunk(task: tuple) -> dict:
-    n, lo, hi, iso, checkers, max_witnesses = task
-    codes = np.arange(lo, hi, dtype=np.int64)
-    if iso:
-        codes = codes[sw.canonical_min(n, sw.label_bits(n, codes)) == codes]
-    return _sweep_codes(n, codes, checkers, max_witnesses)
+    n, lo, hi, checkers, max_witnesses = task
+    return _sweep_codes(n, np.arange(lo, hi, dtype=np.int64), checkers,
+                        max_witnesses)
 
 
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
@@ -190,13 +189,13 @@ def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
         twin_free_codes=twin_free, class_counts_by_shape=hist, laws=laws)
 
 
-def _sweep_tasks(n: int, iso: bool, checkers: str, jobs: int,
+def _sweep_tasks(n: int, checkers: str, jobs: int,
                  max_witnesses: int) -> list[tuple]:
     total = 1 << pair_count(n)
     chunk = CHUNK_CODES
     if jobs > 1:
         chunk = min(chunk, max(1024, -(-total // (jobs * 4))))
-    return [(n, lo, min(lo + chunk, total), iso, checkers, max_witnesses)
+    return [(n, lo, min(lo + chunk, total), checkers, max_witnesses)
             for lo in range(0, total, chunk)]
 
 
@@ -233,8 +232,10 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                    progress: Progress = None) -> TheoremReport:
     """Sweep all label codes (or canonical representatives) on n points.
 
-    mode "all" visits every code; "iso" keeps one minimum-code representative
-    per isomorphism class (n <= 7; the factorial filter is slow at n = 7).
+    mode "all" visits every code; "iso" visits the minimum code of each
+    isomorphism class (n <= 7), grown by one-point extension in a few
+    seconds at n = 7, and calls progress with (points, n) once per
+    extension step instead of with (codes, total) once per chunk.
     The report is independent of jobs and of chunking.
     """
     sw.check_point_count(n)
@@ -242,15 +243,19 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "iso" and n > 7:
-        raise ValueError("iso mode is not supported at n = 8 "
-                         "(factorial filter over 2^28 codes)")
+        raise ValueError("iso mode is not supported at n = 8 (deduplicating "
+                         "133,632 candidates over 40320 relabelings)")
     if checkers == "auto":
         checkers = "full" if (mode == "iso" or n <= 6) else (
             "vector" if n == 7 else "none")
     if checkers not in ("full", "vector", "none"):
         raise ValueError(f"unknown checker level {checkers!r}")
-    tasks = _sweep_tasks(n, mode == "iso", checkers, jobs, max_witnesses)
-    parts = _run_chunks(tasks, jobs, progress, 1 << pair_count(n))
+    if mode == "iso":
+        parts = [_sweep_codes(n, sw.iso_codes(n, progress), checkers,
+                              max_witnesses)]
+    else:
+        tasks = _sweep_tasks(n, checkers, jobs, max_witnesses)
+        parts = _run_chunks(tasks, jobs, progress, 1 << pair_count(n))
     return _merge_chunks(n, mode, checkers, parts, max_witnesses)
 
 
@@ -326,7 +331,7 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
         raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
     _check_limits(jobs)
     ns = range(n_lo, n_hi + 1)
-    tasks = [task for n in ns for task in _sweep_tasks(n, False, "none", jobs, 0)]
+    tasks = [task for n in ns for task in _sweep_tasks(n, "none", jobs, 0)]
     parts = _run_chunks(tasks, jobs, progress,
                         sum(1 << pair_count(n) for n in ns))
     reps = (_merge_chunks(n, "all", "none",

@@ -5,20 +5,40 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbelines import cli as cli_mod
+from dbelines import lines as lines_mod
+from dbelines import sweep as sw
+from dbelines import verify as verify_mod
+from dbelines import dbe_verdict, parse_distance_matrix, validate_metric
+from dbelines.bitset import pair_count
 from dbelines.verify import TheoremReport
 
 PATH3 = "3\n0 1 2\n1 0 1\n2 1 0\n"
+CYCLE5 = "5\n0 1 2 2 1\n1 0 1 2 2\n2 1 0 1 2\n2 2 1 0 1\n1 2 2 1 0\n"
+GENERAL4 = "4\n0 1 3/2 2\n1 0 1 7/4\n3/2 1 0 1\n2 7/4 1 0\n"
+
+# stdout pins of the benchmark workloads, read and never written here
+BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
 
 
 def run_cli(*args, timeout=600):
     return subprocess.run([sys.executable, "-m", "dbelines", *args],
                           capture_output=True, text=True, timeout=timeout)
+
+
+def run_main(argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_mod.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -72,6 +92,31 @@ class TestAnalyze:
         assert not r["is_one_two"]
         assert "twin_pairs" not in r
         assert r["matrix"][0] == ["0", "1", "3/2"]
+
+    @pytest.mark.parametrize("text", [PATH3, CYCLE5, GENERAL4])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_builds_line_table_once(self, text, as_json, tmp_path, monkeypatch):
+        p = tmp_path / "space.txt"
+        p.write_text(text)
+        all_lines = lines_mod.all_lines
+        calls = []
+
+        def counted(space):
+            calls.append(space.n)
+            return all_lines(space)
+
+        monkeypatch.setattr(cli_mod, "all_lines", counted)
+        monkeypatch.setattr(lines_mod, "all_lines", counted)
+        code, out, _ = run_main(["analyze", str(p), *(["--json"] if as_json else [])])
+        assert code == 0 and len(calls) == 1
+        monkeypatch.undo()
+        verdict = dbe_verdict(validate_metric(parse_distance_matrix(text)))
+        if as_json:
+            assert json.loads(out)["results"]["verdict"] == {
+                "line_count": verdict.line_count,
+                "has_universal": verdict.has_universal, "holds": verdict.holds}
+        else:
+            assert f"distinct lines: {verdict.line_count}   " in out
 
     def test_missing_file(self):
         res = run_cli("analyze", "/definitely/not/here.txt")
@@ -176,6 +221,35 @@ class TestEnumerate:
     def test_iso_mode(self):
         res = run_cli("enumerate", "--n", "4", "--mode", "iso", "--json")
         assert json.loads(res.stdout)["results"]["total_codes"] == 11
+
+    def test_iso_n6_matches_bench_pin(self):
+        code, out, err = run_main(["enumerate", "--n", "6", "--mode", "iso", "--json"])
+        assert code == 0
+        assert out.encode() == (BENCH_EXPECTED / "iso-n6.json").read_bytes()
+        assert "6/6 points" in err
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_iso_matches_brute_filter(self, n, as_json, monkeypatch):
+        # the report of the codes that are their own minimum over all
+        # relabelings, rendered by the same command
+        argv = ["enumerate", "--n", str(n), "--mode", "iso",
+                *(["--json"] if as_json else [])]
+        code, out, err = run_main(argv)
+        assert code == 0
+        assert [line for line in err.splitlines() if "points" in line] == [
+            f"enumerate n={n}: {m}/{n} points" for m in range(3, n + 1)]
+        codes = np.arange(1 << pair_count(n), dtype=np.int64)
+        codes = codes[sw.canonical_min(n, sw.label_bits(n, codes)) == codes]
+        brute = verify_mod._merge_chunks(
+            n, "iso", "full", [verify_mod._sweep_codes(n, codes, "full", 100)], 100)
+        monkeypatch.setattr(cli_mod, "verify_theorem", lambda *a, **k: brute)
+        assert run_main(argv)[:2] == (0, out)
+
+    def test_iso_n8_is_an_input_error(self):
+        code, out, err = run_main(["enumerate", "--n", "8", "--mode", "iso"])
+        assert (code, out) == (1, "")
+        assert "133,632 candidates over 40320 relabelings" in err
 
     def test_jobs_do_not_change_bytes(self):
         # n = 6 is the smallest n split into several chunks, so --jobs

@@ -467,3 +467,38 @@ class TestCanonicalKernel:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             sw.label_bits(9, np.zeros(1, dtype=np.int64))
+
+
+def brute_iso_codes(n):
+    """The codes that are their own minimum over all n! relabelings."""
+    codes = all_codes(n)
+    return codes[sw.canonical_min(n, sw.label_bits(n, codes)) == codes]
+
+
+class TestIsoCodes:
+    """sw.iso_codes against the factorial filter and the graph atlas."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_brute_filter(self, n):
+        reps = sw.iso_codes(n)
+        assert reps.dtype == np.int64
+        np.testing.assert_array_equal(reps, brute_iso_codes(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_equals_graph_atlas(self, n):
+        # one graph per isomorphism class on up to 7 nodes; an edge is a
+        # pair at distance 1, every other pair is at distance 2
+        nx = pytest.importorskip("networkx")
+        codes = []
+        for g in nx.graph_atlas_g():
+            if g.number_of_nodes() == n:
+                code = (1 << pair_count(n)) - 1
+                for i, j in g.edges():
+                    code &= ~(1 << ref_pair_bit(min(i, j), max(i, j), n))
+                codes.append(code)
+        canon = set(sw.canonical_min(
+            n, sw.label_bits(n, np.array(codes, dtype=np.int64))).tolist())
+        reps = sw.iso_codes(n)
+        assert len(canon) == len(codes) == reps.size
+        assert set(reps.tolist()) == canon
+        assert np.all(np.diff(reps) > 0)

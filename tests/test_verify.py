@@ -1,5 +1,6 @@
 """Sweeps, canonicalization, witnesses, minima, and the random harness."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -36,9 +37,15 @@ SHAPE_HIST_EXPECTED = {
 }
 
 # number of isomorphism classes of 1-2 spaces = number of unlabeled graphs
-ISO_CLASSES = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+ISO_CLASSES = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 WITNESS_LINE_COUNTS = (12, 12, 12, 10, 11, 9)
+
+
+@functools.cache
+def cached_report(n, mode="all", checkers="auto"):
+    """verify_theorem, run once per argument set in this module."""
+    return verify_theorem(n, mode=mode, checkers=checkers)
 
 
 def canonical_codes(n, codes):
@@ -144,14 +151,31 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("n", list(ISO_CLASSES))
     def test_iso_mode_counts_and_agreement(self, n):
-        iso = verify_theorem(n, mode="iso")
+        iso = cached_report(n, "iso")
         assert iso.total_codes == ISO_CLASSES[n]
-        full = verify_theorem(n)
+        full = cached_report(n, checkers="none")
         assert iso.dbe_failures == full.dbe_failures == 0
         assert iso.min_lines_overall == full.min_lines_overall
         assert iso.min_lines_no_universal == full.min_lines_no_universal
         assert iso.argmin_overall == full.argmin_overall
         assert iso.argmin_no_universal == full.argmin_no_universal
+
+    def test_iso_n7_acceptance(self):
+        iso = cached_report(7, "iso")
+        labeled = cached_report(7, checkers="none")
+        assert iso.checker_level == "full"
+        assert (iso.total_codes, iso.dbe_failures) == (1044, 0)
+        assert list(iso.laws) == list(verify_mod.LAW_ORDER)
+        for law, stat in iso.laws.items():
+            assert (stat.violations, stat.witnesses) == (0, ()), law
+            assert stat.instances > 0 or law == "full-cover", law
+        assert (iso.min_lines_overall, iso.argmin_overall,
+                iso.min_lines_no_universal, iso.argmin_no_universal) == (
+            labeled.min_lines_overall, labeled.argmin_overall,
+            labeled.min_lines_no_universal, labeled.argmin_no_universal)
+
+    def test_iso_jobs_independence(self):
+        assert verify_theorem(6, mode="iso", jobs=2) == cached_report(6, "iso")
 
     def test_partition_independence(self, monkeypatch):
         base = verify_theorem(5)
@@ -213,7 +237,7 @@ class TestVerifyTheorem:
             verify_theorem(9)
         with pytest.raises(ValueError):
             verify_theorem(4, mode="fancy")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="133,632 candidates over 40320"):
             verify_theorem(8, mode="iso")
         with pytest.raises(ValueError):
             verify_theorem(4, checkers="sometimes")
@@ -222,6 +246,11 @@ class TestVerifyTheorem:
         calls = []
         verify_theorem(4, progress=lambda done, total: calls.append((done, total)))
         assert calls == [(64, 64)]
+        # iso mode: points of the class representatives, once per step
+        calls.clear()
+        verify_theorem(5, mode="iso",
+                       progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(3, 5), (4, 5), (5, 5)]
 
     def test_pool_has_no_idle_workers(self, monkeypatch):
         import multiprocessing
