@@ -6,7 +6,9 @@ partitions the C(n,2) edges of the labeled complete graph into classes.
 law_violations checks the nine structural laws those lines and classes obey
 in one pass over a space and its line family; every law is expected to hold
 on every 1-2 space, and each failure is recorded with the witnessing points,
-labels and line masks.
+labels and line masks.  A distinct-line law says two edges have different
+lines, so it can only fail between classmates: the pass walks the edge pairs
+of each class and never the edge pairs of the whole space.
 """
 
 from __future__ import annotations
@@ -83,47 +85,23 @@ def equiv_classes(family: LineFamily, space: OneTwoSpace) -> list[EquivClass]:
             for idx, edges in enumerate(buckets)]
 
 
-def _is_uniform_matching(edges: tuple[EdgePair, ...]) -> bool:
-    if len({e.label for e in edges}) > 1:
-        return False
-    seen: set[int] = set()
-    for e in edges:
-        if e.u in seen or e.v in seen:
-            return False
-        seen.update((e.u, e.v))
-    return True
-
-
-def _is_alt_c4_subset(edges: tuple[EdgePair, ...]) -> bool:
-    # Embeddable into a 4-cycle whose labels alternate around it: at most
-    # 4 edges on at most 4 points, no point on more than 2 class edges, and
-    # labels alternate along the class itself (edges sharing a point differ,
-    # vertex-disjoint edges agree).  Cycle edges outside the class are
-    # unconstrained; with two labels this forces a consistent alternation.
-    if not 1 <= len(edges) <= 4:
-        return False
-    degree: dict[int, int] = {}
-    for e in edges:
-        degree[e.u] = degree.get(e.u, 0) + 1
-        degree[e.v] = degree.get(e.v, 0) + 1
-    if len(degree) > 4 or max(degree.values()) > 2:
-        return False
-    for e, f in combinations(edges, 2):
-        shared = {e.u, e.v} & {f.u, f.v}
-        if shared and e.label == f.label:
-            return False
-        if not shared and e.label != f.label:
-            return False
-    return True
-
-
 def classify_class(space: OneTwoSpace, cls: EquivClass) -> ClassShape:
-    """Shape of a class; matchings win when both predicates hold."""
-    if _is_uniform_matching(cls.edges):
-        return ClassShape.UNIFORM_MATCHING
-    if _is_alt_c4_subset(cls.edges):
-        return ClassShape.ALT_C4_SUBSET
-    return ClassShape.OTHER
+    """Shape of a class: the worst conflict between two of its edges.
+
+    Two classmates rule out a uniform matching when they share a point or
+    differ in label, and also an alternating 4-cycle subset when they share
+    a point with equal labels or are disjoint with different labels.  With
+    no worse conflict the label-1 and label-2 edges form two matchings, each
+    edge of one meeting each edge of the other, which fits on a 4-cycle.
+    """
+    shape = ClassShape.UNIFORM_MATCHING
+    for e, f in combinations(cls.edges, 2):
+        meet = bool({e.u, e.v} & {f.u, f.v})
+        if meet == (e.label == f.label):
+            return ClassShape.OTHER
+        if meet:
+            shape = ClassShape.ALT_C4_SUBSET
+    return shape
 
 
 def class_size_bound(n: int) -> int:
@@ -142,6 +120,8 @@ def law_violations(space: OneTwoSpace,
 
     The line of each pair and the edge classes are read from family, which
     is normally all_lines(space); any other table is checked as given.
+    The distinct-line laws are read from the edge pairs of each class, so
+    their violations come in class order, then edge-pair order.
 
     Lines forced distinct by labels:
       disjoint-diff-label:      edges on 4 distinct points with different
@@ -178,22 +158,24 @@ def law_violations(space: OneTwoSpace,
     def flag(law, points, labels, masks):
         bad[law].append(Violation(law, points, labels, masks))
 
-    for a, b, c, z in combinations(range(n), 4):
-        for (p, q), (r, s) in (((a, b), (c, z)), ((a, c), (b, z)), ((a, z), (b, c))):
-            if d[p][q] != d[r][s] and line[p][q] == line[r][s]:
-                flag("disjoint-diff-label", (p, q, r, s), (d[p][q], d[r][s]),
-                     (line[p][q], line[r][s]))
-    for mid in range(n):
-        for a, b in combinations([x for x in range(n) if x != mid], 2):
-            if d[a][mid] != d[mid][b] or line[a][mid] != line[mid][b]:
-                continue
-            if d[a][mid] == 2:
-                law = "adjacent-label2"
-            elif not are_twins(space, a, b):
-                law = "adjacent-label1-nontwin"
-            else:
-                continue
-            flag(law, (a, mid, b), (d[a][mid],) * 2, (line[a][mid], line[mid][b]))
+    fm = full_mask(n)
+    for cls in classes:
+        cover = 0
+        for e in cls.edges:
+            cover |= (1 << e.u) | (1 << e.v)
+        if cover == fm and cls.line != fm:
+            bad["full-cover"].append(_class_violation("full-cover", cls))
+        for e, f in combinations(cls.edges, 2):
+            mid = {e.u, e.v} & {f.u, f.v}
+            if not mid:
+                if e.label != f.label:
+                    flag("disjoint-diff-label", (e.u, e.v, f.u, f.v),
+                         (e.label, f.label), (cls.line,) * 2)
+            elif e.label == f.label:
+                a, b = sorted({e.u, e.v, f.u, f.v} - mid)
+                law = "adjacent-label2" if e.label == 2 else "adjacent-label1-nontwin"
+                if e.label == 2 or not are_twins(space, a, b):
+                    flag(law, (a, *mid, b), (e.label,) * 2, (cls.line,) * 2)
 
     tp = twin_pairs(space)
     for u, v in tp:
@@ -211,13 +193,6 @@ def law_violations(space: OneTwoSpace,
             elif on_v != 1 << v or on_u != 1 << u:
                 flag("twin-c", (u, v, w), (2,), (line[w][v], line[w][u]))
 
-    fm = full_mask(n)
-    for cls in classes:
-        cover = 0
-        for e in cls.edges:
-            cover |= (1 << e.u) | (1 << e.v)
-        if cover == fm and cls.line != fm:
-            bad["full-cover"].append(_class_violation("full-cover", cls))
     if not tp:
         bad["class-shape"] = [_class_violation("class-shape", cls) for cls in classes
                               if classify_class(space, cls) is ClassShape.OTHER]

@@ -13,8 +13,10 @@ distinct-line law kernels read only those.  The twin-law kernel reads the
 gathered columns of each twin pair.  Only there can a law fail.
 
 The scalar implementations in lines/structure (law_violations for the
-laws) are the reference; the test suite pins these kernels against them
-exhaustively at small n and on random batches at larger n.
+laws) are the readable copy of each kernel and share its rules; the
+definitional oracle is tests/reference.py.  The test suite pins these
+kernels against both, exhaustively at small n and on random batches at
+larger n.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ build test inputs and are not oracles.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 
+@cache  # counting stays the definition; the cache keeps n = 30 affordable
 def ref_pair_bit(i: int, j: int, n: int) -> int:
     """Position of {i, j} among lexicographic pairs, found by counting."""
     if i > j:
@@ -117,6 +119,29 @@ def ref_law_counts(n: int, code: int, line_column) -> dict[str, tuple[int, int]]
                 count("twin-c", not (on(v, w, v) and not on(u, w, v)
                                      and on(u, w, u) and not on(v, w, u)))
     return {law: tuple(c) for law, c in counts.items()}
+
+
+def ref_class_shape(edges) -> str:
+    """Shape of a class of (u, v, label) edges, by definition.
+
+    A uniform matching is one label on pairwise-disjoint edges.  An
+    alternating 4-cycle subset places its points on the 4 positions of a
+    cycle, in some order and label phase, so that every edge is a cycle edge
+    carrying that edge's alternating label.  Matchings win when both hold.
+    """
+    ends = [p for u, v, _ in edges for p in (u, v)]
+    if len({label for _, _, label in edges}) == 1 and len(ends) == len(set(ends)):
+        return "uniform_matching"
+    points = sorted(set(ends))
+    for pos in permutations(range(4), len(points)):
+        at = dict(zip(points, pos))
+        for phase in (1, 2):
+            cycle = {frozenset((i, (i + 1) % 4)): phase if i % 2 == 0 else 3 - phase
+                     for i in range(4)}
+            if all(cycle.get(frozenset((at[u], at[v]))) == label
+                   for u, v, label in edges):
+                return "alt_c4_subset"
+    return "other"
 
 
 def ref_canonical_code(n: int, code: int) -> int:

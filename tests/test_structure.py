@@ -1,7 +1,7 @@
 """Twins, edge classes, shape classification, and the scalar law pass."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,7 +11,8 @@ from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, EquivClass,
                                 are_twins, class_size_bound, classify_class,
                                 equiv_classes, law_violations, twin_pairs)
 
-from reference import family_of, mask_of, ref_twins, ref_rows_from_code
+from reference import (family_of, mask_of, ref_class_shape, ref_twins,
+                       ref_rows_from_code)
 
 PATH3 = space_from_code(3, 0b010)
 ALL1_4 = space_from_code(4, 0)
@@ -136,6 +137,21 @@ class TestClassifyClass:
         cls = EquivClass((EdgePair(0, 1, 1), EdgePair(1, 2, 2), EdgePair(1, 3, 1)),
                          mask_of([0, 1, 2, 3]))
         assert classify_class(ALL1_4, cls) is ClassShape.OTHER
+
+    def test_every_labeled_edge_set_on_5_points(self):
+        # each of the 10 edges absent or labeled 1 or 2: 3^10 - 1 classes,
+        # against the definitional shapes (classify_class reads only edges)
+        space = space_from_code(5, 0)
+        pairs = list(combinations(range(5), 2))
+        checked = 0
+        for labels in product((0, 1, 2), repeat=len(pairs)):
+            edges = tuple(EdgePair(u, v, label)
+                          for (u, v), label in zip(pairs, labels) if label)
+            if edges:
+                cls = EquivClass(edges, full_mask(5))
+                assert classify_class(space, cls).value == ref_class_shape(edges), edges
+                checked += 1
+        assert checked == 59048
 
 
 def violations(space, family=None):

@@ -7,15 +7,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dbelines import all_lines, line_of_fast, space_from_code
+from dbelines import (OneTwoSpace, all_lines, code_from_space, line_of_fast,
+                      space_from_code)
 from dbelines.bitset import full_mask, iter_pairs, pair_count, pair_index
 from dbelines import sweep as sw
-from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, EquivClass,
-                                are_twins, class_size_bound, classify_class,
-                                equiv_classes, law_violations, twin_pairs)
+from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, are_twins,
+                                class_size_bound, equiv_classes, law_violations,
+                                twin_pairs)
 
-from reference import (family_of, ref_canonical_code, ref_law_counts,
-                       ref_pair_bit, ref_rows_from_code)
+from reference import (family_of, ref_canonical_code, ref_class_shape,
+                       ref_law_counts, ref_pair_bit, ref_rows_from_code)
 
 
 def random_codes(n, count, seed):
@@ -312,7 +313,7 @@ def scalar_class_counts(n, code):
     hist = {shape.value: 0 for shape in ClassShape}
     cover_inst = 0
     for cls in classes:
-        hist[classify_class(space, cls).value] += 1
+        hist[ref_class_shape(cls.edges)] += 1
         cover = 0
         for e in cls.edges:
             cover |= (1 << e.u) | (1 << e.v)
@@ -359,8 +360,8 @@ class TestClassLawKernel:
         hist = {shape.value: 0 for shape in ClassShape}
         laws = {"full-cover": [0, 0], "class-shape": [0, 0]}
         for line, edges in groups.items():
-            shape = classify_class(space, EquivClass(tuple(edges), line))
-            hist[shape.value] += 1
+            shape = ref_class_shape(edges)
+            hist[shape] += 1
             cover = 0
             for e in edges:
                 cover |= (1 << e.u) | (1 << e.v)
@@ -369,15 +370,15 @@ class TestClassLawKernel:
                 laws["full-cover"][1] += line != full_mask(n)
             if twin_free:
                 laws["class-shape"][0] += 1
-                laws["class-shape"][1] += shape is ClassShape.OTHER
+                laws["class-shape"][1] += shape == "other"
         return hist, {law: tuple(c) for law, c in laws.items()}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_arbitrary_partitions_against_classify_class(self, n):
         # lines drawn from a 3-letter alphabet split the edges into classes
         # no real space has; the shape of each must still match
-        # classify_class, and the full-cover and class-shape counts must
-        # match the classes.  The full line is one letter, so that covering
+        # ref_class_shape (to which classify_class is pinned), and the
+        # full-cover and class-shape counts must match the classes.  The full line is one letter, so that covering
         # classes both pass and fail full-cover.
         rng = np.random.default_rng(70 + n)
         codes = random_codes(n, 200, seed=70 + n)
@@ -420,6 +421,25 @@ class TestClassLawKernel:
                 [((0, 1, 1, 2, 1, 3), (0b1011,))], law
 
 
+def planted_twin_space(n, rng):
+    """Random 1-2 space on n points in which three points share one row of
+    distances and are pairwise at distance 2, so three twin pairs exist."""
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    group = rng.sample(range(n), 3)
+    row = adj[group[0]] & ~sum(1 << g for g in group)
+    for w in range(n):
+        for g in group:
+            adj[w] &= ~(1 << g)
+            adj[w] |= ((row >> w) & 1) << g
+    for g in group:
+        adj[g] = row
+    return OneTwoSpace(n, tuple(adj))
+
+
 class TestScalarLawPass:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_corrupted_tables_against_references(self, n):
@@ -454,6 +474,33 @@ class TestScalarLawPass:
                     [ci for ci, c in enumerate(found[law]) if c], law
             fired.update({law: sum(c) for law, c in found.items()})
         assert all(fired[law] > 0 for law in LAW_ORDER), fired
+
+    @pytest.mark.parametrize("n", [12, 20, 30])
+    def test_large_n_against_oracle(self, n):
+        # above n = 8 only analyze runs the scalar pass; its six label-law
+        # counts must match the oracle on tables with one pair's line copied
+        # onto others and on tables with random masks
+        rng = random.Random(150 + n)
+        P = pair_count(n)
+        fired = Counter()
+        for _ in range(2):
+            space = planted_twin_space(n, rng)
+            assert len(twin_pairs(space)) >= 3
+            family = all_lines(space)
+            real = [family.lines[i] for i in family.pair_line]
+            copied, masked = list(real), list(real)
+            src = rng.randrange(P)
+            for k in rng.sample(range(P), P // 8):
+                copied[k] = real[src]
+            for k in rng.sample(range(P), P // 10):
+                masked[k] = rng.getrandbits(n)
+            for column in (copied, masked):
+                got = law_violations(space, family_of(n, column))
+                oracle = ref_law_counts(n, code_from_space(space), column)
+                assert {law: len(got[law]) for law in oracle} == \
+                    {law: c[1] for law, c in oracle.items()}
+                fired.update({law: len(got[law]) for law in oracle})
+        assert len(fired) == 6 and all(fired.values()), fired
 
 
 class TestCanonicalKernel:
