@@ -184,6 +184,8 @@ def validate_metric(matrix: DistanceMatrix) -> MetricSpace:
         if rows[i][j] <= 0:
             raise MetricAxiomError(
                 "positivity", (i, j), f"d({i},{j}) = {rows[i][j]} is not positive")
+    if all(rows[i][j] in (1, 2) for i, j in iter_pairs(n)):
+        return MetricSpace(matrix)  # d(i,k) <= 2 <= d(i,j) + d(j,k)
     for i, k in iter_pairs(n):
         for j in range(n):
             if j == i or j == k:

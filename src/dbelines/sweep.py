@@ -1,16 +1,27 @@
-"""Vectorized enumeration kernels over arrays of label codes.
+"""Bit-sliced enumeration kernels over arrays of label codes.
 
-label_bits decodes a 1-D int64 array of label codes for a fixed n <= 8 into
-a (C(n,2), len) bool table, one row per pair; it is the only kernel that
-reads code bits.  Every other kernel takes that table or arrays derived from
-it and works column-parallel, as a few hundred numpy operations independent
-of how many codes are in the batch.  Point-set masks fit uint8 since n <= 8.
+A batch of m label codes for a fixed n <= 8 is held in bit planes.  A plane
+is a (W,) uint64 array, W = ceil(m / 64), and bit c % 64 of its word c // 64
+belongs to the c-th code.  label_bits packs the codes into one label plane
+per pair, set where the pair is at distance 2; it is the only sweep kernel
+that reads code bits.  Every other kernel evaluates a boolean formula over
+planes, so each numpy operation decides one predicate for 64 codes:
 
-Two edges are in one class exactly when their lines are equal.
-distinct_counts is the only kernel that compares two edges' lines; for the
-law kernels it keeps the equal pairs, and the class-size, class and
-distinct-line law kernels read only those.  The twin-law kernel reads the
-gathered columns of each twin pair.  Only there can a law fail.
+  distance-1 planes (one_masks)  the complements of the label planes;
+  line planes (line_masks)       point w is on the line of pair (u, v);
+  equal-line planes              edges j < k have equal lines;
+  twin planes                    pair k is a twin pair.
+
+Two edges are in one class exactly when their lines are equal, and line
+equality is transitive, so each class aggregates onto its head, the first
+edge of the class, through the head's equal-line planes.  Every law's
+violation set is a plane formula; violations are counted with
+np.bitwise_count, and its witnesses are the set bits of the OR of the law's
+bad planes.  Only the per-code distinct-line count and universal flag are
+unpacked from planes, for the argmins.
+
+The bits past m belong to no code.  They read as code 0, and valid_plane
+masks them out of every count.
 
 The scalar implementations in lines/structure (law_violations for the
 laws) are the readable copy of each kernel and share its rules; the
@@ -22,53 +33,160 @@ larger n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
-from .bitset import full_mask, iter_pairs, pair_count, pair_index
+from .bitset import iter_pairs, pair_count, pair_index
 from .structure import ClassShape, class_size_bound
 
-# Enumeration kernels pack point sets into uint8 masks.
+# label_bits folds two codes into one uint64 word, so a code may have at
+# most 32 pair bits: C(8, 2) = 28.  canonical_min also tries all n!
+# relabelings.
 ENUM_MAX_POINTS = 8
 
-# entry k: (j, ascending int32 codes where lines[j] == lines[k]) for each
-# earlier edge j whose line edge k shares at some code
-EqualPairs = list[list[tuple[int, np.ndarray]]]
+ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 def check_point_count(n: int) -> None:
-    """The point-count bound of every sweep, from the kernels' uint8 masks."""
+    """The point-count bound of every sweep (see ENUM_MAX_POINTS)."""
     if not 2 <= n <= ENUM_MAX_POINTS:
         raise ValueError(f"point count must be between 2 and {ENUM_MAX_POINTS}, got {n}")
 
 
-def label_bits(n: int, codes: np.ndarray) -> np.ndarray:
-    """(C(n,2), len) bool: bit k set means the k-th pair is at distance 2."""
-    check_point_count(n)
-    out = np.empty((pair_count(n), codes.shape[0]), dtype=bool)
-    for k in range(pair_count(n)):
-        out[k] = (codes >> k) & 1
+def _later(i: int, n: int) -> slice:
+    """The pairs (i, j), j > i, which are consecutive in pair order."""
+    return slice(pair_index(i, i + 1, n), pair_index(i, n - 1, n) + 1)
+
+
+@cache
+def _ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two points of each pair, as int arrays in pair order."""
+    us, vs = zip(*iter_pairs(n))
+    return np.array(us), np.array(vs)
+
+
+class EdgePairs(NamedTuple):
+    """The C(P, 2) pairs (j, k), j < k, of the P = C(n, 2) edges, in the
+    order of iter_pairs(P): row pair_index(j, k, P) of an equal-line table."""
+
+    columns: tuple[np.ndarray, ...]  # for each k, the rows (h, k), h < k
+    meet: np.ndarray   # (C(P,2), 1): ALL where the two edges share a point
+    outer: np.ndarray  # where they share a point, the pair of their other ends
+
+
+@cache
+def _edge_pairs(n: int) -> EdgePairs:
+    P = pair_count(n)
+    ends = [{u, v} for u, v in iter_pairs(n)]
+    columns = tuple(np.array([pair_index(h, k, P) for h in range(k)], dtype=np.intp)
+                    for k in range(P))
+    meet = np.array([bool(ends[j] & ends[k]) for j, k in iter_pairs(P)], dtype=bool)
+    outer = [pair_index(*sorted(ends[j] ^ ends[k]), n) if m else 0
+             for (j, k), m in zip(iter_pairs(P), meet)]
+    return EdgePairs(columns, np.where(meet, ALL, np.uint64(0))[:, None],
+                     np.array(outer, dtype=np.intp))
+
+
+def valid_plane(m: int) -> np.ndarray:
+    """The plane of the m codes of a batch: every bit below m."""
+    out = np.full(-(-m // 64), ALL)
+    if m % 64:
+        out[-1] = (1 << (m % 64)) - 1
     return out
 
 
+def unpack(plane: np.ndarray) -> np.ndarray:
+    """bool per code (64 per word) of a plane, whatever the host byte order."""
+    octets = plane.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, bitorder="little").view(bool)
+
+
+def popcount(planes: np.ndarray) -> int:
+    """Number of set bits over all planes."""
+    return int(np.bitwise_count(planes).sum())
+
+
+def set_lanes(plane: np.ndarray, cap: int) -> list[int]:
+    """Ascending indices of the first cap set bits of a plane."""
+    out: list[int] = []
+    for w in np.flatnonzero(plane):
+        word = int(plane[w])
+        while word and len(out) < cap:
+            low = word & -word
+            out.append(64 * int(w) + low.bit_length() - 1)
+            word ^= low
+        if len(out) == cap:
+            break
+    return out
+
+
+def _lane_counts(planes) -> np.ndarray:
+    """int16 per code: in how many of the planes its bit is set.  A
+    bit-sliced ripple counter, unpacked once per binary digit."""
+    digits: list[np.ndarray] = []
+    for added, x in enumerate(planes, 1):
+        for i, d in enumerate(digits):
+            digits[i], x = d ^ x, d & x
+        if added.bit_length() > len(digits):
+            digits.append(x)
+    return sum((unpack(d).astype(np.int16) << i for i, d in enumerate(digits)),
+               start=np.zeros(64 * planes.shape[-1], dtype=np.int16))
+
+
+def label_bits(n: int, codes: np.ndarray) -> np.ndarray:
+    """(C(n,2), W) label planes: bit c of plane k is bit k of the c-th code,
+    set when the k-th pair is at distance 2."""
+    check_point_count(n)
+    W = -(-codes.size // 64)
+    block = np.zeros((W, 64), dtype=np.uint64)
+    block.ravel()[:codes.size] = codes
+    # rows[i, w] holds code 64w + i in its low half and code 64w + 32 + i in
+    # its high half; transposing each 32 x 32 bit block of both halves
+    # (Hacker's Delight 7-3) leaves bit k of the 64 codes in rows[k]
+    rows = np.ascontiguousarray((block[:, :32] | (block[:, 32:] << 32)).T)
+    j, mask = 16, 0x0000_FFFF_0000_FFFF
+    while j:
+        halves = rows.reshape(16 // j, 2, j, W)
+        lo, hi = halves[:, 0], halves[:, 1]
+        t = (lo >> j) ^ hi
+        t &= mask
+        hi ^= t
+        t <<= j
+        lo ^= t
+        j //= 2
+        mask ^= mask << j
+    return rows[:pair_count(n)].copy()
+
+
 def one_masks(n: int, bits: np.ndarray) -> np.ndarray:
-    """(n, len) uint8: distance-1 neighborhood mask of each point."""
-    out = np.zeros((n, bits.shape[1]), dtype=np.uint8)
-    for k, (u, v) in enumerate(iter_pairs(n)):
-        adj = (~bits[k]).view(np.uint8)
-        out[u] |= adj << v
-        out[v] |= adj << u
+    """(n, n, W) distance-1 planes: [p, q] is set where d(p, q) = 1; the
+    diagonal is empty."""
+    us, vs = _ends(n)
+    out = np.zeros((n, n, bits.shape[-1]), dtype=np.uint64)
+    out[us, vs] = out[vs, us] = ~bits
     return out
 
 
 def line_masks(n: int, bits: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """(C(n,2), len) uint8: line mask of each pair (line_of_fast, columnwise)."""
-    out = np.empty(bits.shape, dtype=np.uint8)
-    for k, (u, v) in enumerate(iter_pairs(n)):
-        base = np.uint8((1 << u) | (1 << v))
-        out[k] = np.where(bits[k], ones[u] & ones[v], ones[u] ^ ones[v]) | base
-    return out
+    """(C(n,2), n, W) line planes: [k, w] is set where point w is on the
+    line of the k-th pair (u, v).  For w outside {u, v}, with a and c the
+    distance-1 planes of (u, w) and (v, w), that is a & c at distance 2 and
+    a ^ c at distance 1 (line_of_fast, bit-sliced)."""
+    us, vs = _ends(n)
+    lines = np.empty((us.size, n, bits.shape[-1]), dtype=np.uint64)
+    for u in range(n - 1):
+        k = _later(u, n)
+        a, c, out = ones[u], ones[u + 1:], lines[k]
+        np.bitwise_or(a, c, out=out)
+        out &= bits[k, None]
+        out ^= a
+        out ^= c  # (a | c) ^ a ^ c = a & c, and a ^ c where the label is 1
+    k = np.arange(us.size)
+    lines[k, us] = lines[k, vs] = ALL
+    return lines
 
 
 # uncalled; bench/tracing.py wraps it by name and raises at install if it is gone
@@ -77,54 +195,68 @@ def sorted_lines(lines: np.ndarray) -> np.ndarray:
     return np.sort(lines, axis=0)
 
 
-def distinct_counts(lines: np.ndarray, keep: bool) -> tuple[np.ndarray, EqualPairs | None]:
-    """int16 per code: number of distinct lines, i.e. of edges whose line no
-    earlier edge has; and, if keep, the equal pairs (see EqualPairs)."""
-    P, m = lines.shape
-    distinct = np.full(m, P, dtype=np.int16)
-    eq = np.empty(m, dtype=bool)
-    seen = np.empty(m, dtype=bool)
-    pairs: EqualPairs = [[] for _ in range(P)]
-    for k in range(1, P):
-        seen[:] = False
-        for j in range(k):
-            np.equal(lines[j], lines[k], out=eq)
-            seen |= eq
-            if keep:
-                idx = np.flatnonzero(eq).astype(np.int32)
-                if idx.size:
-                    pairs[k].append((j, idx))
-        distinct -= seen
-    return distinct, (pairs if keep else None)
+class EqualLines(NamedTuple):
+    """Line equality of one batch, restricted to its valid codes: row
+    pair_index(j, k, P) of pairs is set where edges j < k have equal lines,
+    row k of heads where no earlier edge has edge k's line."""
+
+    pairs: np.ndarray  # (C(P,2), W)
+    heads: np.ndarray  # (P, W)
+
+
+def distinct_counts(lines: np.ndarray,
+                    valid: np.ndarray | None) -> tuple[np.ndarray, EqualLines | None]:
+    """int16 per code (64 per word): number of distinct lines, i.e. of edges
+    whose line no earlier edge has; and, unless valid (the plane of the
+    batch's codes) is None, the equal-line planes restricted to valid."""
+    P, n, W = lines.shape
+    keep = valid is not None
+    seen = np.zeros((P, W), dtype=np.uint64)
+    pairs = np.empty((P * (P - 1) // 2 if keep else P - 1, W), dtype=np.uint64)
+    differ = np.empty_like(lines[1:])
+    for j in range(P - 1):
+        d = np.bitwise_xor(lines[j + 1:], lines[j], out=differ[:P - 1 - j])
+        eq = pairs[_later(j, P)] if keep else pairs[:P - 1 - j]
+        np.bitwise_or.reduce(d, axis=1, out=eq)
+        np.invert(eq, out=eq)
+        seen[j + 1:] |= eq
+    distinct = P - _lane_counts(seen[1:])
+    if not keep:
+        return distinct, None
+    pairs &= valid
+    return distinct, EqualLines(pairs, ~seen & valid)
 
 
 def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
-    """bool per code: some line contains all n points."""
-    fm = np.uint8(full_mask(n))
-    out = np.zeros(lines.shape[1], dtype=bool)
-    for row in lines:
-        out |= row == fm
-    return out
+    """Plane: some line contains all n points."""
+    return np.bitwise_or.reduce(np.bitwise_and.reduce(lines, axis=1), axis=0)
 
 
-def class_size_stats(n: int, lines: np.ndarray, pairs: EqualPairs) -> np.ndarray:
-    """int16 per code: count of classes above the size bound.  Of the edges
-    of such a class, exactly one has exactly bound earlier classmates."""
-    oversize = np.zeros(lines.shape[1], dtype=np.int16)
-    before = np.empty(lines.shape[1], dtype=np.int8)
-    for row in pairs:
-        before[:] = 0
-        for _, idx in row:
-            before[idx] += 1
-        oversize += before == class_size_bound(n)
-    return oversize
+def class_size_stats(n: int, pairs: np.ndarray) -> np.ndarray:
+    """(C(n,2), W) planes: edge k has exactly bound earlier classmates.  Of
+    the edges of a class above the size bound, exactly one is set, so the
+    set bits count the oversize classes.  A bit-sliced threshold counter:
+    at_least[t, k] is set where edge k has at least t earlier classmates."""
+    P, W = pair_count(n), pairs.shape[-1]
+    bound = class_size_bound(n)
+    at_least = np.zeros((bound + 2, P, W), dtype=np.uint64)
+    at_least[0] = ALL
+    for j in range(P - 1):
+        at_least[1:, j + 1:] |= at_least[:-1, j + 1:] & pairs[_later(j, P)]
+    return at_least[bound] & ~at_least[bound + 1]
 
 
 def twin_pair_flags(n: int, bits: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """(C(n,2), len) bool: whether each pair is a twin pair."""
-    out = np.empty(bits.shape, dtype=bool)
-    for k, (u, v) in enumerate(iter_pairs(n)):
-        out[k] = bits[k] & (ones[u] == ones[v])
+    """(C(n,2), W) twin planes: pair (u, v) is at distance 2 and no third
+    point w has d(u, w) != d(v, w).  The terms at w = u and w = v are the
+    pair's distance-1 plane, which the label plane clears."""
+    out = np.empty_like(bits)
+    differ = np.empty_like(ones[1:])
+    for u in range(n - 1):
+        d = np.bitwise_xor(ones[u + 1:], ones[u], out=differ[:n - 1 - u])
+        np.bitwise_or.reduce(d, axis=1, out=out[_later(u, n)])
+    np.invert(out, out=out)
+    out &= bits
     return out
 
 
@@ -134,93 +266,102 @@ class LawCounts:
 
     instances: int
     violations: int
-    bad_codes: np.ndarray  # bool per code
+    bad: np.ndarray  # plane of the violating codes
 
 
-def _new_counts(m: int) -> LawCounts:
-    return LawCounts(0, 0, np.zeros(m, dtype=bool))
+def _new_counts(W: int) -> LawCounts:
+    return LawCounts(0, 0, np.zeros(W, dtype=np.uint64))
+
+
+def _flag(cnt: LawCounts, bad: np.ndarray) -> None:
+    # bad: (..., W) planes, one per law instance; real codes break no law,
+    # so the count is taken only when some bit is set
+    any_bad = np.bitwise_or.reduce(bad.reshape(-1, bad.shape[-1]), axis=0)
+    if any_bad.any():
+        cnt.violations += popcount(bad)
+        cnt.bad |= any_bad
 
 
 def _tally(cnt: LawCounts, applicable: np.ndarray, bad: np.ndarray) -> None:
-    cnt.instances += int(applicable.sum())
-    cnt.violations += int(bad.sum())
-    cnt.bad_codes |= bad
+    cnt.instances += popcount(applicable)
+    _flag(cnt, bad)
 
 
-def _flag(cnt: LawCounts, idx: np.ndarray, bad: np.ndarray) -> None:
-    # bad holds one row of flags, or several, over the codes idx
-    cnt.violations += int(np.count_nonzero(bad))
-    cnt.bad_codes[idx[np.atleast_2d(bad).any(axis=0)]] = True
-
-
-def distinct_line_counts(n: int, bits: np.ndarray, pairs: EqualPairs,
-                         twins: np.ndarray) -> dict[str, LawCounts]:
+def distinct_line_counts(n: int, bits: np.ndarray, pairs: np.ndarray,
+                         twins: np.ndarray, valid: np.ndarray) -> dict[str, LawCounts]:
     """Vector form of the three distinct-line laws of
-    structure.law_violations, counted per law.
-
-    A point with d edges at distance 2 is the middle of C(d, 2) edge pairs
-    labelled 2, 2, of C(n-1-d, 2) labelled 1, 1 (less those whose ends are
-    twins) and of d (n-1-d) with different labels; the rest of a code's
-    t (C(n,2) - t) such pairs, t its edges at distance 2, are disjoint.
-    Labels are read only at the equal pairs.
-    """
-    m = bits.shape[1]
-    out = {law: _new_counts(m) for law in
+    structure.law_violations, counted per law: each edge pair's labels
+    (and, for two label-1 edges at a point, the twin plane of their other
+    ends) give the plane where the law applies, and its violations are
+    where that plane meets the pair's equal-line plane."""
+    W = bits.shape[-1]
+    out = {law: _new_counts(W) for law in
            ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin")}
     disjoint, label2, label1 = out.values()
-    t = np.zeros(m, dtype=np.int16)
-    for p in range(n):
-        d2 = sum(bits[pair_index(p, w, n)].view(np.int8) for w in range(n) if w != p)
-        d1 = n - 1 - d2
-        t += d2
-        label2.instances += int((d2 * (d2 - 1)).sum()) // 2
-        label1.instances += int((d1 * (d1 - 1)).sum()) // 2 - sum(
-            int(d1[twins[pair_index(p, b, n)]].sum()) for b in range(p + 1, n))
-        disjoint.instances -= int((d2 * d1).sum())
-    t //= 2
-    disjoint.instances += int((t * (pair_count(n) - t)).sum())
-    ends = [{u, v} for u, v in iter_pairs(n)]
-    for k, row in enumerate(pairs):
-        for j, idx in row:
-            b1, b2 = bits[j][idx], bits[k][idx]
-            if ends[j] & ends[k]:
-                tw = twins[pair_index(*sorted(ends[j] ^ ends[k]), n)][idx]
-                _flag(label2, idx, b1 & b2)
-                _flag(label1, idx, ~b1 & ~b2 & ~tw)
-            else:
-                _flag(disjoint, idx, b1 != b2)
+    e, P = _edge_pairs(n), pair_count(n)
+    for j in range(P - 1):
+        rows = _later(j, P)
+        eq, meet, later, label = pairs[rows], e.meet[rows], bits[j + 1:], bits[j]
+        differ = later ^ label
+        differ &= ~meet
+        _tally(disjoint, differ, differ & eq)
+        both = later & label
+        both &= meet
+        _tally(label2, both, both & eq)
+        ones = later | label
+        ones |= twins[e.outer[rows]]
+        np.invert(ones, out=ones)
+        ones &= meet
+        ones &= valid
+        _tally(label1, ones, ones & eq)
     return out
+
+
+@cache
+def _twin_rows(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """For each pair (u, v), rows of a flattened (C(n,2) * n, W) line table:
+    line[xy, u] and line[xy, v] over the pairs xy outside it; line[wv, u],
+    line[wv, v], line[wu, u] and line[wu, v] over the points w outside it;
+    and the pairs wv."""
+    out = []
+    for u, v in iter_pairs(n):
+        others = [w for w in range(n) if w != u and w != v]
+        xy = np.array([pair_index(x, y, n) for x, y in combinations(others, 2)],
+                      dtype=np.intp)
+        wv = np.array([pair_index(w, v, n) for w in others], dtype=np.intp)
+        wu = np.array([pair_index(w, u, n) for w in others], dtype=np.intp)
+        out.append((n * xy + [[u], [v]],
+                    n * np.stack([wv, wv, wu, wu]) + [[u], [v], [u], [v]], wv))
+    return tuple(out)
 
 
 def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
                     twins: np.ndarray) -> dict[str, LawCounts]:
     """Vector form of the three twin laws of structure.law_violations,
-    counted per law, each twin pair's laws on the gathered columns of the
-    codes where it is one."""
-    m = bits.shape[1]
-    out = {law: _new_counts(m) for law in ("twin-a", "twin-b", "twin-c")}
-    for k, (u, v) in enumerate(iter_pairs(n)):
-        idx = np.flatnonzero(twins[k])
-        if idx.size == 0:
+    counted per law: twin-a on each pair xy outside the twin pair (u, v),
+    twin-b and twin-c on the pairs wv and wu of each third point w."""
+    P, W = twins.shape
+    out = {law: _new_counts(W) for law in ("twin-a", "twin-b", "twin-c")}
+    twin_a, twin_b, twin_c = out.values()
+    twin_a.instances = pair_count(n - 2) * popcount(twins)
+    flat = lines.reshape(-1, W)
+    for tw, (xy, w, wv) in zip(twins, _twin_rows(n)):
+        if not tw.any():
             continue
-        cols = lines[:, idx]
-        has_u, has_v = ((cols & np.uint8(1 << x)) != 0 for x in (u, v))
-        others = [w for w in range(n) if w != u and w != v]
-        xy = [pair_index(x, y, n) for x, y in combinations(others, 2)]
-        wv, wu = ([pair_index(w, x, n) for w in others] for x in (v, u))
-        far = bits[np.ix_(wv, idx)]
-        near_ok = has_u[wv] & has_v[wv] & has_u[wu] & has_v[wu]
-        far_ok = has_v[wv] & ~has_u[wv] & has_u[wu] & ~has_v[wu]
-        out["twin-a"].instances += len(xy) * idx.size
-        out["twin-b"].instances += int(np.count_nonzero(~far))
-        out["twin-c"].instances += int(np.count_nonzero(far))
-        _flag(out["twin-a"], idx, has_u[xy] != has_v[xy])
-        _flag(out["twin-b"], idx, ~far & ~near_ok)
-        _flag(out["twin-c"], idx, far & ~far_ok)
+        at_u, at_v = flat[xy]
+        split = at_u ^ at_v
+        split &= tw
+        _flag(twin_a, split)
+        on_vu, on_vv, on_uu, on_uv = flat[w]
+        far = bits[wv] & tw
+        near = far ^ tw
+        _tally(twin_b, near, near & ~(on_vu & on_vv & on_uu & on_uv))
+        _tally(twin_c, far, far & ~(on_vv & ~on_vu & on_uu & ~on_uv))
     return out
 
 
-def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, pairs: EqualPairs,
+def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
+                     equal: EqualLines,
                      twin_free: np.ndarray) -> tuple[dict[str, int], dict[str, LawCounts]]:
     """Vector form of classify_class and of the full-cover and class-shape
     laws of structure.law_violations: (class-shape histogram, per-law
@@ -229,47 +370,44 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, pairs: EqualPa
     Two classmates rule out a uniform matching when they share a point or
     differ in label, and also an alternating 4-cycle subset when they share
     a point with equal labels or are disjoint with different labels.  A
-    class's shape, an index into ClassShape, is its worst conflict: with
-    matching conflicts only, its label-1 and label-2 edges form two
-    matchings, each edge of one meeting each edge of the other, which fits
-    on 4 points with no point on 3 edges.  The conflicts and ends of each
-    edge join the rows of its head, the first earlier edge in its equal
-    pairs; cover 0 marks an edge that heads no class.
+    class's shape is its worst conflict.  worst[0, j] is set where edge j
+    and its later classmates have a conflict of the first kind, worst[1, j]
+    where they have one of the second; walking j downwards, each later
+    classmate k of j brings worst[:, k] along, so at a head it covers the
+    whole class.  A head's cover joins the points of the edges in the
+    column of its equal-line planes.
     """
-    ends = [np.uint8((1 << u) | (1 << v)) for u, v in iter_pairs(n)]
-    alt, other = np.uint8(1), np.uint8(2)
-    P, m = lines.shape
-    cover = np.repeat(np.array(ends)[:, None], m, axis=1)
-    shape = np.zeros((P, m), dtype=np.uint8)
-    seen = np.empty(m, dtype=bool)
-    for k, row in enumerate(pairs):
-        seen[:] = False
-        heads = []
-        for j, idx in row:
-            new = idx[~seen[idx]]  # the codes where j heads the class of k
-            seen[new] = True
-            heads.append((j, new))
-            same = bits[j][idx] == bits[k][idx]
-            if ends[j] & ends[k]:  # the two edges share a point
-                worst = np.where(same, other, alt)
-            else:
-                worst = np.where(same, np.uint8(0), other)
-            shape[k, idx] = np.maximum(shape[k, idx], worst)
-        for h, new in heads:
-            cover[h, new] |= ends[k]
-            cover[k, new] = 0
-            shape[h, new] = np.maximum(shape[h, new], shape[k, new])
-    hist = {s.value: 0 for s in ClassShape}
-    laws = {"full-cover": _new_counts(m), "class-shape": _new_counts(m)}
-    fm = full_mask(n)
-    for h in range(P):
-        is_head = cover[h] != 0
-        for i, s in enumerate(ClassShape):
-            hist[s.value] += int(np.count_nonzero(is_head & (shape[h] == i)))
-        covers = cover[h] == fm
-        _tally(laws["full-cover"], covers, covers & (lines[h] != fm))
-        _tally(laws["class-shape"], is_head & twin_free,
-               is_head & twin_free & (shape[h] == other))
+    P, W = pair_count(n), bits.shape[-1]
+    us, vs = _ends(n)
+    e = _edge_pairs(n)
+    pairs, heads = equal
+    worst = np.zeros((2, P, W), dtype=np.uint64)
+    for j in reversed(range(P - 1)):
+        rows = _later(j, P)
+        eq = pairs[rows]
+        differ = bits[j + 1:] ^ bits[j]
+        differ &= eq
+        found = eq & worst[:, j + 1:]
+        found[0] |= differ & e.meet[rows]
+        found[1] |= differ ^ (eq & e.meet[rows])
+        np.bitwise_or.reduce(found, axis=1, out=worst[:, j])
+    alt, other = worst
+    hist = {ClassShape.UNIFORM_MATCHING.value: popcount(heads & ~(alt | other)),
+            ClassShape.ALT_C4_SUBSET.value: popcount(heads & alt & ~other),
+            ClassShape.OTHER.value: popcount(heads & other)}
+
+    cover = np.zeros((P, n, W), dtype=np.uint64)
+    cover[np.arange(P), us] = cover[np.arange(P), vs] = ALL
+    for k in range(1, P):
+        col = pairs[e.columns[k]]
+        cover[:k, us[k]] |= col
+        cover[:k, vs[k]] |= col
+    covers = heads & np.bitwise_and.reduce(cover, axis=1)
+    universal = np.bitwise_and.reduce(lines, axis=1)
+    laws = {"full-cover": _new_counts(W), "class-shape": _new_counts(W)}
+    _tally(laws["full-cover"], covers, covers & ~universal)
+    shaped = heads & twin_free
+    _tally(laws["class-shape"], shaped, shaped & other)
     return hist, laws
 
 
@@ -277,19 +415,25 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
                       distinct: np.ndarray, oversize: np.ndarray) -> LawCounts:
     """Class-size law on twin-free, no-universal codes."""
     applicable = twin_free & ~universal
-    bad_counts = np.where(applicable, oversize, 0)
-    return LawCounts(int(distinct[applicable].sum()), int(bad_counts.sum()),
-                     bad_counts > 0)
+    cnt = _new_counts(applicable.shape[-1])
+    cnt.instances = int(distinct[unpack(applicable)].sum())
+    _flag(cnt, oversize & applicable)
+    return cnt
 
 
-def canonical_min(n: int, bits: np.ndarray) -> np.ndarray:
+def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     """int64 per code: minimum label code over all n! relabelings.
 
-    Brute-force permutation minimization, n! C(n,2) numpy operations per
-    batch; iso_codes calls it on the one-point extensions of each class,
-    at most 9984 codes through n = 7, never on a full code range.
+    Brute-force permutation minimization over a bool decode of the codes,
+    n! C(n,2) numpy operations per batch; iso_codes calls it on the
+    one-point extensions of each class, at most 9984 codes through n = 7,
+    never on a full code range.
     """
-    best = np.full(bits.shape[1], np.iinfo(np.int64).max)
+    check_point_count(n)
+    bits = np.empty((pair_count(n), codes.shape[0]), dtype=bool)
+    for k in range(pair_count(n)):
+        bits[k] = (codes >> k) & 1
+    best = np.full(codes.shape[0], np.iinfo(np.int64).max)
     acc = np.empty_like(best)
     bit = np.empty_like(best)
     for perm in permutations(range(n)):
@@ -323,7 +467,7 @@ def iso_codes(n: int, progress=None) -> np.ndarray:
         for i in range(m):
             joins |= ((patterns >> i) & 1) << pair_index(i, m, m + 1)
         candidates = (lifted[:, None] | joins).ravel()
-        reps = np.unique(canonical_min(m + 1, label_bits(m + 1, candidates)))
+        reps = np.unique(canonical_min(m + 1, candidates))
         if progress:
             progress(m + 1, n)
     return reps

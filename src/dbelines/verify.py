@@ -15,7 +15,7 @@ Checker depth per sweep ("auto"):
           or histogram                                        (n = 7)
   none    line stats only                                     (n = 8)
 n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
-takes 0.8-0.9 s against 0.55-0.7 s per 2^20 n = 7 codes on a 2-core host.
+takes about 0.26 s against 0.21 s per 2^20 n = 7 codes on a 2-core host.
 The n = 8 sweep visits 2^28 codes and is opt-in at the CLI.
 """
 
@@ -41,7 +41,10 @@ from .spaces import space_from_code  # noqa: F401
 from .structure import LAW_ORDER, ClassShape, classify_class, equiv_classes  # noqa: F401
 from . import sweep as sw
 
-CHUNK_CODES = 1 << 20
+# 2^16 codes keep a chunk's planes at 8 KiB each.  verify_theorem(7) took
+# 0.53-0.58 s and peaked at 36 MB with it, against 0.60-0.66 s and 134 MB
+# with 2^20-code chunks (fresh processes on a 2-core host).
+CHUNK_CODES = 1 << 16
 
 CLASS_LAWS = ("full-cover", "class-shape")  # checked at the "full" level only
 
@@ -104,24 +107,26 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     out: dict = {"total": int(codes.size)}
     if codes.size == 0:
         return out
+    m = codes.size
+    valid = sw.valid_plane(m) if checkers != "none" else None
     bits = sw.label_bits(n, codes)
     ones = sw.one_masks(n, bits)
     lines = sw.line_masks(n, bits, ones)
     if checkers == "none":
         del bits, ones  # the line-only path reads neither again
-    distinct, pairs = sw.distinct_counts(lines, checkers != "none")
+    distinct, equal = sw.distinct_counts(lines, valid)
     universal = sw.universal_flags(n, lines)
 
-    holds = (distinct >= n) | universal
-    fail_idx = np.flatnonzero(~holds)
+    counts = distinct[:m]
+    has_universal = sw.unpack(universal)[:m]
+    fail_idx = np.flatnonzero((counts < n) & ~has_universal)
     out["failures"] = int(fail_idx.size)
     out["failure_witnesses"] = [int(codes[i]) for i in fail_idx[:max_witnesses]]
 
-    i0 = int(np.argmin(distinct))
-    out["overall"] = (int(distinct[i0]), int(codes[i0]))
-    no_univ = ~universal
-    if no_univ.any():
-        masked = np.where(no_univ, distinct, np.int16(32767))
+    i0 = int(np.argmin(counts))
+    out["overall"] = (int(counts[i0]), int(codes[i0]))
+    if not has_universal.all():
+        masked = np.where(has_universal, np.int16(32767), counts)
         i1 = int(np.argmin(masked))
         out["no_universal"] = (int(masked[i1]), int(codes[i1]))
     else:
@@ -131,21 +136,21 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         return out
 
     twins = sw.twin_pair_flags(n, bits, ones)
-    twin_free = ~twins.any(axis=0)
-    out["twin_free"] = int(twin_free.sum())
-    oversize = sw.class_size_stats(n, lines, pairs)
+    twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
+    out["twin_free"] = sw.popcount(twin_free)
+    oversize = sw.class_size_stats(n, equal.pairs)
 
-    law_counts = sw.distinct_line_counts(n, bits, pairs, twins)
+    law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid)
     law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
     law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
                                                     distinct, oversize)
     if checkers == "full":
-        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, pairs,
+        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, equal,
                                                          twin_free)
         law_counts.update(class_counts)
     out["laws"] = {
         law: (cnt.instances, cnt.violations,
-              [int(codes[i]) for i in np.flatnonzero(cnt.bad_codes)[:max_witnesses]])
+              [int(codes[i]) for i in sw.set_lanes(cnt.bad, max_witnesses)])
         for law, cnt in law_counts.items()}
     return out
 

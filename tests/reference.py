@@ -3,13 +3,16 @@
 Deliberately dumb and independent of the package's bit tricks: matrices are
 lists of lists, lines come straight from the three betweenness equations,
 and pair positions are found by counting.  Any agreement between these and
-the package is evidence, not circularity.  The three helpers at the end
-build test inputs and are not oracles.
+the package is evidence, not circularity.  The helpers at the end build
+test inputs and convert the sweep kernels' bit planes to per-code tables;
+they are not oracles.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+
+import numpy as np
 
 
 @cache  # counting stays the definition; the cache keeps n = 30 affordable
@@ -182,3 +185,38 @@ def family_of(n: int, column):
     order = list(dict.fromkeys(column))
     return LineFamily(n, tuple(order), tuple(order.index(m) for m in column),
                       (1 << n) - 1 in order)
+
+
+# A bit plane is a (W,) uint64 array holding one bit per code: bit c % 64 of
+# word c // 64 belongs to code c.  These converters shift, so they read no
+# bytes and share no code with the package's packing.
+
+def lanes(planes, m: int) -> np.ndarray:
+    """bool (..., m): bit c of each plane of (..., W) planes, for c < m."""
+    planes = np.asarray(planes, dtype=np.uint64)
+    bits = (planes[..., None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(*planes.shape[:-1], -1)[..., :m].astype(bool)
+
+
+def planes_of(flags) -> np.ndarray:
+    """(..., ceil(m / 64)) planes of a bool (..., m) table; bits past m clear."""
+    flags = np.asarray(flags, dtype=bool)
+    m = flags.shape[-1]
+    padded = np.zeros((*flags.shape[:-1], 64 * -(-m // 64)), dtype=np.uint64)
+    padded[..., :m] = flags
+    words = padded.reshape(*flags.shape[:-1], -1, 64) << np.arange(64, dtype=np.uint64)
+    return np.bitwise_or.reduce(words, axis=-1)
+
+
+def mask_table(planes, m: int) -> np.ndarray:
+    """uint8 (..., m) point masks of (..., n, W) planes, n <= 8: bit w of
+    entry c is bit c of plane [..., w]."""
+    flags = lanes(planes, m)
+    weights = np.left_shift(1, np.arange(flags.shape[-2]))[:, None]
+    return (flags * weights).sum(axis=-2).astype(np.uint8)
+
+
+def mask_planes(table, n: int) -> np.ndarray:
+    """(..., n, W) planes of a (..., m) table of point masks on n points."""
+    table = np.asarray(table)
+    return planes_of((table[..., None, :] >> np.arange(n)[:, None]) & 1)

@@ -130,6 +130,20 @@ class TestAnalyze:
         assert res.returncode == 1
         assert "input error" in res.stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ("3\n0 1 2\n1 0 1\n1 1 0\n", "d(0,2) = 2 != d(2,0) = 1"),
+        ("3\n0 2 1\n2 2 1\n1 1 0\n", "d(1,1) = 2 != 0"),
+        ("3\n0 1 3\n1 0 1\n3 1 0\n", "d(0,2) = 3 > d(0,1) + d(1,2) = 1 + 1"),
+    ])
+    def test_invalid_one_two_and_one_three(self, text, message, tmp_path):
+        # an asymmetric 1-2 matrix, a 1-2 matrix with a nonzero diagonal,
+        # and a {1, 3} matrix that breaks the triangle inequality
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        res = run_cli("analyze", str(p))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert message in res.stderr
+
     def test_malformed_matrix(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2\n0 x\nx 0\n")
@@ -240,7 +254,7 @@ class TestEnumerate:
         assert [line for line in err.splitlines() if "points" in line] == [
             f"enumerate n={n}: {m}/{n} points" for m in range(3, n + 1)]
         codes = np.arange(1 << pair_count(n), dtype=np.int64)
-        codes = codes[sw.canonical_min(n, sw.label_bits(n, codes)) == codes]
+        codes = codes[sw.canonical_min(n, codes) == codes]
         brute = verify_mod._merge_chunks(
             n, "iso", "full", [verify_mod._sweep_codes(n, codes, "full", 100)], 100)
         monkeypatch.setattr(cli_mod, "verify_theorem", lambda *a, **k: brute)

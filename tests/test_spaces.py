@@ -103,6 +103,20 @@ class TestValidate:
         assert exc.value.axiom == "zero-diagonal"
         assert exc.value.witness == (0,)
 
+    # a symmetric 1-2 matrix with a zero diagonal skips the triangle loop;
+    # the axioms checked before it still reject the other 1-2 matrices, and
+    # other distances still reach the loop
+    def test_one_two_checks_before_the_triangles(self):
+        with pytest.raises(MetricAxiomError) as exc:
+            validate_metric(DistanceMatrix.from_rows([[0, 1, 2], [1, 0, 1], [1, 1, 0]]))
+        assert (exc.value.axiom, exc.value.witness) == ("symmetry", (0, 2))
+        with pytest.raises(MetricAxiomError) as exc:
+            validate_metric(DistanceMatrix.from_rows([[0, 2, 1], [2, 2, 1], [1, 1, 0]]))
+        assert (exc.value.axiom, exc.value.witness) == ("zero-diagonal", (1,))
+        with pytest.raises(MetricAxiomError) as exc:
+            validate_metric(DistanceMatrix.from_rows([[0, 1, 3], [1, 0, 1], [3, 1, 0]]))
+        assert (exc.value.axiom, exc.value.witness) == ("triangle", (0, 1, 2))
+
     def test_zero_off_diagonal_rejected(self):
         with pytest.raises(MetricAxiomError) as exc:
             validate_metric(DistanceMatrix.from_rows([[0, 0], [0, 0]]))

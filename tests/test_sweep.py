@@ -15,8 +15,9 @@ from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, are_twins,
                                 class_size_bound, equiv_classes, law_violations,
                                 twin_pairs)
 
-from reference import (family_of, ref_canonical_code, ref_class_shape,
-                       ref_law_counts, ref_pair_bit, ref_rows_from_code)
+from reference import (family_of, lanes, mask_planes, mask_table, planes_of,
+                       ref_canonical_code, ref_class_shape, ref_law_counts,
+                       ref_pair_bit, ref_rows_from_code)
 
 
 def random_codes(n, count, seed):
@@ -37,8 +38,36 @@ def batch(n, codes):
     return bits, ones, lines
 
 
-def equal_pairs(lines):
-    return sw.distinct_counts(lines, True)[1]
+def equal_lines(lines, m):
+    """The equal-line planes of a batch of m codes."""
+    return sw.distinct_counts(lines, sw.valid_plane(m))[1]
+
+
+def twin_free_plane(n, bits, ones, m):
+    twins = sw.twin_pair_flags(n, bits, ones)
+    return sw.valid_plane(m) & ~np.bitwise_or.reduce(twins, axis=0)
+
+
+class TestPlaneHelpers:
+    """The plane helpers of the sweep against the test converters."""
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+    def test_round_trips(self, m):
+        rng = np.random.default_rng(m)
+        flags = rng.random((3, m)) < 0.3
+        planes = planes_of(flags)
+        assert planes.shape == (3, -(-m // 64)) and planes.dtype == np.uint64
+        assert np.array_equal(lanes(planes, m), flags)
+        for plane, row in zip(planes, flags):
+            assert np.array_equal(sw.unpack(plane)[:m], row)
+            assert not sw.unpack(plane)[m:].any()
+            assert sw.popcount(plane) == row.sum()
+            for cap in (0, 1, 5, m):
+                assert sw.set_lanes(plane, cap) == np.flatnonzero(row)[:cap].tolist()
+        assert np.array_equal(lanes(sw.valid_plane(m), 64 * planes.shape[1]),
+                              np.arange(64 * planes.shape[1]) < m)
+        table = rng.integers(0, 256, (4, m), dtype=np.uint8)
+        assert np.array_equal(mask_table(mask_planes(table, 8), m), table)
 
 
 class TestDecodeKernels:
@@ -48,14 +77,19 @@ class TestDecodeKernels:
     def check_against_rows(n, codes):
         bits = sw.label_bits(n, codes)
         ones = sw.one_masks(n, bits)
-        assert bits.shape == (pair_count(n), codes.size) and bits.dtype == bool
+        W = -(-codes.size // 64)
+        assert bits.shape == (pair_count(n), W) and bits.dtype == np.uint64
+        assert ones.shape == (n, n, W) and ones.dtype == np.uint64
+        labels, near = lanes(bits, 64 * W), lanes(ones, 64 * W)
+        # the lanes past the batch read as code 0, the all-1 space
+        assert not labels[:, codes.size:].any()
         for ci, code in enumerate(codes):
             rows = ref_rows_from_code(n, int(code))
             for i, j in combinations(range(n), 2):
-                assert bits[ref_pair_bit(i, j, n), ci] == (rows[i][j] == 2)
+                assert labels[ref_pair_bit(i, j, n), ci] == (rows[i][j] == 2)
             for p in range(n):
-                near = sum(1 << q for q in range(n) if rows[p][q] == 1)
-                assert int(ones[p, ci]) == near, (int(code), p)
+                for q in range(n):
+                    assert near[p, q, ci] == (rows[p][q] == 1), (int(code), p, q)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exhaustive(self, n):
@@ -65,12 +99,20 @@ class TestDecodeKernels:
     def test_random(self, n):
         self.check_against_rows(n, random_codes(n, 300, seed=90 + n))
 
+    def test_high_codes_of_a_word(self):
+        # codes 32..63 of each word take the high half of the packed word
+        n = 8
+        codes = random_codes(n, 128, seed=98) | (1 << 27)
+        self.check_against_rows(n, codes)
+
 
 class TestMaskKernels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_line_masks_exhaustive(self, n):
         codes = all_codes(n)
         _, ones, lines = batch(n, codes)
+        assert lines.shape == (pair_count(n), n, ones.shape[-1])
+        ones, lines = mask_table(ones, codes.size), mask_table(lines, codes.size)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
             assert tuple(space.adj) == tuple(int(ones[p, ci]) for p in range(n))
@@ -80,7 +122,7 @@ class TestMaskKernels:
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_line_masks_random(self, n):
         codes = random_codes(n, 400, seed=n)
-        _, _, lines = batch(n, codes)
+        lines = mask_table(batch(n, codes)[2], codes.size)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
             for k, (u, v) in enumerate(iter_pairs(n)):
@@ -90,7 +132,7 @@ class TestMaskKernels:
     def test_twin_flags(self, n):
         codes = random_codes(n, 300, seed=20 + n)
         bits, ones, _ = batch(n, codes)
-        twins = sw.twin_pair_flags(n, bits, ones)
+        twins = lanes(sw.twin_pair_flags(n, bits, ones), codes.size)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
             for k, (u, v) in enumerate(iter_pairs(n)):
@@ -102,9 +144,9 @@ class TestLineStats:
     def test_counts_against_scalar(self, n):
         codes = random_codes(n, 250, seed=30 + n)
         _, _, lines = batch(n, codes)
-        distinct, pairs = sw.distinct_counts(lines, True)
-        universal = sw.universal_flags(n, lines)
-        oversize = sw.class_size_stats(n, lines, pairs)
+        distinct, equal = sw.distinct_counts(lines, sw.valid_plane(codes.size))
+        universal = lanes(sw.universal_flags(n, lines), codes.size)
+        oversize = lanes(sw.class_size_stats(n, equal.pairs), codes.size).sum(axis=0)
         bound = class_size_bound(n)
         for ci, code in enumerate(codes):
             space = space_from_code(n, int(code))
@@ -120,31 +162,34 @@ class TestLineStats:
         # real codes almost never reach an oversize class; lines drawn from a
         # 3-letter alphabet make large classes common
         rng = np.random.default_rng(80 + n)
-        lines = rng.integers(1, 4, size=(pair_count(n), 300), dtype=np.uint8)
-        distinct, pairs = sw.distinct_counts(lines, True)
-        oversize = sw.class_size_stats(n, lines, pairs)
+        table = rng.integers(1, 4, size=(pair_count(n), 300), dtype=np.uint8)
+        m, P = table.shape[1], pair_count(n)
+        lines = mask_planes(table, n)
+        distinct, equal = sw.distinct_counts(lines, sw.valid_plane(m))
+        oversize = lanes(sw.class_size_stats(n, equal.pairs), m).sum(axis=0)
         bound = class_size_bound(n)
         hits = 0
-        for ci in range(lines.shape[1]):
-            sizes = Counter(lines[:, ci].tolist())
+        for ci in range(m):
+            sizes = Counter(table[:, ci].tolist())
             assert int(distinct[ci]) == len(sizes)
             assert int(oversize[ci]) == sum(s > bound for s in sizes.values())
             hits += int(oversize[ci]) > 0
         assert hits > 0
-        # each edge keeps, for every earlier edge whose line it shares at
-        # some code, exactly those codes, ascending
-        rows = lines.tolist()
-        assert len(pairs) == pair_count(n)
-        for k in range(pair_count(n)):
-            expected = [(j, [c for c, (a, b) in enumerate(zip(rows[j], rows[k]))
-                             if a == b]) for j in range(k)]
-            assert [(j, idx.tolist()) for j, idx in pairs[k]] == \
-                [(j, idx) for j, idx in expected if idx]
-            assert all(idx.dtype == np.int32 for _, idx in pairs[k])
-        # the line-only path counts the same and keeps no lists
-        plain, kept = sw.distinct_counts(lines, False)
+        # row pair_index(j, k, P) of the equal-line planes is set exactly at
+        # the codes where edges j < k have equal lines, and a head's plane
+        # where no earlier edge has its line; no bit past the batch is set
+        assert equal.pairs.shape == (P * (P - 1) // 2, lines.shape[-1])
+        W = 64 * lines.shape[-1]
+        pairs, heads = lanes(equal.pairs, W), lanes(equal.heads, W)
+        assert not pairs[:, m:].any() and not heads[:, m:].any()
+        for j, k in iter_pairs(P):
+            assert np.array_equal(pairs[pair_index(j, k, P), :m], table[j] == table[k])
+        for k in range(P):
+            assert np.array_equal(heads[k, :m], ~(table[:k] == table[k]).any(axis=0))
+        # the line-only path counts the same and keeps no planes
+        plain, kept = sw.distinct_counts(lines, None)
         assert kept is None
-        assert np.array_equal(plain, distinct)
+        assert np.array_equal(plain[:m], distinct[:m])
 
 
 def scalar_law_counts(n, codes):
@@ -179,7 +224,8 @@ def scalar_law_counts(n, codes):
 
 
 def corrupt_lines(n, lines, rng, rate=0.05):
-    """Copy of lines with about rate of its entries overwritten: half by
+    """Copy of a (C(n,2), codes) table of line masks with about rate of its
+    entries overwritten: half by
     another edge's line of the same code, so that two lines agree, half with
     one point toggled, so that a twin pair's lines split."""
     rows, cols = np.nonzero(rng.random(lines.shape) < rate)
@@ -191,8 +237,9 @@ def corrupt_lines(n, lines, rng, rate=0.05):
 
 
 def merge_lines(lines, rng, share=0.5):
-    """Copy of lines in which about share of the edges of each code take the
-    line of one edge of that code, so that large classes form."""
+    """Copy of a table of line masks in which about share of the edges of
+    each code take the line of one edge of that code, so that large classes
+    form."""
     P, m = lines.shape
     src = lines[rng.integers(0, P, m), np.arange(m)]
     return np.where(rng.random(lines.shape) < share, src, lines)
@@ -202,23 +249,17 @@ class TestLawKernels:
     @pytest.mark.parametrize("n", [4, 5])
     def test_exhaustive_against_scalar(self, n):
         codes = all_codes(n)
-        bits, ones, lines = batch(n, codes)
-        twins = sw.twin_pair_flags(n, bits, ones)
-        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
-        counts.update(sw.twin_law_counts(n, bits, lines, twins))
+        counts = label_law_counts(n, codes)
         inst, viol = scalar_law_counts(n, codes)
         for law, cnt in counts.items():
             assert cnt.instances == inst[law], law
             assert cnt.violations == viol[law], law
-            assert not cnt.bad_codes.any()
+            assert not cnt.bad.any()
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_random_against_scalar(self, n):
         codes = random_codes(n, 120, seed=40 + n)
-        bits, ones, lines = batch(n, codes)
-        twins = sw.twin_pair_flags(n, bits, ones)
-        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
-        counts.update(sw.twin_law_counts(n, bits, lines, twins))
+        counts = label_law_counts(n, codes)
         inst, viol = scalar_law_counts(n, codes)
         for law, cnt in counts.items():
             assert cnt.instances == inst[law], law
@@ -229,18 +270,17 @@ class TestLawKernels:
         # real codes break no law, so only corrupted line tables reach the
         # gathers and scatters of the violation paths
         codes = all_codes(n) if n <= 5 else random_codes(n, 300, seed=110 + n)
-        bits, ones, lines = batch(n, codes)
-        twins = sw.twin_pair_flags(n, bits, ones)
-        lines = corrupt_lines(n, lines, np.random.default_rng(120 + n))
-        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
-        counts.update(sw.twin_law_counts(n, bits, lines, twins))
-        oracle = [ref_law_counts(n, int(code), lines[:, ci].tolist())
+        m = codes.size
+        table = mask_table(batch(n, codes)[2], m)
+        table = corrupt_lines(n, table, np.random.default_rng(120 + n))
+        counts = label_law_counts(n, codes, table)
+        oracle = [ref_law_counts(n, int(code), table[:, ci].tolist())
                   for ci, code in enumerate(codes)]
         for law, cnt in counts.items():
             assert cnt.instances == sum(r[law][0] for r in oracle), law
             assert cnt.violations == sum(r[law][1] for r in oracle), law
             assert cnt.violations > 0, law
-            assert np.flatnonzero(cnt.bad_codes).tolist() == \
+            assert np.flatnonzero(lanes(cnt.bad, m)).tolist() == \
                 [ci for ci, r in enumerate(oracle) if r[law][1]], law
 
     # Code 1 on 4 points has d(0,1) = 2 and every other distance 1: twin
@@ -267,43 +307,60 @@ class TestLawKernels:
     def test_corrupted_line_fails_one_law(self, n, code, pair, line, law,
                                           violations):
         codes = all_codes(n)
+        m = codes.size
         bits, ones, lines = batch(n, codes)
-        twins = sw.twin_pair_flags(n, bits, ones)
-        assert twins[:, code].any()
-        lines[pair_index(*pair, n), code] = line
-        counts = sw.distinct_line_counts(n, bits, equal_pairs(lines), twins)
-        counts.update(sw.twin_law_counts(n, bits, lines, twins))
-        fired = {name: (cnt.violations, np.flatnonzero(cnt.bad_codes).tolist())
+        assert lanes(sw.twin_pair_flags(n, bits, ones), m)[:, code].any()
+        table = mask_table(lines, m)
+        table[pair_index(*pair, n), code] = line
+        counts = label_law_counts(n, codes, table)
+        fired = {name: (cnt.violations, np.flatnonzero(lanes(cnt.bad, m)).tolist())
                  for name, cnt in counts.items() if cnt.violations}
         assert fired == {law: (violations, [code])}
         # the scalar pass on the same table; its class laws are not asked
         got = law_violations(space_from_code(n, code),
-                             family_of(n, lines[:, code].tolist()))
+                             family_of(n, table[:, code].tolist()))
         assert {name: len(got[name]) for name in counts if got[name]} == \
             {law: violations}
 
     def test_size_bound_counts(self):
         n = 6
         codes = all_codes(n)
+        m = codes.size
         bits, ones, lines = batch(n, codes)
-        distinct, pairs = sw.distinct_counts(lines, True)
+        distinct, equal = sw.distinct_counts(lines, sw.valid_plane(m))
         universal = sw.universal_flags(n, lines)
-        oversize = sw.class_size_stats(n, lines, pairs)
-        twins = sw.twin_pair_flags(n, bits, ones)
-        twin_free = ~twins.any(axis=0)
+        oversize = sw.class_size_stats(n, equal.pairs)
+        twin_free = twin_free_plane(n, bits, ones, m)
         cnt = sw.size_bound_counts(twin_free, universal, distinct, oversize)
         assert cnt.violations == 0
-        applicable = int((twin_free & ~universal).sum())
-        assert applicable > 0
-        assert cnt.instances == int(distinct[twin_free & ~universal].sum())
+        applicable = lanes(twin_free & ~universal, m)
+        assert applicable.sum() > 0
+        assert cnt.instances == int(distinct[:m][applicable].sum())
 
 
-def kernel_class_counts(n, codes, lines=None):
-    bits, ones, masks = batch(n, codes)
-    twin_free = ~sw.twin_pair_flags(n, bits, ones).any(axis=0)
-    if lines is None:
-        lines = masks
-    return sw.class_law_counts(n, bits, lines, equal_pairs(lines), twin_free)
+def label_law_counts(n, codes, table=None):
+    """The six label-law counts of the kernels, on the real lines of the
+    codes or on the given table of line masks."""
+    bits, ones, lines = batch(n, codes)
+    twins = sw.twin_pair_flags(n, bits, ones)
+    if table is not None:
+        lines = mask_planes(table, n)
+    valid = sw.valid_plane(codes.size)
+    counts = sw.distinct_line_counts(n, bits, equal_lines(lines, codes.size).pairs,
+                                     twins, valid)
+    counts.update(sw.twin_law_counts(n, bits, lines, twins))
+    return counts
+
+
+def kernel_class_counts(n, codes, table=None):
+    """Class-law kernel counts on the real lines of the codes or on the
+    given table of line masks."""
+    bits, ones, lines = batch(n, codes)
+    twin_free = twin_free_plane(n, bits, ones, codes.size)
+    if table is not None:
+        lines = mask_planes(table, n)
+    return sw.class_law_counts(n, bits, lines, equal_lines(lines, codes.size),
+                               twin_free)
 
 
 def scalar_class_counts(n, code):
@@ -398,7 +455,7 @@ class TestClassLawKernel:
             assert cnt.instances == sum(r[law][0] for _, r in oracle), law
             assert cnt.violations == sum(r[law][1] for _, r in oracle), law
             assert cnt.violations > 0, law
-            assert np.flatnonzero(cnt.bad_codes).tolist() == \
+            assert np.flatnonzero(lanes(cnt.bad, codes.size)).tolist() == \
                 [ci for ci, (_, r) in enumerate(oracle) if r[law][1]], law
 
     def test_corrupted_line_fails_each_law_once(self):
@@ -408,15 +465,15 @@ class TestClassLawKernel:
         # under a 3-point line, and point 1 has three class edges.
         n = 4
         codes = all_codes(n)
-        _, _, lines = batch(n, codes)
-        assert int(lines[0, 3]) == 0b1011
-        lines[3, 3] = lines[0, 3]
-        _, laws = kernel_class_counts(n, codes, lines)
+        table = mask_table(batch(n, codes)[2], codes.size)
+        assert int(table[0, 3]) == 0b1011
+        table[3, 3] = table[0, 3]
+        _, laws = kernel_class_counts(n, codes, table)
         got = law_violations(space_from_code(n, 3),
-                             family_of(n, lines[:, 3].tolist()))
+                             family_of(n, table[:, 3].tolist()))
         for law in ("full-cover", "class-shape"):
             assert laws[law].violations == 1, law
-            assert np.flatnonzero(laws[law].bad_codes).tolist() == [3], law
+            assert np.flatnonzero(lanes(laws[law].bad, codes.size)).tolist() == [3], law
             assert [(v.points, v.lines) for v in got[law]] == \
                 [((0, 1, 1, 2, 1, 3), (0b1011,))], law
 
@@ -448,8 +505,10 @@ class TestScalarLawPass:
         # match the oracle code by code, and its class-law counts and
         # violating codes the kernels on the same table
         codes = all_codes(n) if n <= 5 else random_codes(n, 300, seed=130 + n)
+        m = codes.size
         bits, ones, real = batch(n, codes)
-        twin_free = ~sw.twin_pair_flags(n, bits, ones).any(axis=0)
+        real = mask_table(real, m)
+        twin_free = twin_free_plane(n, bits, ones, m)
         rng = np.random.default_rng(140 + n)
         fired = Counter()
         for lines in (corrupt_lines(n, real, rng), merge_lines(real, rng)):
@@ -463,14 +522,15 @@ class TestScalarLawPass:
                 oracle = ref_law_counts(n, int(code), column)
                 assert {law: len(got[law]) for law in oracle} == \
                     {law: c[1] for law, c in oracle.items()}, int(code)
-            distinct, pairs = sw.distinct_counts(lines, True)
-            _, kernel = sw.class_law_counts(n, bits, lines, pairs, twin_free)
+            planes = mask_planes(lines, n)
+            distinct, equal = sw.distinct_counts(planes, sw.valid_plane(m))
+            _, kernel = sw.class_law_counts(n, bits, planes, equal, twin_free)
             kernel["class-size"] = sw.size_bound_counts(
-                twin_free, sw.universal_flags(n, lines), distinct,
-                sw.class_size_stats(n, lines, pairs))
+                twin_free, sw.universal_flags(n, planes), distinct,
+                sw.class_size_stats(n, equal.pairs))
             for law, cnt in kernel.items():
                 assert cnt.violations == sum(found[law]), law
-                assert np.flatnonzero(cnt.bad_codes).tolist() == \
+                assert np.flatnonzero(lanes(cnt.bad, m)).tolist() == \
                     [ci for ci, c in enumerate(found[law]) if c], law
             fired.update({law: sum(c) for law, c in found.items()})
         assert all(fired[law] > 0 for law in LAW_ORDER), fired
@@ -507,19 +567,21 @@ class TestCanonicalKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_scalar(self, n):
         codes = random_codes(n, 60, seed=50 + n)
-        vec = sw.canonical_min(n, sw.label_bits(n, codes))
+        vec = sw.canonical_min(n, codes)
         for ci, code in enumerate(codes):
             assert int(vec[ci]) == ref_canonical_code(n, int(code))
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             sw.label_bits(9, np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError):
+            sw.canonical_min(9, np.zeros(1, dtype=np.int64))
 
 
 def brute_iso_codes(n):
     """The codes that are their own minimum over all n! relabelings."""
     codes = all_codes(n)
-    return codes[sw.canonical_min(n, sw.label_bits(n, codes)) == codes]
+    return codes[sw.canonical_min(n, codes) == codes]
 
 
 class TestIsoCodes:
@@ -543,8 +605,7 @@ class TestIsoCodes:
                 for i, j in g.edges():
                     code &= ~(1 << ref_pair_bit(min(i, j), max(i, j), n))
                 codes.append(code)
-        canon = set(sw.canonical_min(
-            n, sw.label_bits(n, np.array(codes, dtype=np.int64))).tolist())
+        canon = set(sw.canonical_min(n, np.array(codes, dtype=np.int64)).tolist())
         reps = sw.iso_codes(n)
         assert len(canon) == len(codes) == reps.size
         assert set(reps.tolist()) == canon

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbelines import (MetricSpace, all_lines, as_one_two, claims_sweep,
@@ -17,7 +17,7 @@ from dbelines import sweep as sw
 from dbelines import verify as verify_mod
 from dbelines.bitset import iter_pairs, pair_count, pair_index
 
-from reference import ref_canonical_code
+from reference import lanes, mask_planes, mask_table, ref_canonical_code
 
 # (n, min_overall, argmin_overall, min_no_universal, argmin_no_universal),
 # frozen from an independent definitional sweep
@@ -42,6 +42,16 @@ ISO_CLASSES = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 WITNESS_LINE_COUNTS = (12, 12, 12, 10, 11, 9)
 
 
+@st.composite
+def code_batches(draw):
+    """(n, ascending codes) with n in 5..8, 1..200 codes, code 0 among them."""
+    n = draw(st.integers(5, 8))
+    size = draw(st.sampled_from([1, 63, 64, 65, 127]) | st.integers(1, 200))
+    rest = draw(st.lists(st.integers(0, (1 << pair_count(n)) - 1),
+                         min_size=size - 1, max_size=size - 1))
+    return n, np.array(sorted([0, *rest]), dtype=np.int64)
+
+
 @functools.cache
 def cached_report(n, mode="all", checkers="auto"):
     """verify_theorem, run once per argument set in this module."""
@@ -49,7 +59,7 @@ def cached_report(n, mode="all", checkers="auto"):
 
 
 def canonical_codes(n, codes):
-    return sw.canonical_min(n, sw.label_bits(n, np.array(codes, dtype=np.int64)))
+    return sw.canonical_min(n, np.array(codes, dtype=np.int64))
 
 
 def canonical(n, code):
@@ -57,9 +67,24 @@ def canonical(n, code):
 
 
 def codes_of(bits):
-    """The label codes whose sw.label_bits table is bits."""
+    """The label code of every lane of the sw.label_bits planes bits; the
+    lanes past the batch read as code 0."""
     weights = np.left_shift(1, np.arange(bits.shape[0], dtype=np.int64))
-    return weights @ bits
+    return weights @ lanes(bits, 64 * bits.shape[-1])
+
+
+def edited_line_masks(edit):
+    """A stand-in for sw.line_masks that calls edit(table, codes) on the
+    (C(n,2), lanes) table of line masks of each batch, codes holding the
+    label code of each lane, and returns the planes of the edited table."""
+    line_masks = sw.line_masks
+
+    def edited(n, bits, ones):
+        table = mask_table(line_masks(n, bits, ones), 64 * bits.shape[-1])
+        edit(table, codes_of(bits))
+        return mask_planes(table, n)
+
+    return edited
 
 
 class TestCanonicalCode:
@@ -130,15 +155,11 @@ class TestVerifyTheorem:
         # keeps every line count, but makes classes {01,23} and {02,13}:
         # each touches all points under a 3-point line, and its disjoint
         # edges have labels 2 and 1.  Two violations per class law, one code.
-        line_masks = sw.line_masks
-
-        def swapped(n, bits, ones):
-            lines = line_masks(n, bits, ones)
-            col = codes_of(bits) == 3
+        def swap(lines, codes):
+            col = codes == 3
             lines[0, col], lines[1, col] = lines[1, col], lines[0, col]
-            return lines
 
-        monkeypatch.setattr(sw, "line_masks", swapped)
+        monkeypatch.setattr(sw, "line_masks", edited_line_masks(swap))
         rep = verify_theorem(4)
         for law in ("full-cover", "class-shape"):
             assert (rep.laws[law].violations, rep.laws[law].witnesses) == (2, (3,))
@@ -188,14 +209,10 @@ class TestVerifyTheorem:
         # Every line of codes 3, 20, 21 and 40 on 4 points set to {0, 1}:
         # the property and disjoint-diff-label fail there, in three of the
         # four 16-code chunks.
-        line_masks = sw.line_masks
+        def collapse(lines, codes):
+            lines[:, np.isin(codes, (3, 20, 21, 40))] = 0b11
 
-        def collapsed(n, bits, ones):
-            lines = line_masks(n, bits, ones)
-            lines[:, np.isin(codes_of(bits), (3, 20, 21, 40))] = 0b11
-            return lines
-
-        monkeypatch.setattr(sw, "line_masks", collapsed)
+        monkeypatch.setattr(sw, "line_masks", edited_line_masks(collapse))
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 16)
         full = verify_theorem(4)
         assert full.failure_witnesses == (3, 20, 21, 40)
@@ -212,15 +229,11 @@ class TestVerifyTheorem:
     def test_chunking_cannot_move_a_witness(self, chunk, bad):
         # every line of the codes in bad collapsed to {0, 1}: one distinct
         # line, so the property fails there and laws break
-        line_masks = sw.line_masks
-
-        def collapsed(n, bits, ones):
-            lines = line_masks(n, bits, ones)
-            lines[:, np.isin(codes_of(bits), sorted(bad))] = 0b11
-            return lines
+        def collapse(lines, codes):
+            lines[:, np.isin(codes, sorted(bad))] = 0b11
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sw, "line_masks", collapsed)
+            mp.setattr(sw, "line_masks", edited_line_masks(collapse))
             whole = verify_theorem(5)
             mp.setattr(verify_mod, "CHUNK_CODES", chunk)
             assert verify_theorem(5) == whole
@@ -229,6 +242,29 @@ class TestVerifyTheorem:
         for stat in whole.laws.values():
             assert bool(stat.witnesses) == bool(stat.violations)
             assert set(stat.witnesses) <= bad
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=code_batches())
+    @example(batch=(5, np.zeros(1, dtype=np.int64)))
+    @example(batch=(6, np.arange(0, 63 * 401, 401, dtype=np.int64)))
+    @example(batch=(7, np.arange(0, 64 * 32749, 32749, dtype=np.int64)))
+    @example(batch=(8, np.arange(0, 65 * 4129037, 4129037, dtype=np.int64)))
+    @example(batch=(8, np.arange(0, 127 * 2113663, 2113663, dtype=np.int64)))
+    def test_tail_word_counts_nothing(self, batch):
+        # the bits past a batch's last code read as code 0 and must add
+        # nothing: one sweep of the batch equals the merge of its one-code
+        # sweeps (ascending codes, because a batch's argmin ties go to the
+        # first position and the merge's to the smallest code)
+        n, codes = batch
+        cap = codes.size
+        whole = verify_mod._merge_chunks(
+            n, "sample", "full", [verify_mod._sweep_codes(n, codes, "full", cap)], cap)
+        alone = verify_mod._merge_chunks(
+            n, "sample", "full",
+            [verify_mod._sweep_codes(n, codes[i:i + 1], "full", cap)
+             for i in range(codes.size)], cap)
+        assert whole == alone
+        assert whole.total_codes == codes.size and codes[0] == 0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
