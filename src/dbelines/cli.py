@@ -36,13 +36,21 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _progress_printer(label: str, unit: str = "codes", step: int = PROGRESS_STEP):
+def _progress_printer(label: str, unit: str = "codes", step: int = PROGRESS_STEP,
+                      timed: bool = True):
+    """A progress callback printing to stderr every step units and at the
+    end; timed lines add the rate since the printer was made and an ETA."""
     state = {"next": step}
+    start = time.monotonic()
 
     def cb(done: int, total: int) -> None:
         if done >= state["next"] or done == total:
             state["next"] = done + step
-            print(f"{label}: {done}/{total} {unit}", file=sys.stderr)
+            line = f"{label}: {done}/{total} {unit}"
+            if timed:
+                rate = done / max(time.monotonic() - start, 1e-9)
+                line += f", {rate:.3g} {unit}/s, ETA {(total - done) / rate:.1f} s"
+            print(line, file=sys.stderr)
 
     return cb
 
@@ -137,7 +145,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
 def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
     _confirm_n8(args, args.mode == "all", "enumerate --n 8 --mode all")
     # iso mode reports once per point added to the class representatives
-    progress = (_progress_printer(f"enumerate n={args.n}", "points", 1)
+    progress = (_progress_printer(f"enumerate n={args.n}", "points", 1, timed=False)
                 if args.mode == "iso" else
                 _progress_printer(f"enumerate n={args.n}"))
     rep = verify_theorem(args.n, mode=args.mode, jobs=args.jobs,
@@ -214,7 +222,7 @@ def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_random_metrics(args) -> tuple[dict, int, list[str]]:
-    progress = _progress_printer("random-metrics")
+    progress = _progress_printer("random-metrics", "trials")
     rep = verify_small_spaces(trials=args.trials, seed=args.seed,
                               max_examples=args.max_witnesses,
                               progress=progress)

@@ -23,6 +23,11 @@ unpacked from planes, for the argmins.
 The bits past m belong to no code.  They read as code 0, and valid_plane
 masks them out of every count.
 
+The planes of a batch (labels, distance-1, lines, equal lines, twins) and
+the large temporaries of the kernels that make them live in a Workspace,
+which keeps its buffers from batch to batch; a caller that passes none gets
+a fresh one, so its arrays alias nothing.
+
 The scalar implementations in lines/structure (law_violations for the
 laws) are the readable copy of each kernel and share its rules; the
 definitional oracle is tests/reference.py.  The test suite pins these
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -90,6 +96,41 @@ def _edge_pairs(n: int) -> EdgePairs:
                      np.array(outer, dtype=np.intp))
 
 
+class Workspace:
+    """Plane buffers reused from batch to batch.
+
+    Each kernel's result planes have a named slot ("bits", "ones", "lines",
+    "seen", "pairs", "twins"); the kernels' temporaries share one scratch
+    arena, since none outlives its kernel.  A buffer is a flat
+    uint64 array that grows to the largest size asked for and never shrinks,
+    and a kernel gets reshaped views of its prefix, so a smaller n or batch
+    reuses it.  A view holds whatever was last written there, so a kernel
+    zeroes every part that it reads before it writes.  A slot's views are
+    valid until the next take of that slot, the arena's until the next
+    scratch call.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _flat(self, slot: str, size: int) -> np.ndarray:
+        buf = self._buffers.get(slot)
+        if buf is None or buf.size < size:
+            buf = self._buffers[slot] = np.empty(size, dtype=np.uint64)
+        return buf[:size]
+
+    def take(self, slot: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A view of shape on the start of the slot's buffer."""
+        return self._flat(slot, prod(shape)).reshape(shape)
+
+    def scratch(self, *shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Disjoint views, one per shape, laid end to end in the arena."""
+        sizes = [prod(shape) for shape in shapes]
+        flat = self._flat("scratch", sum(sizes))
+        return tuple(flat[end - size:end].reshape(shape)
+                     for shape, size, end in zip(shapes, sizes, accumulate(sizes)))
+
+
 def valid_plane(m: int) -> np.ndarray:
     """The plane of the m codes of a batch: every bit below m."""
     out = np.full(-(-m // 64), ALL)
@@ -136,47 +177,62 @@ def _lane_counts(planes) -> np.ndarray:
                start=np.zeros(64 * planes.shape[-1], dtype=np.int16))
 
 
-def label_bits(n: int, codes: np.ndarray) -> np.ndarray:
+def label_bits(n: int, codes: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """(C(n,2), W) label planes: bit c of plane k is bit k of the c-th code,
     set when the k-th pair is at distance 2."""
     check_point_count(n)
-    W = -(-codes.size // 64)
-    block = np.zeros((W, 64), dtype=np.uint64)
-    block.ravel()[:codes.size] = codes
+    ws = ws or Workspace()
+    m = codes.size
+    W = -(-m // 64)
+    flat, = ws.scratch((64 * W,))
+    flat[:m] = codes
+    flat[m:] = 0
+    block = flat.reshape(W, 64)
     # rows[i, w] holds code 64w + i in its low half and code 64w + 32 + i in
     # its high half; transposing each 32 x 32 bit block of both halves
     # (Hacker's Delight 7-3) leaves bit k of the 64 codes in rows[k]
-    rows = np.ascontiguousarray((block[:, :32] | (block[:, 32:] << 32)).T)
+    high = block[:, 32:]
+    high <<= 32
+    high |= block[:, :32]
+    rows = ws.take("bits", (32, W))
+    rows[...] = high.T
     j, mask = 16, 0x0000_FFFF_0000_FFFF
     while j:
         halves = rows.reshape(16 // j, 2, j, W)
         lo, hi = halves[:, 0], halves[:, 1]
-        t = (lo >> j) ^ hi
+        t, = ws.scratch(lo.shape)
+        np.right_shift(lo, j, out=t)
+        t ^= hi
         t &= mask
         hi ^= t
         t <<= j
         lo ^= t
         j //= 2
         mask ^= mask << j
-    return rows[:pair_count(n)].copy()
+    return rows[:pair_count(n)]
 
 
-def one_masks(n: int, bits: np.ndarray) -> np.ndarray:
+def one_masks(n: int, bits: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """(n, n, W) distance-1 planes: [p, q] is set where d(p, q) = 1; the
     diagonal is empty."""
+    ws = ws or Workspace()
     us, vs = _ends(n)
-    out = np.zeros((n, n, bits.shape[-1]), dtype=np.uint64)
-    out[us, vs] = out[vs, us] = ~bits
+    out = ws.take("ones", (n, n, bits.shape[-1]))
+    inverted, = ws.scratch(bits.shape)
+    np.invert(bits, out=inverted)
+    out[us, vs] = out[vs, us] = inverted
+    out.reshape(n * n, -1)[::n + 1] = 0  # the diagonal
     return out
 
 
-def line_masks(n: int, bits: np.ndarray, ones: np.ndarray) -> np.ndarray:
+def line_masks(n: int, bits: np.ndarray, ones: np.ndarray,
+               ws: Workspace | None = None) -> np.ndarray:
     """(C(n,2), n, W) line planes: [k, w] is set where point w is on the
     line of the k-th pair (u, v).  For w outside {u, v}, with a and c the
     distance-1 planes of (u, w) and (v, w), that is a & c at distance 2 and
     a ^ c at distance 1 (line_of_fast, bit-sliced)."""
     us, vs = _ends(n)
-    lines = np.empty((us.size, n, bits.shape[-1]), dtype=np.uint64)
+    lines = (ws or Workspace()).take("lines", (us.size, n, bits.shape[-1]))
     for u in range(n - 1):
         k = _later(u, n)
         a, c, out = ones[u], ones[u + 1:], lines[k]
@@ -204,16 +260,18 @@ class EqualLines(NamedTuple):
     heads: np.ndarray  # (P, W)
 
 
-def distinct_counts(lines: np.ndarray,
-                    valid: np.ndarray | None) -> tuple[np.ndarray, EqualLines | None]:
+def distinct_counts(lines: np.ndarray, valid: np.ndarray | None,
+                    ws: Workspace | None = None) -> tuple[np.ndarray, EqualLines | None]:
     """int16 per code (64 per word): number of distinct lines, i.e. of edges
     whose line no earlier edge has; and, unless valid (the plane of the
     batch's codes) is None, the equal-line planes restricted to valid."""
+    ws = ws or Workspace()
     P, n, W = lines.shape
     keep = valid is not None
-    seen = np.zeros((P, W), dtype=np.uint64)
-    pairs = np.empty((P * (P - 1) // 2 if keep else P - 1, W), dtype=np.uint64)
-    differ = np.empty_like(lines[1:])
+    seen = ws.take("seen", (P, W))
+    seen.fill(0)
+    pairs = ws.take("pairs", (P * (P - 1) // 2 if keep else P - 1, W))
+    differ, = ws.scratch(lines[1:].shape)
     for j in range(P - 1):
         d = np.bitwise_xor(lines[j + 1:], lines[j], out=differ[:P - 1 - j])
         eq = pairs[_later(j, P)] if keep else pairs[:P - 1 - j]
@@ -224,7 +282,9 @@ def distinct_counts(lines: np.ndarray,
     if not keep:
         return distinct, None
     pairs &= valid
-    return distinct, EqualLines(pairs, ~seen & valid)
+    heads = np.invert(seen, out=seen)
+    heads &= valid
+    return distinct, EqualLines(pairs, heads)
 
 
 def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
@@ -232,26 +292,34 @@ def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(np.bitwise_and.reduce(lines, axis=1), axis=0)
 
 
-def class_size_stats(n: int, pairs: np.ndarray) -> np.ndarray:
+def class_size_stats(n: int, pairs: np.ndarray,
+                     ws: Workspace | None = None) -> np.ndarray:
     """(C(n,2), W) planes: edge k has exactly bound earlier classmates.  Of
     the edges of a class above the size bound, exactly one is set, so the
     set bits count the oversize classes.  A bit-sliced threshold counter:
     at_least[t, k] is set where edge k has at least t earlier classmates."""
     P, W = pair_count(n), pairs.shape[-1]
     bound = class_size_bound(n)
-    at_least = np.zeros((bound + 2, P, W), dtype=np.uint64)
+    at_least, step = (ws or Workspace()).scratch((bound + 2, P, W), (P - 1, W))
     at_least[0] = ALL
+    at_least[1:] = 0
     for j in range(P - 1):
-        at_least[1:, j + 1:] |= at_least[:-1, j + 1:] & pairs[_later(j, P)]
+        eq, reached = pairs[_later(j, P)], step[j:]
+        # t descends, so at_least[t - 1] does not count edge j's column yet
+        for t in range(bound + 1, 0, -1):
+            np.bitwise_and(at_least[t - 1, j + 1:], eq, out=reached)
+            at_least[t, j + 1:] |= reached
     return at_least[bound] & ~at_least[bound + 1]
 
 
-def twin_pair_flags(n: int, bits: np.ndarray, ones: np.ndarray) -> np.ndarray:
+def twin_pair_flags(n: int, bits: np.ndarray, ones: np.ndarray,
+                    ws: Workspace | None = None) -> np.ndarray:
     """(C(n,2), W) twin planes: pair (u, v) is at distance 2 and no third
     point w has d(u, w) != d(v, w).  The terms at w = u and w = v are the
     pair's distance-1 plane, which the label plane clears."""
-    out = np.empty_like(bits)
-    differ = np.empty_like(ones[1:])
+    ws = ws or Workspace()
+    out = ws.take("twins", bits.shape)
+    differ, = ws.scratch(ones[1:].shape)
     for u in range(n - 1):
         d = np.bitwise_xor(ones[u + 1:], ones[u], out=differ[:n - 1 - u])
         np.bitwise_or.reduce(d, axis=1, out=out[_later(u, n)])
@@ -361,8 +429,9 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
 
 
 def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
-                     equal: EqualLines,
-                     twin_free: np.ndarray) -> tuple[dict[str, int], dict[str, LawCounts]]:
+                     equal: EqualLines, twin_free: np.ndarray,
+                     ws: Workspace | None = None) -> tuple[dict[str, int],
+                                                           dict[str, LawCounts]]:
     """Vector form of classify_class and of the full-cover and class-shape
     laws of structure.law_violations: (class-shape histogram, per-law
     counts).
@@ -381,7 +450,8 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     us, vs = _ends(n)
     e = _edge_pairs(n)
     pairs, heads = equal
-    worst = np.zeros((2, P, W), dtype=np.uint64)
+    worst, cover = (ws or Workspace()).scratch((2, P, W), (P, n, W))
+    worst[:, P - 1] = 0  # the last edge has no later classmates
     for j in reversed(range(P - 1)):
         rows = _later(j, P)
         eq = pairs[rows]
@@ -396,7 +466,7 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
             ClassShape.ALT_C4_SUBSET.value: popcount(heads & alt & ~other),
             ClassShape.OTHER.value: popcount(heads & other)}
 
-    cover = np.zeros((P, n, W), dtype=np.uint64)
+    cover.fill(0)
     cover[np.arange(P), us] = cover[np.arange(P), vs] = ALL
     for k in range(1, P):
         col = pairs[e.columns[k]]

@@ -15,13 +15,14 @@ Checker depth per sweep ("auto"):
           or histogram                                        (n = 7)
   none    line stats only                                     (n = 8)
 n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
-takes about 0.26 s against 0.21 s per 2^20 n = 7 codes on a 2-core host.
+takes 0.25-0.29 s against 0.21 s per 2^20 n = 7 codes on a 2-core host.
 The n = 8 sweep visits 2^28 codes and is opt-in at the CLI.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +43,9 @@ from .structure import LAW_ORDER, ClassShape, classify_class, equiv_classes  # n
 from . import sweep as sw
 
 # 2^16 codes keep a chunk's planes at 8 KiB each.  verify_theorem(7) took
-# 0.53-0.58 s and peaked at 36 MB with it, against 0.60-0.66 s and 134 MB
-# with 2^20-code chunks (fresh processes on a 2-core host).
+# 0.43-0.52 s and peaked at 36.6 MB with it, against 0.60-0.76 s and 140 MB
+# with 2^20-code chunks and 0.76-0.84 s with 2^14 (fresh processes on a
+# 2-core host).
 CHUNK_CODES = 1 << 16
 
 CLASS_LAWS = ("full-cover", "class-shape")  # checked at the "full" level only
@@ -96,25 +98,38 @@ def _merge_min(a: tuple[Optional[int], Optional[int]],
     return min(a, b)
 
 
+_local = threading.local()
+
+
+def _workspace() -> sw.Workspace:
+    """This thread's workspace, made on first use and kept for the life of
+    the process, so every chunk after the first, in a pool worker too,
+    reuses the planes of the one before."""
+    if not hasattr(_local, "ws"):
+        _local.ws = sw.Workspace()
+    return _local.ws
+
+
 def _sweep_chunk(task: tuple) -> dict:
     n, lo, hi, checkers, max_witnesses = task
     return _sweep_codes(n, np.arange(lo, hi, dtype=np.int64), checkers,
-                        max_witnesses)
+                        max_witnesses, _workspace())
 
 
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
-                 max_witnesses: int) -> dict:
+                 max_witnesses: int, ws: sw.Workspace | None = None) -> dict:
+    """The chunk summary of one batch.  Its planes live in ws (a fresh
+    workspace when None), and none of them is kept in the summary."""
     out: dict = {"total": int(codes.size)}
     if codes.size == 0:
         return out
     m = codes.size
+    ws = ws or sw.Workspace()
     valid = sw.valid_plane(m) if checkers != "none" else None
-    bits = sw.label_bits(n, codes)
-    ones = sw.one_masks(n, bits)
-    lines = sw.line_masks(n, bits, ones)
-    if checkers == "none":
-        del bits, ones  # the line-only path reads neither again
-    distinct, equal = sw.distinct_counts(lines, valid)
+    bits = sw.label_bits(n, codes, ws)
+    ones = sw.one_masks(n, bits, ws)
+    lines = sw.line_masks(n, bits, ones, ws)
+    distinct, equal = sw.distinct_counts(lines, valid, ws)
     universal = sw.universal_flags(n, lines)
 
     counts = distinct[:m]
@@ -135,10 +150,10 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     if checkers == "none":
         return out
 
-    twins = sw.twin_pair_flags(n, bits, ones)
+    twins = sw.twin_pair_flags(n, bits, ones, ws)
     twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
     out["twin_free"] = sw.popcount(twin_free)
-    oversize = sw.class_size_stats(n, equal.pairs)
+    oversize = sw.class_size_stats(n, equal.pairs, ws)
 
     law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid)
     law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
@@ -146,7 +161,7 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                                                     distinct, oversize)
     if checkers == "full":
         out["hist"], class_counts = sw.class_law_counts(n, bits, lines, equal,
-                                                         twin_free)
+                                                         twin_free, ws)
         law_counts.update(class_counts)
     out["laws"] = {
         law: (cnt.instances, cnt.violations,

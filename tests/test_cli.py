@@ -462,3 +462,33 @@ class TestJobsProperty:
         if key not in self.serial:
             self.serial[key] = self.stdout_of([*argv, "--jobs", "1"])
         assert self.stdout_of([*argv, "--jobs", str(jobs)]) == self.serial[key]
+
+
+class TestProgressLines:
+    """Progress goes to stderr only: stdout is the same bytes without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "7", "--json"),
+        ("enumerate", "--n", "6", "--mode", "iso", "--json"),
+        ("claims", "--n", "6"),
+        ("min-lines", "--n", "7", "--jobs", "2", "--json"),
+    ])
+    def test_stdout_same_without_progress(self, argv, monkeypatch):
+        code, with_progress, err = run_main(list(argv))
+        assert code == 0 and err.count(": ") > 1
+        monkeypatch.setattr(cli_mod, "_progress_printer", lambda *a, **k: None)
+        code, without, quiet = run_main(list(argv))
+        assert code == 0 and quiet.startswith("runtime: ")
+        assert with_progress == without
+
+    def test_code_sweeps_show_rate_and_eta(self):
+        _, _, err = run_main(["enumerate", "--n", "7", "--json"])
+        lines = err.splitlines()[:-1]
+        assert lines[-1].startswith("enumerate n=7: 2097152/2097152 codes, ")
+        assert all(" codes/s, ETA " in line for line in lines)
+        assert lines[-1].endswith(", ETA 0.0 s")
+
+    def test_iso_points_stay_untimed(self):
+        _, _, err = run_main(["enumerate", "--n", "5", "--mode", "iso"])
+        assert err.splitlines()[:-1] == [f"enumerate n=5: {m}/5 points"
+                                         for m in (3, 4, 5)]

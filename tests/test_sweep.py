@@ -106,6 +106,33 @@ class TestDecodeKernels:
         self.check_against_rows(n, codes)
 
 
+class TestWorkspace:
+    """Kernels called without a workspace return arrays that alias nothing."""
+
+    def test_label_planes_stay_intact(self):
+        codes = random_codes(7, 100, 1)
+        first = sw.label_bits(7, codes)
+        kept = first.copy()
+        sw.label_bits(7, random_codes(7, 100, 2))
+        assert np.array_equal(first, kept)
+
+    def test_distinct_counts_stay_intact(self):
+        lines = [batch(7, random_codes(7, 100, seed))[2] for seed in (1, 2)]
+        valid = sw.valid_plane(100)
+        distinct, equal = sw.distinct_counts(lines[0], valid)
+        kept = (distinct.copy(), equal.pairs.copy(), equal.heads.copy())
+        sw.distinct_counts(lines[1], valid)
+        assert all(map(np.array_equal, (distinct, *equal), kept))
+
+    def test_views_of_one_buffer(self):
+        ws = sw.Workspace()
+        big = ws.take("lines", (21, 7, 8))
+        small = ws.take("lines", (10, 5, 3))
+        assert np.shares_memory(big, small) and small.shape == (10, 5, 3)
+        a, b = ws.scratch((4, 3), (5,))
+        assert (a.shape, b.shape) == ((4, 3), (5,)) and not np.shares_memory(a, b)
+
+
 class TestMaskKernels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_line_masks_exhaustive(self, n):

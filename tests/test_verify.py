@@ -79,8 +79,8 @@ def edited_line_masks(edit):
     label code of each lane, and returns the planes of the edited table."""
     line_masks = sw.line_masks
 
-    def edited(n, bits, ones):
-        table = mask_table(line_masks(n, bits, ones), 64 * bits.shape[-1])
+    def edited(n, bits, ones, ws=None):
+        table = mask_table(line_masks(n, bits, ones, ws), 64 * bits.shape[-1])
         edit(table, codes_of(bits))
         return mask_planes(table, n)
 
@@ -323,6 +323,90 @@ class TestVerifyTheorem:
         sizes.clear()
         assert min_lines_table(2, 7, jobs=2) == min_lines_table(2, 7)
         assert sizes == [2]
+
+
+def sweep_batch(n, size, seed):
+    """size ascending codes on n points: a run from a random start when n
+    has at least twice as many codes, else sorted random codes."""
+    top = 1 << pair_count(n)
+    rng = np.random.default_rng(seed)
+    if size <= top // 2:
+        lo = int(rng.integers(0, top - size))
+        return np.arange(lo, lo + size, dtype=np.int64)
+    return np.sort(rng.integers(0, top, size))
+
+
+# the batches of one workspace: n and W both grow and shrink, and a 65-code
+# tail has one valid bit in its second word
+MIXED_BATCHES = ((8, 100), (5, 1), (7, 1 << 16), (7, 65))
+
+
+def buffer_addresses(ws):
+    return {slot: buf.ctypes.data for slot, buf in ws._buffers.items()}
+
+
+def poison(ws):
+    """Set every bit of every buffer of ws, as a batch might leave it."""
+    for buf in ws._buffers.values():
+        buf.fill(sw.ALL)
+
+
+class Unshared(sw.Workspace):
+    """A workspace that hands out a new zeroed buffer on every request, so
+    no kernel sees what another one, or another batch, left: the reference
+    that a reused workspace must equal."""
+
+    def _flat(self, slot, size):
+        return np.zeros(size, dtype=np.uint64)
+
+
+def unshared_sweep(n, codes, checkers):
+    return verify_mod._sweep_codes(n, codes, checkers, 5, Unshared())
+
+
+class TestWorkspaceReuse:
+    """A workspace carries buffers, never results, from batch to batch."""
+
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("checkers", ["full", "vector", "none"])
+    def test_mixed_batches_equal_fresh_sweeps(self, order, checkers):
+        ws = sw.Workspace()
+        for seed, (n, size) in enumerate(MIXED_BATCHES[::order]):
+            codes = sweep_batch(n, size, seed)
+            kept = verify_mod._sweep_codes(n, codes, checkers, 5, ws)
+            fresh = verify_mod._sweep_codes(n, codes, checkers, 5)
+            assert kept == fresh == unshared_sweep(n, codes, checkers)
+
+    @pytest.mark.parametrize("n, size", [(4, 1), (6, 65), (7, 200), (8, 127)])
+    def test_stale_buffers_count_nothing(self, n, size):
+        # every buffer is first grown past this batch, then filled with ones:
+        # the label block's tail, the distance-1 diagonal and every counter
+        # a kernel ORs into must be cleared before they are read
+        codes = sweep_batch(n, size, n)
+        ws = sw.Workspace()
+        verify_mod._sweep_codes(8, sweep_batch(8, 1 << 10, 0), "full", 0, ws)
+        poison(ws)
+        kept = verify_mod._sweep_codes(n, codes, "full", 5, ws)
+        assert kept == unshared_sweep(n, codes, "full")
+
+    def test_same_shape_allocates_nothing(self):
+        ws = sw.Workspace()
+        first = verify_mod._sweep_codes(7, sweep_batch(7, 1 << 12, 1), "full", 5, ws)
+        grown = buffer_addresses(ws)
+        assert {"bits", "ones", "lines", "seen", "pairs", "twins",
+                "scratch"} <= set(grown)
+        for seed, size in ((2, 1 << 12), (3, 100)):
+            verify_mod._sweep_codes(7, sweep_batch(7, size, seed), "full", 5, ws)
+            assert buffer_addresses(ws) == grown
+        # nothing in a summary is a plane that the next batch overwrites
+        assert not any(isinstance(v, np.ndarray) for v in first.values())
+
+    def test_chunks_share_the_process_workspace(self):
+        ws = verify_mod._workspace()
+        verify_mod._sweep_chunk((7, 0, 1 << 12, "vector", 5))
+        grown = buffer_addresses(ws)
+        verify_mod._sweep_chunk((7, 1 << 12, 1 << 13, "vector", 5))
+        assert verify_mod._workspace() is ws and buffer_addresses(ws) == grown
 
 
 class TestClaimsSweep:
