@@ -126,12 +126,9 @@ class OneTwoSpace:
 
 def _parse_rational(token: str) -> Fraction:
     try:
-        value = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixFormatError(f"non-numeric token {token!r}") from exc
-    if value < 0:
-        raise MatrixFormatError(f"negative entry {token!r}")
-    return value
 
 
 def parse_distance_matrix(text: str) -> DistanceMatrix:
@@ -152,13 +149,8 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
         raise MatrixFormatError(f"point count must be >= 1, got {n}")
     if len(lines) - 1 != n:
         raise MatrixFormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        tokens = ln.split()
-        if len(tokens) != n:
-            raise MatrixFormatError(f"row {i} has {len(tokens)} entries, expected {n}")
-        rows.append(tuple(_parse_rational(t) for t in tokens))
-    return DistanceMatrix(n, tuple(rows))
+    return DistanceMatrix.from_rows([_parse_rational(t) for t in ln.split()]
+                                    for ln in lines[1:])
 
 
 def serialize_distance_matrix(matrix: DistanceMatrix) -> str:

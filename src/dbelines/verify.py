@@ -2,18 +2,18 @@
 
 verify_theorem sweeps every label code on n points (or the minimum code of
 each isomorphism class, from sweep.iso_codes), checks the De Bruijn-Erdos
-property plus the structural laws, and aggregates a TheoremReport.  The code
-interval is split into disjoint chunks processed independently and merged by
-an associative, order-insensitive reduction, so the report is identical for
-any worker count or chunk size.  The class representatives are one array,
-swept in one piece.
+property plus the structural laws, and aggregates a TheoremReport.  Every
+sweep, claims_sweep's sampled codes too, takes one route: its codes are cut
+into consecutive chunks (_sweep_tasks), swept in this process or a pool
+(_run_chunks), and merged by an associative reduction (_merge_chunks), so
+the report is identical for any worker count or chunk size.
 
-Checker depth per sweep ("auto"):
+Checker depth per sweep, set from what is swept:
   full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
           and sampled claims)
   vector  line stats + seven laws, no full-cover, class-shape
-          or histogram                                        (n = 7)
-  none    line stats only                                     (n = 8)
+          or histogram                     (n = 7, and exhaustive claims at 8)
+  none    line stats only                  (verify_theorem at n = 8, min-lines)
 n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
 takes 0.25-0.29 s against 0.21 s per 2^20 n = 7 codes on a 2-core host.
 The n = 8 sweep visits 2^28 codes and is opt-in at the CLI.
@@ -111,9 +111,10 @@ def _workspace() -> sw.Workspace:
 
 
 def _sweep_chunk(task: tuple) -> dict:
-    n, lo, hi, checkers, max_witnesses = task
-    return _sweep_codes(n, np.arange(lo, hi, dtype=np.int64), checkers,
-                        max_witnesses, _workspace())
+    n, codes, checkers, max_witnesses = task
+    if isinstance(codes, range):
+        codes = np.arange(codes.start, codes.stop, dtype=np.int64)
+    return _sweep_codes(n, codes, checkers, max_witnesses, _workspace())
 
 
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
@@ -209,20 +210,22 @@ def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
         twin_free_codes=twin_free, class_counts_by_shape=hist, laws=laws)
 
 
-def _sweep_tasks(n: int, checkers: str, jobs: int,
+def _sweep_tasks(n: int, codes, checkers: str, jobs: int,
                  max_witnesses: int) -> list[tuple]:
-    total = 1 << pair_count(n)
+    """One task per consecutive slice of codes, a range or an int64 array.
+    A slice of a range is a range, so a labeled-sweep task pickles in a few
+    bytes however many codes it covers."""
     chunk = CHUNK_CODES
     if jobs > 1:
-        chunk = min(chunk, max(1024, -(-total // (jobs * 4))))
-    return [(n, lo, min(lo + chunk, total), checkers, max_witnesses)
-            for lo in range(0, total, chunk)]
+        chunk = min(chunk, max(1024, -(-len(codes) // (jobs * 4))))
+    return [(n, codes[lo:lo + chunk], checkers, max_witnesses)
+            for lo in range(0, len(codes), chunk)]
 
 
-def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress,
-                total: int) -> list[dict]:
+def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress) -> list[dict]:
     # a pool only when two tasks can share it, and no idle workers
     workers = min(jobs, len(tasks))
+    total = sum(len(task[1]) for task in tasks)
     parts = []
     done = 0
     with ExitStack() as stack:
@@ -234,10 +237,18 @@ def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress,
             results = map(_sweep_chunk, tasks)
         for task, part in zip(tasks, results):
             parts.append(part)
-            done += task[2] - task[1]
+            done += len(task[1])
             if progress:
                 progress(done, total)
     return parts
+
+
+def _sweep(n: int, mode: str, codes, checkers: str, jobs: int,
+           max_witnesses: int, progress: Progress) -> TheoremReport:
+    """The merged report of codes swept chunk by chunk."""
+    tasks = _sweep_tasks(n, codes, checkers, jobs, max_witnesses)
+    return _merge_chunks(n, mode, checkers, _run_chunks(tasks, jobs, progress),
+                         max_witnesses)
 
 
 def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
@@ -248,7 +259,7 @@ def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
 
 
 def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
-                   max_witnesses: int = 100, checkers: str = "auto",
+                   max_witnesses: int = 100,
                    progress: Progress = None) -> TheoremReport:
     """Sweep all label codes (or canonical representatives) on n points.
 
@@ -262,21 +273,15 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
     _check_limits(jobs, max_witnesses)
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "iso" and n > 7:
-        raise ValueError("iso mode is not supported at n = 8 (deduplicating "
-                         "133,632 candidates over 40320 relabelings)")
-    if checkers == "auto":
-        checkers = "full" if (mode == "iso" or n <= 6) else (
-            "vector" if n == 7 else "none")
-    if checkers not in ("full", "vector", "none"):
-        raise ValueError(f"unknown checker level {checkers!r}")
     if mode == "iso":
-        parts = [_sweep_codes(n, sw.iso_codes(n, progress), checkers,
-                              max_witnesses)]
-    else:
-        tasks = _sweep_tasks(n, checkers, jobs, max_witnesses)
-        parts = _run_chunks(tasks, jobs, progress, 1 << pair_count(n))
-    return _merge_chunks(n, mode, checkers, parts, max_witnesses)
+        if n > 7:
+            raise ValueError("iso mode is not supported at n = 8 (deduplicating "
+                             "133,632 candidates over 40320 relabelings)")
+        return _sweep(n, mode, sw.iso_codes(n, progress), "full", jobs,
+                      max_witnesses, None)
+    checkers = "full" if n <= 6 else "vector" if n == 7 else "none"
+    return _sweep(n, mode, range(1 << pair_count(n)), checkers, jobs,
+                  max_witnesses, progress)
 
 
 @dataclass(frozen=True)
@@ -301,31 +306,28 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     """Run every structural law checker over all codes, or over a seeded
     random sample of codes when trials is given.
 
-    Exhaustive runs use the full checker set through n = 6 and the "vector"
+    Exhaustive runs use the "full" level through n = 6 and the "vector"
     level at n = 7, 8, where full-cover and class-shape are reported as
-    skipped (see the level table of this module).  Sampled runs, drawn
-    uniformly with replacement, always use the full set.
+    skipped.  Sampled runs, drawn uniformly with replacement, use the full
+    level at every n, and are swept in chunks like any other code set.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if trials is None:
+        mode, codes = "all", range(1 << pair_count(n))
         level = "full" if n <= 6 else "vector"
-        rep = verify_theorem(n, mode="all", jobs=jobs,
-                             max_witnesses=max_witnesses, checkers=level,
-                             progress=progress)
-        skipped = tuple(law for law in LAW_ORDER if law not in rep.laws)
-        return ClaimsReport(n, None, rep.total_codes, rep.twin_free_codes,
-                            rep.laws, skipped)
-    if trials < 0:
+    elif trials < 0:
         raise ValueError("trials must be nonnegative")
-    rng = random.Random(seed)
-    total = 1 << pair_count(n)
-    codes = np.fromiter((rng.randrange(total) for _ in range(trials)),
-                        dtype=np.int64, count=trials)
-    part = _sweep_codes(n, codes, "full", max_witnesses)
-    rep = _merge_chunks(n, "sample", "full", [part], max_witnesses)
-    return ClaimsReport(n, (trials, seed), rep.total_codes,
-                        rep.twin_free_codes, rep.laws, ())
+    else:
+        rng = random.Random(seed)
+        total = 1 << pair_count(n)
+        mode, level = "sample", "full"
+        codes = np.fromiter((rng.randrange(total) for _ in range(trials)),
+                            dtype=np.int64, count=trials)
+    rep = _sweep(n, mode, codes, level, jobs, max_witnesses, progress)
+    skipped = tuple(law for law in LAW_ORDER if law not in rep.laws)
+    return ClaimsReport(n, None if trials is None else (trials, seed),
+                        rep.total_codes, rep.twin_free_codes, rep.laws, skipped)
 
 
 @dataclass(frozen=True)
@@ -351,9 +353,9 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
         raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
     _check_limits(jobs)
     ns = range(n_lo, n_hi + 1)
-    tasks = [task for n in ns for task in _sweep_tasks(n, "none", jobs, 0)]
-    parts = _run_chunks(tasks, jobs, progress,
-                        sum(1 << pair_count(n) for n in ns))
+    tasks = [task for n in ns
+             for task in _sweep_tasks(n, range(1 << pair_count(n)), "none", jobs, 0)]
+    parts = _run_chunks(tasks, jobs, progress)
     reps = (_merge_chunks(n, "all", "none",
                           [p for t, p in zip(tasks, parts) if t[0] == n], 0)
             for n in ns)
@@ -482,7 +484,7 @@ def verify_small_spaces(trials: int = 100_000, seed: int = 0,
         raise ValueError("trials must be nonnegative")
     exhaustive = []
     for n in (2, 3, 4):
-        rep = verify_theorem(n, checkers="none")
+        rep = verify_theorem(n)
         exhaustive.append((n, rep.total_codes, rep.dbe_failures))
 
     rng = random.Random(seed)

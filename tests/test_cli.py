@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbelines import cli as cli_mod
@@ -451,13 +451,15 @@ class TestJobsProperty:
             assert cli_mod.main(argv) == 0, (argv, err.getvalue())
         return out.getvalue()
 
-    # n = 6 is the smallest n that starts a pool (see TestEnumerate); at most
-    # 3 workers exist at a time
+    # n = 6 is the smallest n that starts a pool (see TestEnumerate), and a
+    # 3000-code sample is three tasks; at most 3 workers exist at a time
     @settings(max_examples=10, deadline=None)
-    @given(cmd=st.sampled_from(["enumerate", "claims", "min-lines"]),
+    @given(cmd=st.sampled_from([("enumerate",), ("claims",), ("min-lines",),
+                                ("claims", "--trials", "3000")]),
            as_json=st.booleans(), jobs=st.sampled_from([2, 3]))
+    @example(cmd=("claims", "--trials", "3000"), as_json=True, jobs=2)
     def test_jobs_never_change_stdout(self, cmd, as_json, jobs):
-        argv = [cmd, "--n", "6", *(["--json"] if as_json else [])]
+        argv = [*cmd, "--n", "6", *(["--json"] if as_json else [])]
         key = tuple(argv)
         if key not in self.serial:
             self.serial[key] = self.stdout_of([*argv, "--jobs", "1"])
@@ -471,6 +473,7 @@ class TestProgressLines:
         ("enumerate", "--n", "7", "--json"),
         ("enumerate", "--n", "6", "--mode", "iso", "--json"),
         ("claims", "--n", "6"),
+        ("claims", "--n", "6", "--trials", "3000"),
         ("min-lines", "--n", "7", "--jobs", "2", "--json"),
     ])
     def test_stdout_same_without_progress(self, argv, monkeypatch):

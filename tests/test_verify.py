@@ -1,6 +1,8 @@
 """Sweeps, canonicalization, witnesses, minima, and the random harness."""
 
 import functools
+import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
@@ -53,9 +55,9 @@ def code_batches(draw):
 
 
 @functools.cache
-def cached_report(n, mode="all", checkers="auto"):
+def cached_report(n, mode="all"):
     """verify_theorem, run once per argument set in this module."""
-    return verify_theorem(n, mode=mode, checkers=checkers)
+    return verify_theorem(n, mode=mode)
 
 
 def canonical_codes(n, codes):
@@ -167,14 +169,14 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_iso_stats(self, n):
-        rep = verify_theorem(n, mode="iso", checkers="none")
+        rep = verify_theorem(n, mode="iso")
         assert rep.total_codes == ISO_CLASSES[n]
 
     @pytest.mark.parametrize("n", list(ISO_CLASSES))
     def test_iso_mode_counts_and_agreement(self, n):
         iso = cached_report(n, "iso")
         assert iso.total_codes == ISO_CLASSES[n]
-        full = cached_report(n, checkers="none")
+        full = cached_report(n)
         assert iso.dbe_failures == full.dbe_failures == 0
         assert iso.min_lines_overall == full.min_lines_overall
         assert iso.min_lines_no_universal == full.min_lines_no_universal
@@ -183,7 +185,7 @@ class TestVerifyTheorem:
 
     def test_iso_n7_acceptance(self):
         iso = cached_report(7, "iso")
-        labeled = cached_report(7, checkers="none")
+        labeled = cached_report(7)
         assert iso.checker_level == "full"
         assert (iso.total_codes, iso.dbe_failures) == (1044, 0)
         assert list(iso.laws) == list(verify_mod.LAW_ORDER)
@@ -195,15 +197,75 @@ class TestVerifyTheorem:
             labeled.min_lines_overall, labeled.argmin_overall,
             labeled.min_lines_no_universal, labeled.argmin_no_universal)
 
-    def test_iso_jobs_independence(self):
+    def test_iso_jobs_independence(self, monkeypatch):
+        # 64-code chunks cut the 156 representatives on 6 points into three
+        # tasks, so two real workers share them
+        real_pool = multiprocessing.Pool
+        sizes = []
+
+        def pool(processes):
+            sizes.append(processes)
+            return real_pool(processes=processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         assert verify_theorem(6, mode="iso", jobs=2) == cached_report(6, "iso")
+        assert sizes == [2]
 
     def test_partition_independence(self, monkeypatch):
         base = verify_theorem(5)
+        iso = cached_report(6, "iso")
+        sample = claims_sweep(6, trials=5000, seed=3)
         assert verify_theorem(5, jobs=2) == base
         assert verify_theorem(5, jobs=5) == base
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         assert verify_theorem(5) == base
+        for jobs in (1, 2):
+            assert verify_theorem(6, mode="iso", jobs=jobs) == iso
+            assert claims_sweep(6, trials=5000, seed=3, jobs=jobs) == sample
+
+    def test_sample_chunks_equal_one_batch(self, monkeypatch):
+        # the codes claims_sweep draws, swept as one batch; collapsed lines
+        # at a few sampled codes put law witnesses in several 64-code chunks,
+        # in sample order rather than code order
+        n, trials, seed, cap = 6, 5000, 3, 100
+        rng = random.Random(seed)
+        codes = np.array([rng.randrange(1 << pair_count(n)) for _ in range(trials)],
+                         dtype=np.int64)
+        bad = codes[[4000, 70, 2500, 130]]
+
+        def collapse(lines, lane_codes):
+            lines[:, np.isin(lane_codes, bad)] = 0b11
+
+        monkeypatch.setattr(sw, "line_masks", edited_line_masks(collapse))
+        whole = verify_mod._merge_chunks(
+            n, "sample", "full", [verify_mod._sweep_codes(n, codes, "full", cap)], cap)
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
+        rep = claims_sweep(n, trials=trials, seed=seed, max_witnesses=cap)
+        assert (rep.total_codes, rep.twin_free_codes, rep.laws) == (
+            whole.total_codes, whole.twin_free_codes, whole.laws)
+        assert rep.total_violations > 0
+        witnesses = rep.laws["disjoint-diff-label"].witnesses
+        assert set(witnesses) == set(bad.tolist()) and list(witnesses) != sorted(witnesses)
+
+    def test_sweeps_ship_and_hold_one_chunk(self, monkeypatch):
+        # a sampled run never sweeps more than one chunk of codes at a time,
+        # and --jobs sends a labeled sweep's tasks as ranges, not code arrays
+        tasks = verify_mod._sweep_tasks(8, range(1 << 28), "vector", 2, 100)
+        assert sum(len(t[1]) for t in tasks) == 1 << 28
+        assert max(len(pickle.dumps(t)) for t in tasks) < 256
+        sizes = []
+        sweep_codes = verify_mod._sweep_codes
+
+        def recorded(n, codes, *args):
+            sizes.append(codes.size)
+            return sweep_codes(n, codes, *args)
+
+        monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 16)
+        rep = claims_sweep(5, trials=3 * 16)
+        assert rep.total_codes == sum(sizes) == 48
+        assert max(sizes) <= 16
 
     def test_witness_cap_spans_chunks(self, monkeypatch):
         # Every line of codes 3, 20, 21 and 40 on 4 points set to {0, 1}:
@@ -275,8 +337,6 @@ class TestVerifyTheorem:
             verify_theorem(4, mode="fancy")
         with pytest.raises(ValueError, match="133,632 candidates over 40320"):
             verify_theorem(8, mode="iso")
-        with pytest.raises(ValueError):
-            verify_theorem(4, checkers="sometimes")
 
     def test_progress_reporting(self):
         calls = []
@@ -401,11 +461,13 @@ class TestWorkspaceReuse:
         # nothing in a summary is a plane that the next batch overwrites
         assert not any(isinstance(v, np.ndarray) for v in first.values())
 
-    def test_chunks_share_the_process_workspace(self):
+    def test_chunks_share_the_process_workspace(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 1 << 12)
+        first, second = verify_mod._sweep_tasks(7, range(1 << 13), "vector", 1, 5)
         ws = verify_mod._workspace()
-        verify_mod._sweep_chunk((7, 0, 1 << 12, "vector", 5))
+        verify_mod._sweep_chunk(first)
         grown = buffer_addresses(ws)
-        verify_mod._sweep_chunk((7, 1 << 12, 1 << 13, "vector", 5))
+        verify_mod._sweep_chunk(second)
         assert verify_mod._workspace() is ws and buffer_addresses(ws) == grown
 
 
