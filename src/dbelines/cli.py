@@ -174,18 +174,18 @@ def _cmd_claims(args) -> tuple[dict, int, list[str]]:
     rep = claims_sweep(args.n, trials=args.trials, seed=args.seed,
                        jobs=args.jobs, max_witnesses=args.max_witnesses,
                        progress=progress)
-    results = reports.claims_report_to_json(rep)
+    results = reports.claims_report_to_json(rep, args.seed)
     inputs = {"n": args.n,
               "trials": args.trials,
               "seed": args.seed if args.trials is not None else None,
               "max_witnesses": args.max_witnesses}
-    mode = ("exhaustive" if rep.sampling is None
-            else f"sample of {rep.sampling[0]} codes, seed {rep.sampling[1]}")
+    mode = ("exhaustive" if rep.mode == "all"
+            else f"sample of {rep.total_codes} codes, seed {args.seed}")
     text_lines = [f"n={rep.n} ({mode}): {rep.total_codes} codes, "
                   f"{rep.twin_free_codes} twin-free"]
-    text_lines += _law_text_lines(rep.laws, rep.skipped_laws)
+    text_lines += _law_text_lines(rep.laws, results["skipped_laws"])
     return (reports.build_report("claims", inputs, results),
-            rep.total_violations, text_lines)
+            rep.total_law_violations, text_lines)
 
 
 def _cmd_witnesses(args) -> tuple[dict, int, list[str]]:

@@ -13,9 +13,8 @@ from fractions import Fraction
 from .bitset import iter_pairs, mask_to_points
 from .lines import DbeVerdict, LineFamily
 from .spaces import DistanceMatrix
-from .structure import Violation
-from .verify import (ClaimsReport, MinLinesRow, SixPointWitness,
-                     SmallSpacesReport, TheoremReport)
+from .structure import LAW_ORDER, Violation
+from .verify import SixPointWitness, SmallSpacesReport, TheoremReport
 
 SCHEMA_VERSION = "1"
 
@@ -73,26 +72,28 @@ def theorem_report_to_json(rep: TheoremReport) -> dict:
     }
 
 
-def claims_report_to_json(rep: ClaimsReport) -> dict:
+def claims_report_to_json(rep: TheoremReport, seed: int) -> dict:
+    """A claims_sweep report; seed is echoed for a sample, whose size is
+    total_codes.  skipped_laws are the laws that the level does not check."""
     return {
         "n": rep.n,
-        "sampling": (None if rep.sampling is None else
-                     {"trials": rep.sampling[0], "seed": rep.sampling[1]}),
+        "sampling": (None if rep.mode == "all" else
+                     {"trials": rep.total_codes, "seed": seed}),
         "total_codes": rep.total_codes,
         "twin_free_codes": rep.twin_free_codes,
         "laws": law_stats_to_json(rep.laws),
-        "skipped_laws": list(rep.skipped_laws),
+        "skipped_laws": [law for law in LAW_ORDER if law not in rep.laws],
     }
 
 
-def min_lines_to_json(rows: tuple[MinLinesRow, ...]) -> dict:
+def min_lines_to_json(reps: tuple[TheoremReport, ...]) -> dict:
     return {"rows": [{
         "n": r.n,
         "min_lines_overall": r.min_lines_overall,
         "argmin_overall": r.argmin_overall,
         "min_lines_no_universal": r.min_lines_no_universal,
         "argmin_no_universal": r.argmin_no_universal,
-    } for r in rows]}
+    } for r in reps]}
 
 
 def witnesses_to_json(witnesses: tuple[SixPointWitness, ...]) -> dict:

@@ -3,10 +3,14 @@
 verify_theorem sweeps every label code on n points (or the minimum code of
 each isomorphism class, from sweep.iso_codes), checks the De Bruijn-Erdos
 property plus the structural laws, and aggregates a TheoremReport.  Every
-sweep, claims_sweep's sampled codes too, takes one route: its codes are cut
-into consecutive chunks (_sweep_tasks), swept in this process or a pool
-(_run_chunks), and merged by an associative reduction (_merge_chunks), so
-the report is identical for any worker count or chunk size.
+sweep, claims_sweep's sampled codes and min_lines_table's tables too, takes
+one route: its codes are cut into consecutive nonempty chunks
+(_sweep_tasks), each swept in this process or a pool into a TheoremReport
+of its own (_run_chunks), and those are folded by an associative _merge
+from the zero report of the level (_merge_chunks).  Every minimum names the
+smallest code with the least count, so the report is identical for any
+worker count, chunk size or code order.  TheoremReport is the only sweep
+result; reports.py alone projects it to JSON.
 
 Checker depth per sweep, set from what is swept:
   full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
@@ -26,7 +30,7 @@ import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from functools import reduce
 from math import lcm
 from typing import Callable, Iterable, Optional
 
@@ -66,8 +70,11 @@ class LawStat:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Merged result of one sweep; a nonzero dbe_failures would be a
-    counterexample and is reported, never raised."""
+    """Result of a sweep, from one chunk (mode "chunk") to a whole run
+    (mode "all", "iso" or "sample"); a nonzero dbe_failures would be a
+    counterexample and is reported, never raised.  The level fixes which
+    fields are None: "none" has no laws, twin-free count or histogram, and
+    only "full" has the two class laws and the histogram."""
 
     n: int
     mode: str
@@ -88,16 +95,6 @@ class TheoremReport:
         return sum(stat.violations for stat in (self.laws or {}).values())
 
 
-def _merge_min(a: tuple[Optional[int], Optional[int]],
-               b: tuple[Optional[int], Optional[int]]):
-    # lexicographic (value, witness-code) minimum; None means "no candidate"
-    if a[0] is None:
-        return b
-    if b[0] is None:
-        return a
-    return min(a, b)
-
-
 _local = threading.local()
 
 
@@ -110,20 +107,28 @@ def _workspace() -> sw.Workspace:
     return _local.ws
 
 
-def _sweep_chunk(task: tuple) -> dict:
+def _sweep_chunk(task: tuple) -> TheoremReport:
     n, codes, checkers, max_witnesses = task
     if isinstance(codes, range):
         codes = np.arange(codes.start, codes.stop, dtype=np.int64)
     return _sweep_codes(n, codes, checkers, max_witnesses, _workspace())
 
 
+def _least(counts: np.ndarray, codes: np.ndarray):
+    """(least count, smallest code with it), so that no tie is broken by
+    code order; (None, None) when there is no code."""
+    if counts.size == 0:
+        return None, None
+    low = counts.min()
+    return int(low), int(codes[counts == low].min())
+
+
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
-                 max_witnesses: int, ws: sw.Workspace | None = None) -> dict:
-    """The chunk summary of one batch.  Its planes live in ws (a fresh
-    workspace when None), and none of them is kept in the summary."""
-    out: dict = {"total": int(codes.size)}
-    if codes.size == 0:
-        return out
+                 max_witnesses: int,
+                 ws: sw.Workspace | None = None) -> TheoremReport:
+    """The report of one nonempty batch, in mode "chunk": a merge takes n,
+    mode and level from its left operand.  The batch's planes live in ws (a
+    fresh workspace when None), and none of them is kept in the report."""
     m = codes.size
     ws = ws or sw.Workspace()
     valid = sw.valid_plane(m) if checkers != "none" else None
@@ -136,78 +141,94 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     counts = distinct[:m]
     has_universal = sw.unpack(universal)[:m]
     fail_idx = np.flatnonzero((counts < n) & ~has_universal)
-    out["failures"] = int(fail_idx.size)
-    out["failure_witnesses"] = [int(codes[i]) for i in fail_idx[:max_witnesses]]
+    overall = _least(counts, codes)
+    no_universal = _least(counts[~has_universal], codes[~has_universal])
 
-    i0 = int(np.argmin(counts))
-    out["overall"] = (int(counts[i0]), int(codes[i0]))
-    if not has_universal.all():
-        masked = np.where(has_universal, np.int16(32767), counts)
-        i1 = int(np.argmin(masked))
-        out["no_universal"] = (int(masked[i1]), int(codes[i1]))
-    else:
-        out["no_universal"] = (None, None)
-
-    if checkers == "none":
-        return out
-
-    twins = sw.twin_pair_flags(n, bits, ones, ws)
-    twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
-    out["twin_free"] = sw.popcount(twin_free)
-    oversize = sw.class_size_stats(n, equal.pairs, ws)
-
-    law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid)
-    law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
-    law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
-                                                    distinct, oversize)
-    if checkers == "full":
-        out["hist"], class_counts = sw.class_law_counts(n, bits, lines, equal,
-                                                         twin_free, ws)
-        law_counts.update(class_counts)
-    out["laws"] = {
-        law: (cnt.instances, cnt.violations,
-              [int(codes[i]) for i in sw.set_lanes(cnt.bad, max_witnesses)])
-        for law, cnt in law_counts.items()}
-    return out
-
-
-def _first_witnesses(lists: Iterable[list[int]], cap: int) -> tuple[int, ...]:
-    """The first cap codes, in chunk order."""
-    return tuple(islice(chain.from_iterable(lists), cap))
-
-
-def _merge_chunks(n: int, mode: str, checkers: str, parts: list[dict],
-                  max_witnesses: int) -> TheoremReport:
-    total = sum(p["total"] for p in parts)
-    parts = [p for p in parts if p["total"] > 0]
-    failures = sum(p["failures"] for p in parts)
-    witnesses = _first_witnesses((p["failure_witnesses"] for p in parts),
-                                 max_witnesses)
-    overall = (None, None)
-    no_universal = (None, None)
-    for p in parts:
-        overall = _merge_min(overall, p["overall"])
-        no_universal = _merge_min(no_universal, p["no_universal"])
-
-    twin_free, hist, laws = None, None, None
+    twin_free_codes, hist, laws = None, None, None
     if checkers != "none":
-        twin_free = sum(p["twin_free"] for p in parts)
-        laws = {}
-        for law in LAW_ORDER:  # from the level, so an empty sample has them all
-            if checkers == "full" or law not in CLASS_LAWS:
-                stats = [p["laws"][law] for p in parts]
-                laws[law] = LawStat(sum(s[0] for s in stats), sum(s[1] for s in stats),
-                                    _first_witnesses((s[2] for s in stats), max_witnesses))
+        twins = sw.twin_pair_flags(n, bits, ones, ws)
+        twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
+        oversize = sw.class_size_stats(n, equal.pairs, ws)
+
+        law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid)
+        law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
+        law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
+                                                        distinct, oversize)
         if checkers == "full":
-            hist = {tag: sum(p["hist"][tag] for p in parts) for tag in SHAPE_TAGS}
+            hist, class_counts = sw.class_law_counts(n, bits, lines, equal,
+                                                     twin_free, ws)
+            law_counts.update(class_counts)
+        laws = {law: LawStat(cnt.instances, cnt.violations,
+                             tuple(int(codes[i])
+                                   for i in sw.set_lanes(cnt.bad, max_witnesses)))
+                for law, cnt in law_counts.items()}
+        twin_free_codes = sw.popcount(twin_free)
 
     return TheoremReport(
-        n=n, mode=mode, checker_level=checkers, total_codes=total,
-        dbe_failures=failures, failure_witnesses=witnesses,
+        n=n, mode="chunk", checker_level=checkers, total_codes=m,
+        dbe_failures=int(fail_idx.size),
+        failure_witnesses=tuple(int(codes[i]) for i in fail_idx[:max_witnesses]),
+        min_lines_overall=overall[0], argmin_overall=overall[1],
+        min_lines_no_universal=no_universal[0],
+        argmin_no_universal=no_universal[1],
+        twin_free_codes=twin_free_codes, class_counts_by_shape=hist, laws=laws)
+
+
+def _empty(n: int, mode: str, checkers: str) -> TheoremReport:
+    """The report of no codes: the zero of _merge, with every law of the
+    level at 0, so that an empty sample still lists them all."""
+    laws = None
+    if checkers != "none":
+        laws = {law: LawStat(0, 0, ()) for law in LAW_ORDER
+                if checkers == "full" or law not in CLASS_LAWS}
+    return TheoremReport(
+        n=n, mode=mode, checker_level=checkers, total_codes=0, dbe_failures=0,
+        failure_witnesses=(), min_lines_overall=None, argmin_overall=None,
+        min_lines_no_universal=None, argmin_no_universal=None,
+        twin_free_codes=None if checkers == "none" else 0,
+        class_counts_by_shape=({tag: 0 for tag in SHAPE_TAGS}
+                               if checkers == "full" else None),
+        laws=laws)
+
+
+def _least_pair(a: tuple, b: tuple) -> tuple:
+    # lexicographic (count, code) minimum; a None count means no candidate
+    return min((p for p in (a, b) if p[0] is not None), default=(None, None))
+
+
+def _merge(a: TheoremReport, b: TheoremReport, cap: int) -> TheoremReport:
+    """a then b: sums, minima, and the first cap witnesses in a-then-b
+    order.  Associative, with n, mode and level taken from a."""
+    overall = _least_pair((a.min_lines_overall, a.argmin_overall),
+                          (b.min_lines_overall, b.argmin_overall))
+    no_universal = _least_pair((a.min_lines_no_universal, a.argmin_no_universal),
+                               (b.min_lines_no_universal, b.argmin_no_universal))
+    twin_free, hist, laws = None, None, None
+    if a.laws is not None:
+        twin_free = a.twin_free_codes + b.twin_free_codes
+        laws = {law: LawStat(s.instances + b.laws[law].instances,
+                             s.violations + b.laws[law].violations,
+                             (s.witnesses + b.laws[law].witnesses)[:cap])
+                for law, s in a.laws.items()}
+    if a.class_counts_by_shape is not None:
+        hist = {tag: cnt + b.class_counts_by_shape[tag]
+                for tag, cnt in a.class_counts_by_shape.items()}
+    return TheoremReport(
+        n=a.n, mode=a.mode, checker_level=a.checker_level,
+        total_codes=a.total_codes + b.total_codes,
+        dbe_failures=a.dbe_failures + b.dbe_failures,
+        failure_witnesses=(a.failure_witnesses + b.failure_witnesses)[:cap],
         min_lines_overall=overall[0], argmin_overall=overall[1],
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],
         twin_free_codes=twin_free, class_counts_by_shape=hist, laws=laws)
+
+
+def _merge_chunks(n: int, mode: str, checkers: str,
+                  parts: Iterable[TheoremReport],
+                  max_witnesses: int) -> TheoremReport:
+    return reduce(lambda a, b: _merge(a, b, max_witnesses), parts,
+                  _empty(n, mode, checkers))
 
 
 def _sweep_tasks(n: int, codes, checkers: str, jobs: int,
@@ -222,7 +243,8 @@ def _sweep_tasks(n: int, codes, checkers: str, jobs: int,
             for lo in range(0, len(codes), chunk)]
 
 
-def _run_chunks(tasks: list[tuple], jobs: int, progress: Progress) -> list[dict]:
+def _run_chunks(tasks: list[tuple], jobs: int,
+                progress: Progress) -> list[TheoremReport]:
     # a pool only when two tasks can share it, and no idle workers
     workers = min(jobs, len(tasks))
     total = sum(len(task[1]) for task in tasks)
@@ -284,32 +306,17 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                   max_witnesses, progress)
 
 
-@dataclass(frozen=True)
-class ClaimsReport:
-    """Per-law traceability: instances checked and violations found."""
-
-    n: int
-    sampling: Optional[tuple[int, int]]  # (trials, seed); None = exhaustive
-    total_codes: int
-    twin_free_codes: int
-    laws: dict[str, LawStat]
-    skipped_laws: tuple[str, ...]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(stat.violations for stat in self.laws.values())
-
-
 def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
                  jobs: int = 1, max_witnesses: int = 100,
-                 progress: Progress = None) -> ClaimsReport:
-    """Run every structural law checker over all codes, or over a seeded
-    random sample of codes when trials is given.
+                 progress: Progress = None) -> TheoremReport:
+    """Run every structural law checker over all codes (mode "all"), or
+    over a seeded random sample of codes when trials is given (mode
+    "sample", with total_codes = trials).
 
     Exhaustive runs use the "full" level through n = 6 and the "vector"
-    level at n = 7, 8, where full-cover and class-shape are reported as
-    skipped.  Sampled runs, drawn uniformly with replacement, use the full
-    level at every n, and are swept in chunks like any other code set.
+    level at n = 7, 8, whose laws lack full-cover and class-shape.  Sampled
+    runs, drawn uniformly with replacement, use the full level at every n,
+    and are swept in chunks like any other code set.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
@@ -324,28 +331,15 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
         mode, level = "sample", "full"
         codes = np.fromiter((rng.randrange(total) for _ in range(trials)),
                             dtype=np.int64, count=trials)
-    rep = _sweep(n, mode, codes, level, jobs, max_witnesses, progress)
-    skipped = tuple(law for law in LAW_ORDER if law not in rep.laws)
-    return ClaimsReport(n, None if trials is None else (trials, seed),
-                        rep.total_codes, rep.twin_free_codes, rep.laws, skipped)
-
-
-@dataclass(frozen=True)
-class MinLinesRow:
-    """Exact line-count minima over all codes on n points."""
-
-    n: int
-    min_lines_overall: int
-    argmin_overall: int
-    min_lines_no_universal: Optional[int]
-    argmin_no_universal: Optional[int]
+    return _sweep(n, mode, codes, level, jobs, max_witnesses, progress)
 
 
 def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
-                    progress: Progress = None) -> tuple[MinLinesRow, ...]:
-    """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending,
-    from one run (one pool) over the chunks of every n.  The no-universal
-    column is None when every space on n points has a universal line (n = 2).
+                    progress: Progress = None) -> tuple[TheoremReport, ...]:
+    """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending:
+    one level-"none" report per n, from one run (one pool) over the chunks
+    of every n.  The no-universal minimum is None when every space on n
+    points has a universal line (n = 2).
     """
     sw.check_point_count(n_lo)
     sw.check_point_count(n_hi)
@@ -356,12 +350,9 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
     tasks = [task for n in ns
              for task in _sweep_tasks(n, range(1 << pair_count(n)), "none", jobs, 0)]
     parts = _run_chunks(tasks, jobs, progress)
-    reps = (_merge_chunks(n, "all", "none",
-                          [p for t, p in zip(tasks, parts) if t[0] == n], 0)
-            for n in ns)
-    return tuple(MinLinesRow(r.n, r.min_lines_overall, r.argmin_overall,
-                             r.min_lines_no_universal, r.argmin_no_universal)
-                 for r in reps)
+    return tuple(_merge_chunks(n, "all", "none",
+                               [p for t, p in zip(tasks, parts) if t[0] == n], 0)
+                 for n in ns)
 
 
 @dataclass(frozen=True)
@@ -420,6 +411,7 @@ def six_point_witnesses() -> tuple[SixPointWitness, ...]:
 
 # common denominator for drawing p/q with q <= 16 as integers
 _DENOM_CAP = 16
+_TRIPLE_RETRIES = 50  # resamplings of violating triples before a restart
 _VALUE_CAP = 4
 _COMMON_DENOM = lcm(*range(1, _DENOM_CAP + 1))
 
@@ -431,8 +423,7 @@ def _draw_numerator(rng: random.Random) -> int:
     return p * (_COMMON_DENOM // q)
 
 
-def _draw_int_rows(rng: random.Random, n: int,
-                   triple_retries: int = 50) -> list[list[int]]:
+def _draw_int_rows(rng: random.Random, n: int) -> list[list[int]]:
     """Random symmetric integer matrix (scaled rationals) made metric by
     resampling the entries of violating triples, restarting on a stuck one."""
     while True:
@@ -440,7 +431,7 @@ def _draw_int_rows(rng: random.Random, n: int,
         for i, j in iter_pairs(n):
             rows[i][j] = rows[j][i] = _draw_numerator(rng)
         retries = 0
-        while retries <= triple_retries:
+        while retries <= _TRIPLE_RETRIES:
             bad = None
             for i, k in iter_pairs(n):
                 for j in range(n):

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -359,6 +360,35 @@ class TestMinLines:
         res = run_cli("min-lines", "--n", "3")
         assert res.returncode == 0
         assert "-" in res.stdout
+
+
+class TestContractBytes:
+    """The output contract, byte for byte: stdout of in-process runs
+    against the benchmark's pins, and sha256 pins of two claims reports
+    that no file pins."""
+
+    @pytest.mark.parametrize("argv, pin", [
+        (["enumerate", "--n", "7", "--json"], "exhaustive-n7.json"),
+        (["min-lines", "--n", "7", "--json"], "minlines-n7-jobs2.json"),
+        (["min-lines", "--n", "7", "--json", "--jobs", "2"], "minlines-n7-jobs2.json"),
+        *((["claims", "--n", "8", "--trials", "30000", "--seed", str(seed), "--json"],
+           f"claims-n8-sample-seed{seed}.json") for seed in (0, 3, 20)),
+    ])
+    def test_matches_bench_pin(self, argv, pin):
+        code, out, _ = run_main(argv)
+        assert code == 0
+        assert out.encode() == (BENCH_EXPECTED / pin).read_bytes()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["claims", "--n", "7", "--json"],
+         "912a306e1f706aadf898782f9bd5c474c0a7a3618fa2f1a1ed17f81bf826c3ee"),
+        (["claims", "--n", "5", "--trials", "0", "--seed", "1", "--json"],
+         "700aa61732d365c3513fd821727a1d4cbd3e1616dba0a52d9f6714e82549b38e"),
+    ])
+    def test_matches_sha256_pin(self, argv, digest):
+        code, out, _ = run_main(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRandomMetrics:

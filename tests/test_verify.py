@@ -18,6 +18,7 @@ from dbelines import (MetricSpace, all_lines, as_one_two, claims_sweep,
 from dbelines import sweep as sw
 from dbelines import verify as verify_mod
 from dbelines.bitset import iter_pairs, pair_count, pair_index
+from dbelines.reports import claims_report_to_json
 
 from reference import lanes, mask_planes, mask_table, ref_canonical_code
 
@@ -46,12 +47,15 @@ WITNESS_LINE_COUNTS = (12, 12, 12, 10, 11, 9)
 
 @st.composite
 def code_batches(draw):
-    """(n, ascending codes) with n in 5..8, 1..200 codes, code 0 among them."""
+    """(n, codes in any order) with n in 5..8, 1..200 codes, code 0 among
+    them, and repeats likely: the codes are drawn from a smaller pool."""
     n = draw(st.integers(5, 8))
     size = draw(st.sampled_from([1, 63, 64, 65, 127]) | st.integers(1, 200))
-    rest = draw(st.lists(st.integers(0, (1 << pair_count(n)) - 1),
-                         min_size=size - 1, max_size=size - 1))
-    return n, np.array(sorted([0, *rest]), dtype=np.int64)
+    pool = draw(st.lists(st.integers(0, (1 << pair_count(n)) - 1),
+                         min_size=1, max_size=size))
+    rest = draw(st.lists(st.sampled_from(pool), min_size=size - 1,
+                         max_size=size - 1))
+    return n, np.array(draw(st.permutations([0, *rest])), dtype=np.int64)
 
 
 @functools.cache
@@ -242,9 +246,8 @@ class TestVerifyTheorem:
             n, "sample", "full", [verify_mod._sweep_codes(n, codes, "full", cap)], cap)
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         rep = claims_sweep(n, trials=trials, seed=seed, max_witnesses=cap)
-        assert (rep.total_codes, rep.twin_free_codes, rep.laws) == (
-            whole.total_codes, whole.twin_free_codes, whole.laws)
-        assert rep.total_violations > 0
+        assert rep == whole
+        assert rep.total_law_violations > 0
         witnesses = rep.laws["disjoint-diff-label"].witnesses
         assert set(witnesses) == set(bad.tolist()) and list(witnesses) != sorted(witnesses)
 
@@ -266,6 +269,18 @@ class TestVerifyTheorem:
         rep = claims_sweep(5, trials=3 * 16)
         assert rep.total_codes == sum(sizes) == 48
         assert max(sizes) <= 16
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_tasks_are_nonempty_and_cover_the_codes(self, jobs):
+        # the merge has no empty-batch case: every task holds a code, and
+        # the tasks hold the codes in order
+        chunk = verify_mod.CHUNK_CODES
+        for size in (0, 1, chunk, chunk + 1):
+            shuffled = np.random.default_rng(size).permutation(size).astype(np.int64)
+            for codes in (range(size), shuffled):
+                tasks = verify_mod._sweep_tasks(8, codes, "none", jobs, 0)
+                assert all(len(task[1]) > 0 for task in tasks)
+                assert [int(c) for task in tasks for c in task[1]] == list(codes)
 
     def test_witness_cap_spans_chunks(self, monkeypatch):
         # Every line of codes 3, 20, 21 and 40 on 4 points set to {0, 1}:
@@ -312,11 +327,12 @@ class TestVerifyTheorem:
     @example(batch=(7, np.arange(0, 64 * 32749, 32749, dtype=np.int64)))
     @example(batch=(8, np.arange(0, 65 * 4129037, 4129037, dtype=np.int64)))
     @example(batch=(8, np.arange(0, 127 * 2113663, 2113663, dtype=np.int64)))
+    @example(batch=(6, np.repeat(np.arange(0, 21 * 401, 401), 3)[::-1].copy()))
     def test_tail_word_counts_nothing(self, batch):
         # the bits past a batch's last code read as code 0 and must add
         # nothing: one sweep of the batch equals the merge of its one-code
-        # sweeps (ascending codes, because a batch's argmin ties go to the
-        # first position and the merge's to the smallest code)
+        # sweeps, in any code order, since a batch and a merge both break a
+        # tie of least counts by the smaller code
         n, codes = batch
         cap = codes.size
         whole = verify_mod._merge_chunks(
@@ -326,7 +342,7 @@ class TestVerifyTheorem:
             [verify_mod._sweep_codes(n, codes[i:i + 1], "full", cap)
              for i in range(codes.size)], cap)
         assert whole == alone
-        assert whole.total_codes == codes.size and codes[0] == 0
+        assert whole.total_codes == codes.size and 0 in codes
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -458,8 +474,8 @@ class TestWorkspaceReuse:
         for seed, size in ((2, 1 << 12), (3, 100)):
             verify_mod._sweep_codes(7, sweep_batch(7, size, seed), "full", 5, ws)
             assert buffer_addresses(ws) == grown
-        # nothing in a summary is a plane that the next batch overwrites
-        assert not any(isinstance(v, np.ndarray) for v in first.values())
+        # nothing in a report is a plane that the next batch overwrites
+        assert not any(isinstance(v, np.ndarray) for v in vars(first).values())
 
     def test_chunks_share_the_process_workspace(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 1 << 12)
@@ -475,7 +491,7 @@ class TestClaimsSweep:
     def test_exhaustive_matches_scalar_aggregation(self):
         n = 4
         rep = claims_sweep(n)
-        assert rep.sampling is None and rep.skipped_laws == ()
+        assert rep.mode == "all" and list(rep.laws) == list(verify_mod.LAW_ORDER)
         assert rep.total_codes == 64
         # recompute two law entries directly from the scalar law pass
         from dbelines.structure import law_violations
@@ -502,19 +518,21 @@ class TestClaimsSweep:
         assert rep.twin_free_codes == tf_codes
         assert rep.laws["full-cover"].instances == cover_inst
         assert rep.laws["class-shape"].instances == shape_inst
-        assert rep.total_violations == 0
+        assert rep.total_law_violations == 0
 
     def test_exhaustive_n7_skips_python_laws(self):
         rep = claims_sweep(7, max_witnesses=5)
-        assert rep.skipped_laws == ("full-cover", "class-shape")
-        assert rep.total_violations == 0
+        assert claims_report_to_json(rep, 0)["skipped_laws"] == [
+            "full-cover", "class-shape"]
+        assert rep.total_law_violations == 0
 
     def test_sampled_runs_all_laws(self):
         rep = claims_sweep(7, trials=400, seed=11)
-        assert rep.sampling == (400, 11)
-        assert rep.total_codes == 400
-        assert rep.skipped_laws == ()
-        assert rep.total_violations == 0
+        results = claims_report_to_json(rep, 11)
+        assert results["sampling"] == {"trials": 400, "seed": 11}
+        assert rep.mode == "sample" and rep.total_codes == 400
+        assert results["skipped_laws"] == []
+        assert rep.total_law_violations == 0
 
     def test_sampling_deterministic(self):
         assert claims_sweep(6, trials=200, seed=5) == claims_sweep(6, trials=200, seed=5)
@@ -522,14 +540,14 @@ class TestClaimsSweep:
     def test_trials_zero(self):
         # an empty sample still reports every law, each at 0/0
         rep = claims_sweep(5, trials=0, seed=1)
-        assert rep.total_codes == 0 and rep.total_violations == 0
+        assert rep.total_codes == 0 and rep.total_law_violations == 0
         assert list(rep.laws) == [
             "disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
             "twin-a", "twin-b", "twin-c", "full-cover", "class-shape",
             "class-size"]
         assert all(stat == verify_mod.LawStat(0, 0, ())
                    for stat in rep.laws.values())
-        assert rep.skipped_laws == ()
+        assert claims_report_to_json(rep, 1)["skipped_laws"] == []
 
 
 class TestMinLinesTable:
