@@ -50,7 +50,8 @@ from .structure import ClassShape, class_size_bound
 
 # label_bits folds two codes into one uint64 word, so a code may have at
 # most 32 pair bits: C(8, 2) = 28.  canonical_min also tries all n!
-# relabelings.
+# relabelings, through a cached C(n,2) x n! float64 weight matrix: 28 x
+# 40320 entries, 8.6 MB, at n = 8.
 ENUM_MAX_POINTS = 8
 
 ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -491,28 +492,49 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
     return cnt
 
 
+# canonical_min blocks its codes so that one product holds at most this many
+# float64 entries (128 KB): 22 codes at n = 6, 3 at n = 7, 1 at n = 8.  At
+# these sizes through n = 7 the product runs on one BLAS thread.
+_PRODUCT_ENTRIES = 1 << 14
+
+
+@cache
+def _relabel_weights(n: int) -> np.ndarray:
+    """(C(n,2), n!) float64: column p holds 2^pair_index(i, j, n) at row
+    pair_index(perm[i], perm[j], n), for the p-th permutation perm of
+    itertools.permutations(range(n))."""
+    us, vs = _ends(n)
+    P = us.size
+    index = np.empty((n, n), dtype=np.intp)
+    index[us, vs] = index[vs, us] = np.arange(P)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    rows = index[perms[:, us], perms[:, vs]]  # (n!, P): source row of bit k
+    weights = np.zeros((P, perms.shape[0]))
+    weights[rows, np.arange(perms.shape[0])[:, None]] = 1 << np.arange(P)
+    return weights
+
+
 def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     """int64 per code: minimum label code over all n! relabelings.
 
-    Brute-force permutation minimization over a bool decode of the codes,
-    n! C(n,2) numpy operations per batch; iso_codes calls it on the
-    one-point extensions of each class, at most 9984 codes through n = 7,
-    never on a full code range.
+    Relabeling the points permutes the pair bits, so one matrix product of
+    the codes' bits, (codes, C(n,2)), with _relabel_weights(n) gives every
+    relabeled code of every code, and the row minimum is the canonical code.
+    The product is exact in float64: each entry is a sum of distinct powers
+    of two below 2^28, and any partial sum of those is an integer below
+    2^28 < 2^53, so no summation order rounds.  Codes go through in blocks
+    whose product holds at most _PRODUCT_ENTRIES entries.  iso_codes calls
+    it on the one-point extensions of each class, at most 9984 codes
+    through n = 7.
     """
     check_point_count(n)
-    bits = np.empty((pair_count(n), codes.shape[0]), dtype=bool)
-    for k in range(pair_count(n)):
-        bits[k] = (codes >> k) & 1
-    best = np.full(codes.shape[0], np.iinfo(np.int64).max)
-    acc = np.empty_like(best)
-    bit = np.empty_like(best)
-    for perm in permutations(range(n)):
-        acc[:] = 0
-        for i, j in iter_pairs(n):
-            np.left_shift(bits[pair_index(perm[i], perm[j], n)],
-                          pair_index(i, j, n), out=bit, dtype=np.int64)
-            acc |= bit
-        np.minimum(best, acc, out=best)
+    weights = _relabel_weights(n)
+    step = max(1, _PRODUCT_ENTRIES // weights.shape[1])
+    shifts = np.arange(weights.shape[0])
+    best = np.empty(codes.shape[0], dtype=np.int64)
+    for lo in range(0, codes.shape[0], step):
+        bits = (codes[lo:lo + step, None] >> shifts) & 1
+        best[lo:lo + step] = (bits.astype(np.float64) @ weights).min(axis=1)
     return best
 
 

@@ -243,7 +243,7 @@ class TestEnumerate:
         assert out.encode() == (BENCH_EXPECTED / "iso-n6.json").read_bytes()
         assert "6/6 points" in err
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_iso_matches_brute_filter(self, n, as_json, monkeypatch):
         # the report of the codes that are their own minimum over all
@@ -365,7 +365,7 @@ class TestMinLines:
 class TestContractBytes:
     """The output contract, byte for byte: stdout of in-process runs
     against the benchmark's pins, and sha256 pins of two claims reports
-    that no file pins."""
+    and the n = 7 iso report, which no file pins."""
 
     @pytest.mark.parametrize("argv, pin", [
         (["enumerate", "--n", "7", "--json"], "exhaustive-n7.json"),
@@ -384,6 +384,8 @@ class TestContractBytes:
          "912a306e1f706aadf898782f9bd5c474c0a7a3618fa2f1a1ed17f81bf826c3ee"),
         (["claims", "--n", "5", "--trials", "0", "--seed", "1", "--json"],
          "700aa61732d365c3513fd821727a1d4cbd3e1616dba0a52d9f6714e82549b38e"),
+        (["enumerate", "--n", "7", "--mode", "iso", "--json"],
+         "50cbc4ee809f01e5c07b0c295b7c89b3aff1fe05b960cc8420b2b96d4b8b4cab"),
     ])
     def test_matches_sha256_pin(self, argv, digest):
         code, out, _ = run_main(argv)

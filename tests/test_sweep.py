@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -591,12 +592,32 @@ class TestScalarLawPass:
 
 
 class TestCanonicalKernel:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_scalar(self, n):
-        codes = random_codes(n, 60, seed=50 + n)
+        # the reference tries all n! relabelings in Python, 40320 at n = 8
+        count = {7: 12, 8: 2}.get(n, 60)
+        # code 0 and the all-distance-2 code, whose product sums every weight
+        top = (1 << pair_count(n)) - 1
+        codes = np.concatenate([[0, top], random_codes(n, count, seed=50 + n)])
         vec = sw.canonical_min(n, codes)
+        assert vec.dtype == np.int64 and vec.shape == codes.shape
         for ci, code in enumerate(codes):
             assert int(vec[ci]) == ref_canonical_code(n, int(code))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_blocks_equal_single_codes(self, n):
+        # one block plus one codes, shuffled, with repeats
+        step = max(1, sw._PRODUCT_ENTRIES // factorial(n))
+        rng = np.random.default_rng(70 + n)
+        pool = random_codes(n, max(2, step // 2), seed=60 + n)
+        codes = rng.choice(pool, step + 1)
+        vec = sw.canonical_min(n, codes)
+        singles = [int(sw.canonical_min(n, codes[i:i + 1])[0]) for i in range(codes.size)]
+        assert vec.tolist() == singles
+
+    def test_empty_batch(self):
+        out = sw.canonical_min(6, np.zeros(0, dtype=np.int64))
+        assert out.dtype == np.int64 and out.shape == (0,)
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
