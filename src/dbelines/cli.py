@@ -183,9 +183,12 @@ def _cmd_claims(args) -> tuple[dict, int, list[str]]:
             else f"sample of {rep.total_codes} codes, seed {args.seed}")
     text_lines = [f"n={rep.n} ({mode}): {rep.total_codes} codes, "
                   f"{rep.twin_free_codes} twin-free"]
+    # claims JSON has no DBE field, so a failure shows in text and exit code
+    if rep.dbe_failures:
+        text_lines.append(f"dbe_failures: {rep.dbe_failures}")
     text_lines += _law_text_lines(rep.laws, results["skipped_laws"])
     return (reports.build_report("claims", inputs, results),
-            rep.total_law_violations, text_lines)
+            rep.dbe_failures + rep.total_law_violations, text_lines)
 
 
 def _cmd_witnesses(args) -> tuple[dict, int, list[str]]:
@@ -209,16 +212,14 @@ def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
     rows = min_lines_table(2, args.n, jobs=args.jobs, progress=progress)
     results = reports.min_lines_to_json(rows)
     text_lines = ["n   min_lines  argmin_code  min_no_universal  argmin_code"]
-    failures = 0
     for r in rows:
         nu = "-" if r.min_lines_no_universal is None else r.min_lines_no_universal
         nu_code = "-" if r.argmin_no_universal is None else r.argmin_no_universal
         text_lines.append(f"{r.n:<3} {r.min_lines_overall:>9}  "
                           f"{r.argmin_overall:>11}  {nu:>16}  {nu_code:>11}")
-        if r.min_lines_no_universal is not None and r.min_lines_no_universal < r.n:
-            failures += 1
     inputs = {"n_lo": 2, "n_hi": args.n}
-    return reports.build_report("min-lines", inputs, results), failures, text_lines
+    return (reports.build_report("min-lines", inputs, results),
+            sum(r.dbe_failures for r in rows), text_lines)
 
 
 def _cmd_random_metrics(args) -> tuple[dict, int, list[str]]:

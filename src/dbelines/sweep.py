@@ -153,16 +153,7 @@ def popcount(planes: np.ndarray) -> int:
 
 def set_lanes(plane: np.ndarray, cap: int) -> list[int]:
     """Ascending indices of the first cap set bits of a plane."""
-    out: list[int] = []
-    for w in np.flatnonzero(plane):
-        word = int(plane[w])
-        while word and len(out) < cap:
-            low = word & -word
-            out.append(64 * int(w) + low.bit_length() - 1)
-            word ^= low
-        if len(out) == cap:
-            break
-    return out
+    return np.flatnonzero(unpack(plane))[:cap].tolist() if plane.any() else []
 
 
 def _lane_counts(planes) -> np.ndarray:
@@ -345,7 +336,7 @@ def _new_counts(W: int) -> LawCounts:
 def _flag(cnt: LawCounts, bad: np.ndarray) -> None:
     # bad: (..., W) planes, one per law instance; real codes break no law,
     # so the count is taken only when some bit is set
-    any_bad = np.bitwise_or.reduce(bad.reshape(-1, bad.shape[-1]), axis=0)
+    any_bad = np.bitwise_or.reduce(bad, axis=tuple(range(bad.ndim - 1)))
     if any_bad.any():
         cnt.violations += popcount(bad)
         cnt.bad |= any_bad
@@ -413,7 +404,7 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     out = {law: _new_counts(W) for law in ("twin-a", "twin-b", "twin-c")}
     twin_a, twin_b, twin_c = out.values()
     twin_a.instances = pair_count(n - 2) * popcount(twins)
-    flat = lines.reshape(-1, W)
+    flat = lines.reshape(P * n, W)
     for tw, (xy, w, wv) in zip(twins, _twin_rows(n)):
         if not tw.any():
             continue
@@ -483,11 +474,13 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
 
 
 def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
-                      distinct: np.ndarray, oversize: np.ndarray) -> LawCounts:
-    """Class-size law on twin-free, no-universal codes."""
+                      heads: np.ndarray, oversize: np.ndarray) -> LawCounts:
+    """Class-size law on twin-free, no-universal codes, one instance per
+    class: a code's classes are its set bits in heads, the head planes of
+    distinct_counts."""
     applicable = twin_free & ~universal
     cnt = _new_counts(applicable.shape[-1])
-    cnt.instances = int(distinct[unpack(applicable)].sum())
+    cnt.instances = popcount(heads & applicable)
     _flag(cnt, oversize & applicable)
     return cnt
 

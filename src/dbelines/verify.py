@@ -7,9 +7,11 @@ property plus the structural laws, and aggregates a TheoremReport.  Every
 sweep, claims_sweep's sampled codes and min_lines_table's tables too, takes
 one route: its codes are cut into consecutive nonempty chunks
 (_sweep_tasks), each swept in this process or a pool into a TheoremReport
-of its own (_run_chunks), and those are folded by an associative _merge
-from the zero report of the level (_merge_chunks).  Every minimum names the
-smallest code with the least count, so the report is identical for any
+of its own (_run_chunks), and those are folded in order by an associative
+_merge (_merge_chunks), which takes the level's fields and laws from the
+first chunk.  _sweep_codes is the only code that builds a report: a set of
+no codes is folded as its sweep of an empty batch.  Every minimum names
+the smallest code with the least count, so the report is identical for any
 worker count, chunk size or code order.  TheoremReport is the only sweep
 result; reports.py alone projects it to JSON.
 
@@ -29,11 +31,11 @@ from __future__ import annotations
 import random
 import threading
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .spaces import (DistanceMatrix, MetricSpace, OneTwoSpace, as_one_two,
 # space_from_code, equiv_classes and classify_class are looked up here by
 # bench/tracing.py
 from .spaces import space_from_code  # noqa: F401
-from .structure import LAW_ORDER, ClassShape, classify_class, equiv_classes  # noqa: F401
+from .structure import LAW_ORDER, classify_class, equiv_classes  # noqa: F401
 from . import sweep as sw
 
 # 2^16 codes keep a chunk's planes at 8 KiB each.  verify_theorem(7) took
@@ -52,10 +54,6 @@ from . import sweep as sw
 # with 2^20-code chunks and 0.76-0.84 s with 2^14 (fresh processes on a
 # 2-core host).
 CHUNK_CODES = 1 << 16
-
-CLASS_LAWS = ("full-cover", "class-shape")  # checked at the "full" level only
-
-SHAPE_TAGS = tuple(shape.value for shape in ClassShape)
 
 Progress = Optional[Callable[[int, int], None]]
 
@@ -72,10 +70,11 @@ class LawStat:
 @dataclass(frozen=True)
 class TheoremReport:
     """Result of a sweep, from one chunk (mode "chunk") to a whole run
-    (mode "all", "iso" or "sample"); a nonzero dbe_failures would be a
-    counterexample and is reported, never raised.  The level fixes which
-    fields are None: "none" has no laws, twin-free count or histogram, and
-    only "full" has the two class laws and the histogram."""
+    (mode "all", "iso" or "sample"): made by _sweep_codes alone and folded
+    by _merge.  A nonzero dbe_failures would be a counterexample and is
+    reported, never raised.  The level fixes which fields are None: "none"
+    has no laws, twin-free count or histogram, and only "full" has the two
+    class laws and the histogram.  laws lists its laws in LAW_ORDER."""
 
     n: int
     mode: str
@@ -127,9 +126,11 @@ def _least(counts: np.ndarray, codes: np.ndarray):
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                  max_witnesses: int,
                  ws: sw.Workspace | None = None) -> TheoremReport:
-    """The report of one nonempty batch, in mode "chunk": a merge takes n,
-    mode and level from its left operand.  The batch's planes live in ws (a
-    fresh workspace when None), and none of them is kept in the report."""
+    """The report of one batch, in mode "chunk", with its laws in LAW_ORDER:
+    a merge takes n, mode, level and law keys from its left operand.  An
+    empty batch gives the zero report of the level.  The batch's planes live
+    in ws (a fresh workspace when None), and none of them is kept in the
+    report."""
     m = codes.size
     ws = ws or sw.Workspace()
     valid = sw.valid_plane(m) if checkers != "none" else None
@@ -154,7 +155,7 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid)
         law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
         law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
-                                                        distinct, oversize)
+                                                        equal.heads, oversize)
         if checkers == "full":
             hist, class_counts = sw.class_law_counts(n, bits, lines, equal,
                                                      twin_free, ws)
@@ -162,7 +163,7 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         laws = {law: LawStat(cnt.instances, cnt.violations,
                              tuple(int(codes[i])
                                    for i in sw.set_lanes(cnt.bad, max_witnesses)))
-                for law, cnt in law_counts.items()}
+                for law in LAW_ORDER if (cnt := law_counts.get(law))}
         twin_free_codes = sw.popcount(twin_free)
 
     return TheoremReport(
@@ -173,23 +174,6 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],
         twin_free_codes=twin_free_codes, class_counts_by_shape=hist, laws=laws)
-
-
-def _empty(n: int, mode: str, checkers: str) -> TheoremReport:
-    """The report of no codes: the zero of _merge, with every law of the
-    level at 0, so that an empty sample still lists them all."""
-    laws = None
-    if checkers != "none":
-        laws = {law: LawStat(0, 0, ()) for law in LAW_ORDER
-                if checkers == "full" or law not in CLASS_LAWS}
-    return TheoremReport(
-        n=n, mode=mode, checker_level=checkers, total_codes=0, dbe_failures=0,
-        failure_witnesses=(), min_lines_overall=None, argmin_overall=None,
-        min_lines_no_universal=None, argmin_no_universal=None,
-        twin_free_codes=None if checkers == "none" else 0,
-        class_counts_by_shape=({tag: 0 for tag in SHAPE_TAGS}
-                               if checkers == "full" else None),
-        laws=laws)
 
 
 def _least_pair(a: tuple, b: tuple) -> tuple:
@@ -226,10 +210,15 @@ def _merge(a: TheoremReport, b: TheoremReport, cap: int) -> TheoremReport:
 
 
 def _merge_chunks(n: int, mode: str, checkers: str,
-                  parts: Iterable[TheoremReport],
+                  parts: list[TheoremReport],
                   max_witnesses: int) -> TheoremReport:
-    return reduce(lambda a, b: _merge(a, b, max_witnesses), parts,
-                  _empty(n, mode, checkers))
+    """The fold of the parts in order, in the given mode.  No parts (an
+    empty sample) fold as the sweep of no codes, so the report still lists
+    every law of the level at 0."""
+    parts = parts or [_sweep_codes(n, np.empty(0, dtype=np.int64), checkers,
+                                   max_witnesses)]
+    return replace(reduce(lambda a, b: _merge(a, b, max_witnesses), parts),
+                   mode=mode)
 
 
 def _sweep_tasks(n: int, codes, checkers: str, jobs: int,

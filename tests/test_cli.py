@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,26 @@ class TestExitCodeTwo:
         assert cli_mod.main(["enumerate", "--n", "4"]) == 2
         out = capsys.readouterr().out
         assert "dbe_failures: 1" in out
+
+    def test_injected_dbe_failure_in_claims(self, monkeypatch, capsys):
+        # claims JSON has no DBE field: the failure shows in the exit code
+        # and in the text form only
+        real = verify_mod.claims_sweep(4)
+        assert cli_mod.main(["claims", "--n", "4"]) == 0
+        assert "dbe_failures" not in capsys.readouterr().out
+        fake = replace(real, dbe_failures=1, failure_witnesses=(17,))
+        monkeypatch.setattr(cli_mod, "claims_sweep", lambda *a, **k: fake)
+        assert cli_mod.main(["claims", "--n", "4", "--json"]) == 2
+        capsys.readouterr()
+        assert cli_mod.main(["claims", "--n", "4"]) == 2
+        assert "dbe_failures: 1" in capsys.readouterr().out
+
+    def test_injected_dbe_failure_in_min_lines(self, monkeypatch):
+        rows = verify_mod.min_lines_table(2, 4)
+        fake = rows[:-1] + (replace(rows[-1], dbe_failures=1),)
+        monkeypatch.setattr(cli_mod, "min_lines_table", lambda *a, **k: fake)
+        assert cli_mod.main(["min-lines", "--n", "4", "--json"]) == 2
+        assert cli_mod.main(["min-lines", "--n", "4"]) == 2
 
     def test_jobs_only_on_sweeps(self, path3_file):
         assert run_cli("analyze", path3_file, "--jobs", "3").returncode == 1

@@ -359,7 +359,7 @@ class TestLawKernels:
         universal = sw.universal_flags(n, lines)
         oversize = sw.class_size_stats(n, equal.pairs)
         twin_free = twin_free_plane(n, bits, ones, m)
-        cnt = sw.size_bound_counts(twin_free, universal, distinct, oversize)
+        cnt = sw.size_bound_counts(twin_free, universal, equal.heads, oversize)
         assert cnt.violations == 0
         applicable = lanes(twin_free & ~universal, m)
         assert applicable.sum() > 0
@@ -554,7 +554,7 @@ class TestScalarLawPass:
             distinct, equal = sw.distinct_counts(planes, sw.valid_plane(m))
             _, kernel = sw.class_law_counts(n, bits, planes, equal, twin_free)
             kernel["class-size"] = sw.size_bound_counts(
-                twin_free, sw.universal_flags(n, planes), distinct,
+                twin_free, sw.universal_flags(n, planes), equal.heads,
                 sw.class_size_stats(n, equal.pairs))
             for law, cnt in kernel.items():
                 assert cnt.violations == sum(found[law]), law

@@ -4,6 +4,7 @@ import functools
 import multiprocessing
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -399,6 +400,59 @@ class TestVerifyTheorem:
         sizes.clear()
         assert min_lines_table(2, 7, jobs=2) == min_lines_table(2, 7)
         assert sizes == [2]
+
+
+# the laws each checker level reports, in report order
+LEVEL_LAWS = {
+    "none": None,
+    "vector": ["disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin",
+               "twin-a", "twin-b", "twin-c", "class-size"],
+    "full": list(verify_mod.LAW_ORDER),
+}
+
+
+class TestOneReportBuilder:
+    """_sweep_codes builds every report: the sweep of no codes is the
+    report of an empty sample, and a merge keeps the chunk's laws in order."""
+
+    @pytest.mark.parametrize("level", ["none", "vector", "full"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_empty_batch(self, n, level):
+        rep = verify_mod._sweep_codes(n, np.empty(0, dtype=np.int64), level, 5)
+        assert (rep.n, rep.mode, rep.checker_level) == (n, "chunk", level)
+        assert (rep.total_codes, rep.dbe_failures, rep.failure_witnesses) == (0, 0, ())
+        assert rep.min_lines_overall is rep.argmin_overall is None
+        assert rep.min_lines_no_universal is rep.argmin_no_universal is None
+        if level == "none":
+            assert rep.laws is None and rep.twin_free_codes is None
+        else:
+            assert list(rep.laws) == LEVEL_LAWS[level]
+            assert all(stat == verify_mod.LawStat(0, 0, ())
+                       for stat in rep.laws.values())
+            assert rep.twin_free_codes == 0
+        if level == "full":
+            assert list(rep.class_counts_by_shape.values()) == [0, 0, 0]
+        else:
+            assert rep.class_counts_by_shape is None
+        assert verify_mod._merge_chunks(n, "sample", level, [], 5) == \
+            replace(rep, mode="sample")
+
+    @pytest.mark.parametrize("level", ["none", "vector", "full"])
+    def test_merge_keeps_the_chunk_law_order(self, level):
+        n = 7
+        codes = np.random.default_rng(90).integers(0, 1 << pair_count(n), 300)
+        chunk = verify_mod._sweep_codes(n, codes, level, 5)
+        halves = [verify_mod._sweep_codes(n, part, level, 5)
+                  for part in (codes[:130], codes[130:])]
+        merged = verify_mod._merge_chunks(n, "sample", level, halves, 5)
+        assert merged == replace(chunk, mode="sample")
+        if level == "none":
+            assert merged.laws is None
+        else:
+            assert list(merged.laws) == list(chunk.laws) == LEVEL_LAWS[level]
+        if level == "full":
+            assert list(merged.class_counts_by_shape) == \
+                list(chunk.class_counts_by_shape)
 
 
 def sweep_batch(n, size, seed):
