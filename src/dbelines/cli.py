@@ -207,8 +207,8 @@ def _cmd_witnesses(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
-    _confirm_n8(args, True, "min-lines --n 8")
-    progress = _progress_printer("min-lines")
+    # one report per point count of the table
+    progress = _progress_printer("min-lines", "points", 1, timed=False)
     rows = min_lines_table(2, args.n, jobs=args.jobs, progress=progress)
     results = reports.min_lines_to_json(rows)
     text_lines = ["n   min_lines  argmin_code  min_no_universal  argmin_code"]
@@ -290,7 +290,6 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("min-lines",
                        help="exact minimum line counts for 2..n points")
     common(p, n_default=7)
-    p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("random-metrics",
                        help="exhaustive small 1-2 codes plus seeded random "

@@ -28,6 +28,13 @@ the large temporaries of the kernels that make them live in a Workspace,
 which keeps its buffers from batch to batch; a caller that passes none gets
 a fresh one, so its arrays alias nothing.
 
+Two canonical forms name an isomorphism class.  canonical_min is the least
+code over all n! relabelings, the form every report prints.  refined_codes
+is the least code over the relabelings that keep the points sorted by an
+invariant key, with the class's automorphism count beside it: it tries
+about 14 relabelings per code at n = 7 instead of 5040, and iso_classes
+grows the classes with it.
+
 The scalar implementations in lines/structure (law_violations for the
 laws) are the readable copy of each kernel and share its rules; the
 definitional oracle is tests/reference.py.  The test suite pins these
@@ -39,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations, permutations
-from math import prod
-from typing import NamedTuple
+from itertools import accumulate, chain, combinations, permutations
+from math import factorial, prod
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -485,42 +492,113 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
     return cnt
 
 
-# canonical_min blocks its codes so that one product holds at most this many
-# float64 entries (128 KB): 22 codes at n = 6, 3 at n = 7, 1 at n = 8.  At
+# canonical_min blocks its codes so that one float64 product holds at most
+# this many entries (128 KB): 22 codes at n = 6, 3 at n = 7, 1 at n = 8.  At
 # these sizes through n = 7 the product runs on one BLAS thread.
+# _least_relabelings blocks its codes the same way.
 _PRODUCT_ENTRIES = 1 << 14
+
+# canonical_min takes at most this many codes through _least_relabelings:
+# each costs about 0.15 ms at n = 7 there, against 0.011 ms through the float64
+# product, but that one first builds the float64 weights (0.85 MB at n = 7)
+# and starts OpenBLAS's buffers.
+_FEW_CODES = 64
+
+# refined_codes computes the point keys of this many codes at a time
+_KEY_CODES = 256
+
+
+@cache
+def _pair_table(n: int) -> np.ndarray:
+    """(n, n) intp: pair_index(u, v, n) at [u, v] and [v, u]."""
+    us, vs = _ends(n)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[us, vs] = index[vs, us] = np.arange(us.size)
+    return index
+
+
+@cache
+def _cell_sources(n: int, cuts: int) -> np.ndarray:
+    """(C(n,2), q) int8 table of the q relabelings that map every cell onto
+    itself: column p holds pair_index(perm[i], perm[j], n) at row
+    pair_index(i, j, n), for the p-th such permutation perm in itertools
+    order, so bit k of the p-th relabeled code is bit sources[k, p] of the
+    code.  The cells are runs of consecutive points, and bit i of cuts is
+    set where a cell ends after point i; cuts = 0 is one cell, so every
+    relabeling."""
+    ends = [i + 1 for i in range(n - 1) if cuts >> i & 1]
+    cells = [range(lo, hi) for lo, hi in zip([0, *ends], [*ends, n])]
+    q = prod(factorial(len(cell)) for cell in cells)
+    # perms[p] is the p-th tuple of itertools.product over the cells'
+    # permutations, built without holding them as Python tuples
+    perms = np.empty((n, q), dtype=np.int8)
+    inner = q
+    for cell in cells:
+        size = factorial(len(cell))
+        inner //= size
+        block = np.fromiter(chain.from_iterable(permutations(cell)),
+                            dtype=np.int8, count=size * len(cell))
+        perms[cell.start:cell.stop].reshape(len(cell), -1, size, inner)[...] = \
+            block.reshape(size, len(cell)).T[:, None, :, None]
+    index = _pair_table(n)
+    sources = np.empty((pair_count(n), q), dtype=np.int8)
+    for k, (i, j) in enumerate(iter_pairs(n)):
+        sources[k] = index[perms[i], perms[j]]
+    return sources
 
 
 @cache
 def _relabel_weights(n: int) -> np.ndarray:
-    """(C(n,2), n!) float64: column p holds 2^pair_index(i, j, n) at row
-    pair_index(perm[i], perm[j], n), for the p-th permutation perm of
-    itertools.permutations(range(n))."""
-    us, vs = _ends(n)
-    P = us.size
-    index = np.empty((n, n), dtype=np.intp)
-    index[us, vs] = index[vs, us] = np.arange(P)
-    perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    rows = index[perms[:, us], perms[:, vs]]  # (n!, P): source row of bit k
-    weights = np.zeros((P, perms.shape[0]))
-    weights[rows, np.arange(perms.shape[0])[:, None]] = 1 << np.arange(P)
+    """(C(n,2), n!) float64: column p holds 2^k at row _cell_sources(n, 0)[k, p],
+    so the product of a code's bits with column p is its p-th relabeling."""
+    sources = _cell_sources(n, 0)
+    weights = np.zeros(sources.shape)
+    weights[sources, np.arange(sources.shape[1])] = \
+        (1 << np.arange(sources.shape[0]))[:, None]
     return weights
+
+
+def _least_relabelings(codes: np.ndarray,
+                       sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 per code: its least relabeling over the columns of sources (a
+    _cell_sources table), and how many columns give that code.  A block of
+    codes is relabeled one pair bit at a time, in int64, with at most
+    _PRODUCT_ENTRIES (code, relabeling) entries per block."""
+    step = max(1, _PRODUCT_ENTRIES // sources.shape[1])
+    best = np.empty(codes.shape[0], dtype=np.int64)
+    count = np.empty_like(best)
+    for lo in range(0, codes.shape[0], step):
+        block = codes[lo:lo + step, None]
+        relabeled = np.zeros((block.shape[0], sources.shape[1]), dtype=np.int64)
+        bit = np.empty_like(relabeled)
+        for k, source in enumerate(sources):
+            np.right_shift(block, source, out=bit)
+            bit &= 1
+            bit <<= k
+            relabeled |= bit
+        low = relabeled.min(axis=1)
+        best[lo:lo + step] = low
+        count[lo:lo + step] = (relabeled == low[:, None]).sum(axis=1)
+    return best, count
 
 
 def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     """int64 per code: minimum label code over all n! relabelings.
 
-    Relabeling the points permutes the pair bits, so one matrix product of
+    Up to _FEW_CODES codes go through _least_relabelings.  For more,
+    relabeling the points permutes the pair bits, so one matrix product of
     the codes' bits, (codes, C(n,2)), with _relabel_weights(n) gives every
     relabeled code of every code, and the row minimum is the canonical code.
     The product is exact in float64: each entry is a sum of distinct powers
     of two below 2^28, and any partial sum of those is an integer below
     2^28 < 2^53, so no summation order rounds.  Codes go through in blocks
     whose product holds at most _PRODUCT_ENTRIES entries.  iso_codes calls
-    it on the one-point extensions of each class, at most 9984 codes
-    through n = 7.
+    it on one representative per class, 1044 codes at n = 7, and
+    min_lines_table on the few classes that reach a least line count.
     """
     check_point_count(n)
+    if codes.shape[0] <= _FEW_CODES:
+        return _least_relabelings(codes, _cell_sources(n, 0))[0]
     weights = _relabel_weights(n)
     step = max(1, _PRODUCT_ENTRIES // weights.shape[1])
     shifts = np.arange(weights.shape[0])
@@ -531,18 +609,68 @@ def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     return best
 
 
-def iso_codes(n: int, progress=None) -> np.ndarray:
-    """Ascending int64 minimum codes, one per isomorphism class on n points.
+def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(canonical code, automorphism count) per code, both int64.
+
+    The first step of partition refinement (McKay & Piperno 2014,
+    "Practical graph isomorphism, II").  Each point gets a key: its
+    distance-1 degree, the sum of its distance-1 neighbours' degrees, and
+    the sum of their second keys.  The code is relabeled with its points
+    sorted by key, and a cell is a run of equal keys.  The canonical code is
+    the least relabeling of that code over the permutations that map every
+    cell onto itself (_cell_sources of the cell pattern).  Keys are
+    invariant under relabeling, so isomorphic codes get one canonical code.
+    The permutations that reach it form a coset of the automorphism group,
+    since every automorphism preserves the keys, so their number is |Aut|.
+    Unlike canonical_min, the code need not be the least of its class.
+    """
+    check_point_count(n)
+    us, vs = _ends(n)
+    shifts = np.arange(us.size)
+    index = _pair_table(n)
+    by_key = np.empty_like(codes)
+    cuts = np.empty(codes.shape[0], dtype=np.int8)
+    for lo in range(0, codes.shape[0], _KEY_CODES):
+        block = codes[lo:lo + _KEY_CODES, None]
+        adjacent = np.zeros((block.shape[0], n, n), dtype=np.int64)
+        adjacent[:, us, vs] = adjacent[:, vs, us] = 1 - ((block >> shifts) & 1)
+        degree = adjacent.sum(axis=2)
+        second = (adjacent @ degree[:, :, None])[..., 0]
+        third = (adjacent @ second[:, :, None])[..., 0]
+        # fields below 2^10: a degree is at most 7, a second key 49, a third 343
+        keys = degree << 20 | second << 10 | third
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        cuts[lo:lo + _KEY_CODES] = ((keys[:, 1:] != keys[:, :-1])
+                                    << np.arange(n - 1)).sum(axis=1)
+        sources = index[order[:, us], order[:, vs]]
+        by_key[lo:lo + _KEY_CODES] = (((block >> sources) & 1) << shifts).sum(axis=1)
+    canon = np.empty_like(codes)
+    aut = np.empty_like(codes)
+    for cut in set(cuts.tolist()):
+        group = np.flatnonzero(cuts == cut)
+        canon[group], aut[group] = _least_relabelings(by_key[group],
+                                                      _cell_sources(n, cut))
+    return canon, aut
+
+
+def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(m, codes, aut) for m = 2, ..., n: one ascending int64 refined code
+    (refined_codes) per isomorphism class on m points, and its |Aut|.
 
     Grown from the two classes on 2 points by one point at a time: each
     class representative on m points is lifted to m + 1 points, joined to
-    the new point in all 2^m ways, and the minimum codes of the candidates
-    are deduplicated.  Deleting the last point of a space on m + 1 points
-    leaves a relabeled representative, so every class is reached.
-    progress, if given, is called with (m + 1, n) after each step.
+    the new point in all 2^m ways, and the refined codes of the candidates
+    are deduplicated by a sort.  Deleting the last point of a space on
+    m + 1 points leaves a relabeled representative, so every class is
+    reached.  By orbit-stabilizer a class has (m + 1)!/|Aut| labeled codes,
+    and each step checks that these sum to 2^C(m + 1, 2): a missed or
+    doubled class, or a wrong |Aut|, raises RuntimeError.
     """
     check_point_count(n)
     reps = np.arange(2, dtype=np.int64)
+    aut = np.full(2, 2, dtype=np.int64)
+    yield 2, reps, aut
     for m in range(2, n):
         lifted = np.zeros_like(reps)
         for i, j in iter_pairs(m):
@@ -551,8 +679,24 @@ def iso_codes(n: int, progress=None) -> np.ndarray:
         joins = np.zeros_like(patterns)
         for i in range(m):
             joins |= ((patterns >> i) & 1) << pair_index(i, m, m + 1)
-        candidates = (lifted[:, None] | joins).ravel()
-        reps = np.unique(canonical_min(m + 1, candidates))
-        if progress:
-            progress(m + 1, n)
-    return reps
+        canon, auts = refined_codes(m + 1, (lifted[:, None] | joins).ravel())
+        order = np.argsort(canon, kind="stable")
+        canon = canon[order]
+        first = np.ones(canon.shape[0], dtype=bool)
+        first[1:] = canon[1:] != canon[:-1]
+        reps, aut = canon[first], auts[order][first]
+        labeled = int((factorial(m + 1) // aut).sum())
+        if labeled != 1 << pair_count(m + 1):
+            raise RuntimeError(f"the {reps.size} classes on {m + 1} points have "
+                               f"{labeled} labeled codes, not 2^{pair_count(m + 1)}")
+        yield m + 1, reps, aut
+
+
+def iso_codes(n: int, progress=None) -> np.ndarray:
+    """Ascending int64 minimum codes, one per isomorphism class on n points:
+    the canonical_min of the classes of iso_classes.  progress, if given, is
+    called with (m, n) after each step that adds a point."""
+    for m, reps, _ in iso_classes(n):
+        if progress and m > 2:
+            progress(m, n)
+    return np.sort(canonical_min(n, reps))

@@ -1,19 +1,21 @@
 """Exhaustive verification over 1-2 spaces and the randomized general harness.
 
 verify_theorem sweeps every label code on n points (or the minimum code of
-each isomorphism class, from sweep.iso_codes, whose canonical codes take
-one matrix product per block of candidates), checks the De Bruijn-Erdos
+each isomorphism class, from sweep.iso_codes), checks the De Bruijn-Erdos
 property plus the structural laws, and aggregates a TheoremReport.  Every
-sweep, claims_sweep's sampled codes and min_lines_table's tables too, takes
-one route: its codes are cut into consecutive nonempty chunks
-(_sweep_tasks), each swept in this process or a pool into a TheoremReport
-of its own (_run_chunks), and those are folded in order by an associative
-_merge (_merge_chunks), which takes the level's fields and laws from the
-first chunk.  _sweep_codes is the only code that builds a report: a set of
-no codes is folded as its sweep of an empty batch.  Every minimum names
-the smallest code with the least count, so the report is identical for any
-worker count, chunk size or code order.  TheoremReport is the only sweep
-result; reports.py alone projects it to JSON.
+sweep of verify_theorem and claims_sweep, sampled codes too, takes one
+route: its codes are cut into consecutive nonempty chunks (_sweep_tasks),
+each swept in this process or a pool into a TheoremReport of its own
+(_run_chunks), and those are folded in order by an associative _merge
+(_merge_chunks), which takes the level's fields and laws from the first
+chunk.  min_lines_table sweeps one representative per isomorphism class of
+each point count (sweep.iso_classes) as one batch, in this process: every
+field of its rows depends only on the class.  _sweep_codes is the only
+code that builds a report: a set of no codes is folded as its sweep of an
+empty batch.  Every minimum names the smallest labeled code with the least
+count, so the report is identical for any worker count, chunk size or code
+order.  TheoremReport is the only sweep result; reports.py alone projects
+it to JSON.
 
 Checker depth per sweep, set from what is swept:
   full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
@@ -23,7 +25,7 @@ Checker depth per sweep, set from what is swept:
   none    line stats only                  (verify_theorem at n = 8, min-lines)
 n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
 takes 0.25-0.29 s against 0.21 s per 2^20 n = 7 codes on a 2-core host.
-The n = 8 sweep visits 2^28 codes and is opt-in at the CLI.
+The labeled n = 8 sweeps visit 2^28 codes and are opt-in at the CLI.
 """
 
 from __future__ import annotations
@@ -114,23 +116,31 @@ def _sweep_chunk(task: tuple) -> TheoremReport:
     return _sweep_codes(n, codes, checkers, max_witnesses, _workspace())
 
 
-def _least(counts: np.ndarray, codes: np.ndarray):
+def _least(counts: np.ndarray, codes: np.ndarray, n: Optional[int] = None):
     """(least count, smallest code with it), so that no tie is broken by
-    code order; (None, None) when there is no code."""
+    code order; (None, None) when there is no code.  Given n, the codes
+    stand for their isomorphism classes on n points, and the code named is
+    the smallest labeled code of the tied classes: the least of their orbit
+    minima."""
     if counts.size == 0:
         return None, None
     low = counts.min()
-    return int(low), int(codes[counts == low].min())
+    tied = codes[counts == low]
+    if n is not None:
+        tied = sw.canonical_min(n, tied)
+    return int(low), int(tied.min())
 
 
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
-                 max_witnesses: int,
-                 ws: sw.Workspace | None = None) -> TheoremReport:
+                 max_witnesses: int, ws: sw.Workspace | None = None,
+                 orbits: bool = False) -> TheoremReport:
     """The report of one batch, in mode "chunk", with its laws in LAW_ORDER:
     a merge takes n, mode, level and law keys from its left operand.  An
     empty batch gives the zero report of the level.  The batch's planes live
     in ws (a fresh workspace when None), and none of them is kept in the
-    report."""
+    report.  With orbits, the codes are one representative per isomorphism
+    class, of any form, and each argmin names the smallest labeled code
+    with the least count (_least)."""
     m = codes.size
     ws = ws or sw.Workspace()
     valid = sw.valid_plane(m) if checkers != "none" else None
@@ -143,8 +153,9 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     counts = distinct[:m]
     has_universal = sw.unpack(universal)[:m]
     fail_idx = np.flatnonzero((counts < n) & ~has_universal)
-    overall = _least(counts, codes)
-    no_universal = _least(counts[~has_universal], codes[~has_universal])
+    classes_of = n if orbits else None
+    overall = _least(counts, codes, classes_of)
+    no_universal = _least(counts[~has_universal], codes[~has_universal], classes_of)
 
     twin_free_codes, hist, laws = None, None, None
     if checkers != "none":
@@ -277,7 +288,7 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
 
     mode "all" visits every code; "iso" visits the minimum code of each
     isomorphism class (n <= 7), grown by one-point extension in about
-    0.15 s at n = 7, and calls progress with (points, n) once per
+    0.07 s at n = 7, and calls progress with (points, n) once per
     extension step instead of with (codes, total) once per chunk.
     The report is independent of jobs and of chunking.
     """
@@ -327,22 +338,32 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
 def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
                     progress: Progress = None) -> tuple[TheoremReport, ...]:
     """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending:
-    one level-"none" report per n, from one run (one pool) over the chunks
-    of every n.  The no-universal minimum is None when every space on n
-    points has a universal line (n = 2).
+    one level-"none" report per n, in mode "iso", of one representative per
+    isomorphism class, from one growth of sw.iso_classes to n_hi.
+
+    A line count is the same for every relabeling of a space, so the least
+    counts are those of all 2^C(n,2) codes.  The smallest labeled code with
+    a least count is the least orbit minimum among the classes that reach
+    it, and only those classes go to sw.canonical_min.  Every row so has
+    the four fields of the labeled sweep; total_codes and dbe_failures
+    count classes.  The no-universal minimum is None when every space on n
+    points has a universal line (n = 2).  The table takes about 0.04 s to
+    n = 7 and 0.5 s to n = 8, in this process: jobs is checked and starts
+    nothing.  progress, if given, is called with (n, n_hi) after each row.
     """
     sw.check_point_count(n_lo)
     sw.check_point_count(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
     _check_limits(jobs)
-    ns = range(n_lo, n_hi + 1)
-    tasks = [task for n in ns
-             for task in _sweep_tasks(n, range(1 << pair_count(n)), "none", jobs, 0)]
-    parts = _run_chunks(tasks, jobs, progress)
-    return tuple(_merge_chunks(n, "all", "none",
-                               [p for t, p in zip(tasks, parts) if t[0] == n], 0)
-                 for n in ns)
+    rows = []
+    for n, reps, _ in sw.iso_classes(n_hi):
+        if n >= n_lo:
+            part = _sweep_codes(n, reps, "none", 0, _workspace(), orbits=True)
+            rows.append(replace(part, mode="iso"))
+            if progress:
+                progress(n, n_hi)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

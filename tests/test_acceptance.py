@@ -205,11 +205,16 @@ def test_criterion_10b_min_lines_n8():
     rep = n8_report()
     v_all = dbe_verdict(space_from_code(8, rep.argmin_overall))
     v_nu = dbe_verdict(space_from_code(8, rep.argmin_no_universal))
+    # the min-lines row, from one code per isomorphism class
+    row, = min_lines_table(8, 8)
+    fields = ("min_lines_overall", "argmin_overall", "min_lines_no_universal",
+              "argmin_no_universal")
+    same_row = all(getattr(row, f) == getattr(rep, f) for f in fields)
     ok = (rep.min_lines_no_universal >= 8
           and v_all.line_count == rep.min_lines_overall
           and v_nu.line_count == rep.min_lines_no_universal
-          and not v_nu.has_universal)
+          and not v_nu.has_universal and same_row)
     report("C10b", ok,
            f"n=8: min_lines_overall={rep.min_lines_overall}, "
            f"min_lines_no_universal={rep.min_lines_no_universal} >= 8, "
-           f"witnesses re-verify")
+           f"witnesses re-verify, min-lines row equal: {same_row}")

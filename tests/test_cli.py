@@ -215,7 +215,7 @@ class TestUsageErrors:
         res = run_cli("enumerate", "--n", "8")
         assert res.returncode == 1
         assert "--allow-large" in res.stderr
-        assert run_cli("min-lines", "--n", "8").returncode == 1
+        assert run_cli("min-lines", "--n", "8").returncode == 0
         assert run_cli("claims", "--n", "8").returncode == 1
 
 
@@ -362,6 +362,26 @@ class TestMinLines:
         assert res.returncode == 0
         assert "-" in res.stdout
 
+    def test_progress_once_per_point_count(self):
+        code, _, err = run_main(["min-lines", "--n", "5", "--json"])
+        assert code == 0
+        assert [line for line in err.splitlines() if "points" in line] == [
+            f"min-lines: {m}/5 points" for m in range(2, 6)]
+
+
+def test_sweeps_leave_numpy_ma_and_random_unimported():
+    # in a fresh interpreter numpy.ma costs about 20 ms and 0.5 MB on first
+    # import (np.unique imports it), and numpy.random 5 MB
+    script = ("import sys\n"
+              "from dbelines import cli\n"
+              "assert cli.main(['enumerate', '--n', '6', '--mode', 'iso', '--json']) == 0\n"
+              "assert cli.main(['min-lines', '--n', '7', '--json']) == 0\n"
+              "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
 
 class TestContractBytes:
     """The output contract, byte for byte: stdout of in-process runs
@@ -477,7 +497,7 @@ class TestExitCodeProperty:
                 "random-metrics": {"--trials": trials, "--max-witnesses": cap},
                 }[cmd]
         bad = ("--n" in args and not 2 <= n <= 8
-               or cmd in ("enumerate", "min-lines") and n == 8  # no --allow-large
+               or cmd == "enumerate" and n == 8  # no --allow-large
                or args.get("--jobs", 1) < 1
                or args.get("--max-witnesses", 0) < 0
                or args.get("--trials", 0) < 0)

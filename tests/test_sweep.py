@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbelines import (OneTwoSpace, all_lines, code_from_space, line_of_fast,
                       space_from_code)
@@ -615,6 +617,14 @@ class TestCanonicalKernel:
         singles = [int(sw.canonical_min(n, codes[i:i + 1])[0]) for i in range(codes.size)]
         assert vec.tolist() == singles
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_float_product_equals_integer_path(self, n):
+        # more than _FEW_CODES codes take the float64 product, one code at a
+        # time takes _least_relabelings
+        codes = random_codes(n, sw._FEW_CODES + 1, seed=80 + n)
+        singles = [int(sw.canonical_min(n, codes[i:i + 1])[0]) for i in range(codes.size)]
+        assert sw.canonical_min(n, codes).tolist() == singles
+
     def test_empty_batch(self):
         out = sw.canonical_min(6, np.zeros(0, dtype=np.int64))
         assert out.dtype == np.int64 and out.shape == (0,)
@@ -658,3 +668,61 @@ class TestIsoCodes:
         assert len(canon) == len(codes) == reps.size
         assert set(reps.tolist()) == canon
         assert np.all(np.diff(reps) > 0)
+
+
+def relabeled(n, code, perm):
+    """The code whose pair (i, j) has the label of pair (perm[i], perm[j])."""
+    out = 0
+    for i, j in combinations(range(n), 2):
+        a, b = sorted((perm[i], perm[j]))
+        if code >> ref_pair_bit(a, b, n) & 1:
+            out |= 1 << ref_pair_bit(i, j, n)
+    return out
+
+
+@st.composite
+def code_and_relabeling(draw):
+    n = draw(st.integers(3, 8))
+    code = draw(st.integers(0, (1 << pair_count(n)) - 1))
+    return n, code, draw(st.permutations(range(n)))
+
+
+class TestRefinedCodes:
+    """sw.refined_codes: one code per class, with |Aut| beside it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(code_and_relabeling())
+    def test_relabelings_share_the_refined_code(self, case):
+        n, code, perm = case
+        codes = np.array([code, relabeled(n, code, perm)], dtype=np.int64)
+        canon, aut = sw.refined_codes(n, codes)
+        assert canon[0] == canon[1] and aut[0] == aut[1]
+        # the refined code is a relabeling of the code
+        assert sw.canonical_min(n, canon[:1])[0] == sw.canonical_min(n, codes[:1])[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_automorphisms_are_counted(self, n):
+        # every class at n <= 5, and 25 random codes at n = 6 (720 relabelings)
+        codes = all_codes(n) if n <= 5 else random_codes(n, 25, seed=90)
+        _, aut = sw.refined_codes(n, codes)
+        for code, count in zip(codes.tolist(), aut.tolist()):
+            brute = sum(relabeled(n, code, perm) == code
+                        for perm in permutations(range(n)))
+            assert count == brute, (n, code)
+
+    def test_growth_counts_and_checksum(self):
+        # OEIS A000088; the growth itself checks that the orbit sizes
+        # m!/|Aut| sum to 2^C(m,2) at every step
+        counts = []
+        for m, reps, aut in sw.iso_classes(8):
+            counts.append(reps.size)
+            assert np.all(np.diff(reps) > 0)
+            assert int((factorial(m) // aut).sum()) == 1 << pair_count(m)
+        assert counts == [2, 4, 11, 34, 156, 1044, 12346]
+
+    def test_a_wrong_canonical_code_is_caught(self, monkeypatch):
+        # every candidate its own class: far more labeled codes than exist
+        monkeypatch.setattr(sw, "refined_codes",
+                            lambda n, codes: (codes, np.ones_like(codes)))
+        with pytest.raises(RuntimeError, match="not 2\\^3"):
+            list(sw.iso_classes(4))

@@ -396,10 +396,10 @@ class TestVerifyTheorem:
         assert calls == list(range(1024, 32769, 1024))
         assert verify_theorem(6, jobs=3) == base
         assert sizes == [32, 3]
-        # one pool serves every n of a min-lines table
+        # a min-lines table sweeps class representatives in this process
         sizes.clear()
         assert min_lines_table(2, 7, jobs=2) == min_lines_table(2, 7)
-        assert sizes == [2]
+        assert sizes == []
 
 
 # the laws each checker level reports, in report order
@@ -621,6 +621,53 @@ class TestMinLinesTable:
                 v = dbe_verdict(space_from_code(r.n, r.argmin_no_universal))
                 assert v.line_count == r.min_lines_no_universal
                 assert not v.has_universal
+
+    def test_rows_equal_the_labeled_sweeps(self):
+        # the representatives' table against the sweeps of all 2^C(n,2) codes
+        for r in min_lines_table(2, 7):
+            rep = cached_report(r.n)
+            assert (r.min_lines_overall, r.argmin_overall, r.min_lines_no_universal,
+                    r.argmin_no_universal) == \
+                (rep.min_lines_overall, rep.argmin_overall,
+                 rep.min_lines_no_universal, rep.argmin_no_universal)
+            assert (r.mode, r.total_codes, r.dbe_failures) == \
+                ("iso", ISO_CLASSES[r.n], 0)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_argmins_name_orbit_minima(self, n):
+        # the largest code of each class stands for it, and the argmins
+        # still name the smallest labeled codes
+        codes = np.arange(1 << pair_count(n), dtype=np.int64)
+        largest = dict(zip(sw.canonical_min(n, codes).tolist(), codes.tolist()))
+        reps = np.array(sorted(largest.values()), dtype=np.int64)
+        rep = cached_report(n)
+        want = (rep.argmin_overall, rep.argmin_no_universal)
+        got = verify_mod._sweep_codes(n, reps, "none", 0, orbits=True)
+        assert (got.argmin_overall, got.argmin_no_universal) == want
+        plain = verify_mod._sweep_codes(n, reps, "none", 0)
+        assert (plain.argmin_overall, plain.argmin_no_universal) != want
+
+    def test_n8_row(self):
+        # the labeled sweep of all 2^28 codes gives the same row
+        # (acceptance C10b, opt-in)
+        calls = []
+        r, = min_lines_table(8, 8, progress=lambda m, n: calls.append((m, n)))
+        assert calls == [(8, 8)]
+        assert (r.n, r.min_lines_overall, r.argmin_overall,
+                r.min_lines_no_universal, r.argmin_no_universal) == \
+            (8, 7, 297024, 12, 287761)
+        v = dbe_verdict(space_from_code(8, r.argmin_overall))
+        assert v.line_count == 7
+        v = dbe_verdict(space_from_code(8, r.argmin_no_universal))
+        assert v.line_count == 12 and not v.has_universal
+        # each argmin is the least code of its class
+        assert canonical_codes(8, [r.argmin_overall, r.argmin_no_universal]).tolist() == \
+            [297024, 287761]
+
+    def test_progress_once_per_row(self):
+        calls = []
+        min_lines_table(3, 6, progress=lambda m, n: calls.append((m, n)))
+        assert calls == [(3, 6), (4, 6), (5, 6), (6, 6)]
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
