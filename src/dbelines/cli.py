@@ -249,14 +249,14 @@ def _build_parser() -> _CliParser:
                                     "and exhaustive 1-2 space verification.")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    def common(p, n_default=None, n_required=False):
+    def common(p, n_default=None, n_required=False,
+               jobs_help="worker processes (never changes the output)"):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report on stdout")
         if n_default is not None or n_required:  # the code sweeps
             p.add_argument("--n", type=int, required=n_required,
                            default=n_default, help="point count")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes (never changes the output)")
+            p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
     p = sub.add_parser("analyze", help="analyze one metric space from a file")
     p.add_argument("file", help="distance matrix file")
@@ -289,7 +289,9 @@ def _build_parser() -> _CliParser:
 
     p = sub.add_parser("min-lines",
                        help="exact minimum line counts for 2..n points")
-    common(p, n_default=7)
+    common(p, n_default=7,
+           jobs_help="checked, but starts no process: min-lines sweeps one "
+                     "code per isomorphism class in this process")
 
     p = sub.add_parser("random-metrics",
                        help="exhaustive small 1-2 codes plus seeded random "

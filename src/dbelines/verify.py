@@ -57,6 +57,9 @@ from . import sweep as sw
 # 2-core host).
 CHUNK_CODES = 1 << 16
 
+# Mersenne Twister words per getrandbits call of _sample_codes (64 KiB)
+_DRAW_WORDS = 1 << 14
+
 Progress = Optional[Callable[[int, int], None]]
 
 
@@ -298,8 +301,9 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "iso":
         if n > 7:
-            raise ValueError("iso mode is not supported at n = 8 (deduplicating "
-                             "133,632 candidates over 40320 relabelings)")
+            raise ValueError("iso mode is not supported at n = 8 (its 12,346 "
+                             "classes need about 5 s of float64 canonical_min, "
+                             "and iso counts are not weighted by orbit size)")
         return _sweep(n, mode, sw.iso_codes(n, progress), "full", jobs,
                       max_witnesses, None)
     checkers = "full" if n <= 6 else "vector" if n == 7 else "none"
@@ -317,7 +321,8 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     Exhaustive runs use the "full" level through n = 6 and the "vector"
     level at n = 7, 8, whose laws lack full-cover and class-shape.  Sampled
     runs, drawn uniformly with replacement, use the full level at every n,
-    and are swept in chunks like any other code set.
+    and are swept in chunks like any other code set.  A seed's sample is
+    trials calls of random.Random(seed).randrange(2^C(n,2)) (_sample_codes).
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
@@ -327,12 +332,34 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     elif trials < 0:
         raise ValueError("trials must be nonnegative")
     else:
-        rng = random.Random(seed)
-        total = 1 << pair_count(n)
         mode, level = "sample", "full"
-        codes = np.fromiter((rng.randrange(total) for _ in range(trials)),
-                            dtype=np.int64, count=trials)
+        codes = _sample_codes(random.Random(seed), n, trials)
     return _sweep(n, mode, codes, level, jobs, max_witnesses, progress)
+
+
+def _sample_codes(rng: random.Random, n: int, trials: int) -> np.ndarray:
+    """The codes of trials calls of rng.randrange(2^C(n,2)), in order, as
+    int64.
+
+    For total = 2^b, b < 32, CPython's randrange(total) takes getrandbits(k),
+    k = b + 1, until the value is below total, and getrandbits(k) is the top
+    k bits of the next 32-bit Mersenne Twister word.  getrandbits(32 * w) is
+    the next w words, the first in the low bits, so the same filter over a
+    block of words, in order, accepts the same codes.  About half the words
+    are accepted; a draw takes at most _DRAW_WORDS words at a time."""
+    k = pair_count(n) + 1
+    codes = np.empty(trials, dtype=np.int64)
+    filled = 0
+    while filled < trials:
+        words = min(_DRAW_WORDS, 2 * (trials - filled))
+        block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                              dtype="<u4")
+        # word >> (32 - k) < 2^(k-1) iff bit 31 is clear; a cast instead of a
+        # comparison keeps numpy's comparison loops (64 KiB of code) out of RSS
+        kept = (block >> (32 - k))[(~block >> 31).astype(bool)][:trials - filled]
+        codes[filled:filled + kept.size] = kept
+        filled += kept.size
+    return codes
 
 
 def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,

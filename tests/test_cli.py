@@ -265,7 +265,7 @@ class TestEnumerate:
     def test_iso_n8_is_an_input_error(self):
         code, out, err = run_main(["enumerate", "--n", "8", "--mode", "iso"])
         assert (code, out) == (1, "")
-        assert "133,632 candidates over 40320 relabelings" in err
+        assert "12,346 classes need about 5 s of float64 canonical_min" in err
 
     def test_jobs_do_not_change_bytes(self):
         # n = 6 is the smallest n split into several chunks, so --jobs
@@ -368,6 +368,13 @@ class TestMinLines:
         assert [line for line in err.splitlines() if "points" in line] == [
             f"min-lines: {m}/5 points" for m in range(2, 6)]
 
+    def test_jobs_help_says_it_starts_no_process(self, capsys):
+        for sub, phrase in (("min-lines", "starts no process"),
+                            ("enumerate", "worker processes")):
+            with pytest.raises(SystemExit):
+                cli_mod.main([sub, "--help"])
+            assert phrase in " ".join(capsys.readouterr().out.split())
+
 
 def test_sweeps_leave_numpy_ma_and_random_unimported():
     # in a fresh interpreter numpy.ma costs about 20 ms and 0.5 MB on first
@@ -376,6 +383,7 @@ def test_sweeps_leave_numpy_ma_and_random_unimported():
               "from dbelines import cli\n"
               "assert cli.main(['enumerate', '--n', '6', '--mode', 'iso', '--json']) == 0\n"
               "assert cli.main(['min-lines', '--n', '7', '--json']) == 0\n"
+              "assert cli.main(['claims', '--n', '8', '--trials', '100', '--json']) == 0\n"
               "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=600)

@@ -4,8 +4,10 @@ import functools
 import multiprocessing
 import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,7 +354,8 @@ class TestVerifyTheorem:
             verify_theorem(9)
         with pytest.raises(ValueError):
             verify_theorem(4, mode="fancy")
-        with pytest.raises(ValueError, match="133,632 candidates over 40320"):
+        with pytest.raises(ValueError,
+                           match="12,346 classes need about 5 s of float64 canonical_min"):
             verify_theorem(8, mode="iso")
 
     def test_progress_reporting(self):
@@ -602,6 +605,66 @@ class TestClaimsSweep:
         assert all(stat == verify_mod.LawStat(0, 0, ())
                    for stat in rep.laws.values())
         assert claims_report_to_json(rep, 1)["skipped_laws"] == []
+
+
+def randrange_codes(n: int, seed: int, trials: int) -> list[int]:
+    """The sample of claims_sweep by its definition: one randrange per trial."""
+    rng = random.Random(seed)
+    return [rng.randrange(1 << pair_count(n)) for _ in range(trials)]
+
+
+class TestSampleCodes:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    @pytest.mark.parametrize("trials", [0, 1, 1001])
+    def test_equals_randrange(self, n, seed, trials):
+        codes = verify_mod._sample_codes(random.Random(seed), n, trials)
+        assert codes.dtype == np.int64 and codes.shape == (trials,)
+        assert codes.tolist() == randrange_codes(n, seed, trials)
+
+    def test_draw_spans_blocks(self, monkeypatch):
+        # with 64-word blocks a 1000-code draw takes about 31 of them; the
+        # seed puts rejected words (top bit set) last and first in a block
+        seed, trials = 5, 1000
+        rng = random.Random(seed)
+        rejected = [rng.getrandbits(32) >> 31 for _ in range(512)]
+        assert any(rejected[i] for i in range(63, 512, 64))
+        assert any(rejected[i] for i in range(64, 512, 64))
+        monkeypatch.setattr(verify_mod, "_DRAW_WORDS", 64)
+        for n in (2, 5, 8):
+            codes = verify_mod._sample_codes(random.Random(seed), n, trials)
+            assert codes.tolist() == randrange_codes(n, seed, trials)
+
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**64),
+           trials=st.integers(0, 3000), words=st.integers(1, 1 << 14))
+    @settings(max_examples=40, deadline=None)
+    def test_any_seed_and_block(self, n, seed, trials, words):
+        with mock.patch.object(verify_mod, "_DRAW_WORDS", words):
+            codes = verify_mod._sample_codes(random.Random(seed), n, trials)
+        assert codes.tolist() == randrange_codes(n, seed, trials)
+
+    def test_draw_holds_one_block(self):
+        # a 200,000-code draw needs about 25 blocks of words; no call asks
+        # for more than one, and beyond the codes it allocates less than
+        # five blocks' bytes (a whole-sample draw would take 1.6 MB per array)
+        asked = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                asked.append(k)
+                return super().getrandbits(k)
+
+        trials = 200_000
+        tracemalloc.start()
+        try:
+            codes = verify_mod._sample_codes(Recording(3), 8, trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(asked) > 1
+        assert max(asked) <= 32 * verify_mod._DRAW_WORDS
+        assert peak - codes.nbytes < 5 * 4 * verify_mod._DRAW_WORDS
+        assert codes.tolist() == randrange_codes(8, 3, trials)
 
 
 class TestMinLinesTable:
