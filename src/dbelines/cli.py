@@ -183,9 +183,14 @@ def _cmd_claims(args) -> tuple[dict, int, list[str]]:
             else f"sample of {rep.total_codes} codes, seed {args.seed}")
     text_lines = [f"n={rep.n} ({mode}): {rep.total_codes} codes, "
                   f"{rep.twin_free_codes} twin-free"]
-    # claims JSON has no DBE field, so a failure shows in text and exit code
+    # claims JSON has no DBE field, so a failure shows in the text, on
+    # stderr and in the exit code
     if rep.dbe_failures:
-        text_lines.append(f"dbe_failures: {rep.dbe_failures}")
+        failed = f"dbe_failures: {rep.dbe_failures}"
+        if rep.failure_witnesses:
+            failed += f" (codes {', '.join(map(str, rep.failure_witnesses))})"
+        text_lines.append(failed)
+        print(failed, file=sys.stderr)
     text_lines += _law_text_lines(rep.laws, results["skipped_laws"])
     return (reports.build_report("claims", inputs, results),
             rep.dbe_failures + rep.total_law_violations, text_lines)

@@ -12,13 +12,19 @@ planes, so each numpy operation decides one predicate for 64 codes:
   equal-line planes              edges j < k have equal lines;
   twin planes                    pair k is a twin pair.
 
-Two edges are in one class exactly when their lines are equal, and line
-equality is transitive, so each class aggregates onto its head, the first
-edge of the class, through the head's equal-line planes.  Every law's
-violation set is a plane formula; violations are counted with
-np.bitwise_count, and its witnesses are the set bits of the OR of the law's
-bad planes.  Only the per-code distinct-line count and universal flag are
-unpacked from planes, for the argmins.
+Every law's violation set is a plane formula.  The six label laws have one
+instance per edge pair (the distinct-line laws) or per twin pair and a pair
+outside it or third point (the twin laws).  A cached table lists the plane
+rows of each instance, and the kernel walks it in blocks: np.take gathers a
+block's rows of each plane table into the scratch arena, and one ufunc call
+then applies a step of the formula to the whole block.  Two edges are in
+one class exactly when their lines are equal, and line equality is
+transitive, so each class aggregates onto its head, the first edge of the
+class, through the head's equal-line planes; the class laws are evaluated
+there.  Violations are counted with np.bitwise_count, and a law's witnesses
+are the set bits of the OR of its bad planes.  Only the per-code
+distinct-line count and universal flag are unpacked from planes, for the
+argmins.
 
 The bits past m belong to no code.  They read as code 0, and valid_plane
 masks them out of every count.
@@ -354,76 +360,155 @@ def _tally(cnt: LawCounts, applicable: np.ndarray, bad: np.ndarray) -> None:
     _flag(cnt, bad)
 
 
+def _blocks(rows: np.ndarray, step: int) -> Iterator[np.ndarray]:
+    """The columns of a gather table, step at a time."""
+    for lo in range(0, rows.shape[1], step):
+        yield rows[:, lo:lo + step]
+
+
+def _block_rows(n: int, tables: int, groups: tuple[np.ndarray, ...]) -> int:
+    """Rows per block of a kernel that gathers into this many tables: no
+    more than its longest row group, and few enough that the tables fit in
+    the (C(n,2) - 1) * n planes that distinct_counts already takes from the
+    scratch arena (23 rows of six tables at n = 7, 36 at n = 8)."""
+    return max(1, min((pair_count(n) - 1) * n // tables,
+                      max(g.shape[1] for g in groups)))
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """table[rows] written into the head of buf.  mode="clip" lets np.take
+    write straight into out; the default "raise" buffers its output."""
+    return np.take(table, rows, axis=0, out=buf[:rows.size], mode="clip")
+
+
+def _tally_equal(cnt: LawCounts, applicable: np.ndarray, eq: np.ndarray) -> None:
+    # in place: applicable becomes its violations, where it meets eq
+    cnt.instances += popcount(applicable)
+    applicable &= eq
+    _flag(cnt, applicable)
+
+
+@cache
+def _line_law_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(P, 2) edge pairs (j, k), j < k, split into the disjoint pairs,
+    a (3, pairs) intp table, and the pairs that share a point, (4, pairs).
+    A column per pair holds j, k and the pair's row pair_index(j, k, P) of
+    the equal-line planes, then for meeting pairs the pair of their other
+    ends (EdgePairs.outer)."""
+    e, P = _edge_pairs(n), pair_count(n)
+    j, k = np.array(list(iter_pairs(P)), dtype=np.intp).reshape(-1, 2).T
+    rows = np.stack([j, k, np.arange(j.size), e.outer])
+    meet = e.meet[:, 0] != 0
+    return np.ascontiguousarray(rows[:3, ~meet]), np.ascontiguousarray(rows[:, meet])
+
+
 def distinct_line_counts(n: int, bits: np.ndarray, pairs: np.ndarray,
-                         twins: np.ndarray, valid: np.ndarray) -> dict[str, LawCounts]:
+                         twins: np.ndarray, valid: np.ndarray,
+                         ws: Workspace | None = None) -> dict[str, LawCounts]:
     """Vector form of the three distinct-line laws of
     structure.law_violations, counted per law: each edge pair's labels
     (and, for two label-1 edges at a point, the twin plane of their other
     ends) give the plane where the law applies, and its violations are
-    where that plane meets the pair's equal-line plane."""
+    where that plane meets the pair's equal-line plane.  The pairs go
+    through in blocks of _line_law_rows columns, gathered into scratch."""
     W = bits.shape[-1]
     out = {law: _new_counts(W) for law in
            ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin")}
     disjoint, label2, label1 = out.values()
-    e, P = _edge_pairs(n), pair_count(n)
-    for j in range(P - 1):
-        rows = _later(j, P)
-        eq, meet, later, label = pairs[rows], e.meet[rows], bits[j + 1:], bits[j]
-        differ = later ^ label
-        differ &= ~meet
-        _tally(disjoint, differ, differ & eq)
-        both = later & label
-        both &= meet
-        _tally(label2, both, both & eq)
-        ones = later | label
-        ones |= twins[e.outer[rows]]
+    disjoint_rows, meeting_rows = groups = _line_law_rows(n)
+    step = _block_rows(n, 4, groups)
+    at_j, at_k, at_outer, eq = (ws or Workspace()).scratch(*[(step, W)] * 4)
+    for j, k, row in _blocks(disjoint_rows, step):
+        differ = _gather(bits, j, at_j)
+        differ ^= _gather(bits, k, at_k)
+        _tally_equal(disjoint, differ, _gather(pairs, row, eq))
+    for j, k, row, outer in _blocks(meeting_rows, step):
+        both = _gather(bits, j, at_j)
+        later = _gather(bits, k, at_k)
+        # label 1 on both edges, and no twin pair at their other ends
+        ones = _gather(twins, outer, at_outer)
+        ones |= both
+        ones |= later
         np.invert(ones, out=ones)
-        ones &= meet
         ones &= valid
-        _tally(label1, ones, ones & eq)
+        both &= later
+        same = _gather(pairs, row, eq)
+        _tally_equal(label2, both, same)
+        _tally_equal(label1, ones, same)
     return out
 
 
 @cache
-def _twin_rows(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """For each pair (u, v), rows of a flattened (C(n,2) * n, W) line table:
-    line[xy, u] and line[xy, v] over the pairs xy outside it; line[wv, u],
-    line[wv, v], line[wu, u] and line[wu, v] over the points w outside it;
-    and the pairs wv."""
-    out = []
-    for u, v in iter_pairs(n):
+def _twin_law_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twin-law tables, a column per instance.  split, (3, C(n,2) *
+    C(n-2,2)) intp, has one per pair (u, v) and pair xy outside it: the
+    pair, then rows xy * n + u and xy * n + v of a flattened (C(n,2) * n, W)
+    line table.  third, (6, C(n,2) * (n-2)), has one per pair (u, v) and
+    third point w: the pair, the pair wv, then the line rows of wv at u and
+    v and of wu at u and v."""
+    split, third = [], []
+    for t, (u, v) in enumerate(iter_pairs(n)):
         others = [w for w in range(n) if w != u and w != v]
-        xy = np.array([pair_index(x, y, n) for x, y in combinations(others, 2)],
-                      dtype=np.intp)
-        wv = np.array([pair_index(w, v, n) for w in others], dtype=np.intp)
-        wu = np.array([pair_index(w, u, n) for w in others], dtype=np.intp)
-        out.append((n * xy + [[u], [v]],
-                    n * np.stack([wv, wv, wu, wu]) + [[u], [v], [u], [v]], wv))
-    return tuple(out)
+        for x, y in combinations(others, 2):
+            xy = pair_index(x, y, n)
+            split.append((t, n * xy + u, n * xy + v))
+        for w in others:
+            wv, wu = pair_index(w, v, n), pair_index(w, u, n)
+            third.append((t, wv, n * wv + u, n * wv + v, n * wu + u, n * wu + v))
+    return (np.array(split, dtype=np.intp).reshape(-1, 3).T.copy(),
+            np.array(third, dtype=np.intp).reshape(-1, 6).T.copy())
 
 
-def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
-                    twins: np.ndarray) -> dict[str, LawCounts]:
+def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarray,
+                    ws: Workspace | None = None) -> dict[str, LawCounts]:
     """Vector form of the three twin laws of structure.law_violations,
     counted per law: twin-a on each pair xy outside the twin pair (u, v),
-    twin-b and twin-c on the pairs wv and wu of each third point w."""
+    twin-b and twin-c on the pairs wv and wu of each third point w.  The
+    columns of _twin_law_rows whose pair is a twin pair of some code go
+    through in blocks, gathered into scratch.  For each w the planes where
+    the labels of wu and wv are 2 (far, twin-c) and 1 (near, twin-b) split
+    the twin plane, so twin-b's instances are the rest of (n - 2) twin
+    planes."""
     P, W = twins.shape
     out = {law: _new_counts(W) for law in ("twin-a", "twin-b", "twin-c")}
     twin_a, twin_b, twin_c = out.values()
-    twin_a.instances = pair_count(n - 2) * popcount(twins)
+    total = popcount(twins)
+    twin_a.instances = pair_count(n - 2) * total
     flat = lines.reshape(P * n, W)
-    for tw, (xy, w, wv) in zip(twins, _twin_rows(n)):
-        if not tw.any():
-            continue
-        at_u, at_v = flat[xy]
-        split = at_u ^ at_v
-        split &= tw
-        _flag(twin_a, split)
-        on_vu, on_vv, on_uu, on_uv = flat[w]
-        far = bits[wv] & tw
-        near = far ^ tw
-        _tally(twin_b, near, near & ~(on_vu & on_vv & on_uu & on_uv))
-        _tally(twin_c, far, far & ~(on_vv & ~on_vu & on_uu & ~on_uv))
+    groups = _twin_law_rows(n)
+    step = _block_rows(n, 6, groups)
+    active = np.bitwise_or.reduce(twins, axis=1) != 0
+    split, third = (rows[:, active[rows[0]]] for rows in groups)
+    at_pair, at_wv, at_vu, at_vv, at_uu, at_uv = \
+        (ws or Workspace()).scratch(*[(step, W)] * 6)
+    for pair, xy_u, xy_v in _blocks(split, step):
+        differ = _gather(flat, xy_u, at_vu)
+        differ ^= _gather(flat, xy_v, at_vv)
+        differ &= _gather(twins, pair, at_pair)
+        _flag(twin_a, differ)
+    for pair, wv, *on in _blocks(third, step):
+        near = _gather(twins, pair, at_pair)
+        far = _gather(bits, wv, at_wv)
+        far &= near
+        twin_c.instances += popcount(far)
+        near ^= far
+        # the lines of wv and of wu, each at u and at v
+        on_vu, on_vv, on_uu, on_uv = (_gather(flat, rows, buf) for rows, buf in
+                                      zip(on, (at_vu, at_vv, at_uu, at_uv)))
+        inner = on_vv
+        inner &= on_uu
+        bad_b = np.bitwise_and(on_vu, on_uv, out=on_uu)
+        bad_b &= inner
+        np.invert(bad_b, out=bad_b)
+        bad_b &= near  # near & ~(on_vu & on_vv & on_uu & on_uv)
+        _flag(twin_b, bad_b)
+        outer = on_vu
+        outer |= on_uv
+        bad_c = np.invert(inner, out=inner)
+        bad_c |= outer
+        bad_c &= far  # far & ~(on_vv & on_uu & ~on_vu & ~on_uv)
+        _flag(twin_c, bad_c)
+    twin_b.instances = (n - 2) * total - twin_c.instances
     return out
 
 

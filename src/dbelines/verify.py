@@ -24,7 +24,7 @@ Checker depth per sweep, set from what is swept:
           or histogram                     (n = 7, and exhaustive claims at 8)
   none    line stats only                  (verify_theorem at n = 8, min-lines)
 n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
-takes 0.25-0.29 s against 0.21 s per 2^20 n = 7 codes on a 2-core host.
+takes 0.23-0.25 s against 0.17-0.18 s per 2^20 n = 7 codes on a 2-core host.
 The labeled n = 8 sweeps visit 2^28 codes and are opt-in at the CLI.
 """
 
@@ -166,8 +166,8 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
         oversize = sw.class_size_stats(n, equal.pairs, ws)
 
-        law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid)
-        law_counts.update(sw.twin_law_counts(n, bits, lines, twins))
+        law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid, ws)
+        law_counts.update(sw.twin_law_counts(n, bits, lines, twins, ws))
         law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
                                                         equal.heads, oversize)
         if checkers == "full":

@@ -459,17 +459,28 @@ class TestExitCodeTwo:
         assert "dbe_failures: 1" in out
 
     def test_injected_dbe_failure_in_claims(self, monkeypatch, capsys):
-        # claims JSON has no DBE field: the failure shows in the exit code
-        # and in the text form only
+        # claims JSON has no DBE field: the failure shows in the exit code,
+        # on stderr and in the text form, and the JSON stays as it was
         real = verify_mod.claims_sweep(4)
         assert cli_mod.main(["claims", "--n", "4"]) == 0
-        assert "dbe_failures" not in capsys.readouterr().out
-        fake = replace(real, dbe_failures=1, failure_witnesses=(17,))
+        out, err = capsys.readouterr()
+        assert "dbe_failures" not in out + err
+        assert cli_mod.main(["claims", "--n", "4", "--json"]) == 0
+        clean_json = capsys.readouterr().out
+        fake = replace(real, dbe_failures=2, failure_witnesses=(17, 40))
         monkeypatch.setattr(cli_mod, "claims_sweep", lambda *a, **k: fake)
         assert cli_mod.main(["claims", "--n", "4", "--json"]) == 2
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == clean_json
+        assert "dbe_failures: 2 (codes 17, 40)\n" in err
         assert cli_mod.main(["claims", "--n", "4"]) == 2
-        assert "dbe_failures: 1" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "dbe_failures: 2 (codes 17, 40)\n" in out
+        assert "dbe_failures: 2 (codes 17, 40)\n" in err
+        # with --max-witnesses 0 no code is kept
+        fake = replace(fake, failure_witnesses=())
+        assert cli_mod.main(["claims", "--n", "4", "--json"]) == 2
+        assert "dbe_failures: 2\n" in capsys.readouterr().err
 
     def test_injected_dbe_failure_in_min_lines(self, monkeypatch):
         rows = verify_mod.min_lines_table(2, 4)

@@ -1,9 +1,10 @@
 """Vector kernels against the scalar reference implementations."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dbelines import (OneTwoSpace, all_lines, code_from_space, line_of_fast,
                       space_from_code)
 from dbelines.bitset import full_mask, iter_pairs, pair_count, pair_index
 from dbelines import sweep as sw
+from dbelines.verify import CHUNK_CODES
 from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, are_twins,
                                 class_size_bound, equiv_classes, law_violations,
                                 twin_pairs)
@@ -275,6 +277,43 @@ def merge_lines(lines, rng, share=0.5):
     return np.where(rng.random(lines.shape) < share, src, lines)
 
 
+# Code 1 on 4 points has d(0,1) = 2 and every other distance 1: twin
+# pair (0,1), lines 01:{0,1,2,3}, 02 and 12:{0,1,2}, 03 and 13:{0,1,3},
+# 23:{2,3}.  Code 15 on 4 points has d(1,3) = d(2,3) = 1 and every other
+# distance 2: twin pair (1,2), lines 01:{0,1}, 02:{0,2}, 03:{0,3}, and
+# {1,2,3} for 12, 13 and 23.  Code 19 on 5 points has d(0,1) = d(0,2) =
+# d(1,2) = 2 and every other distance 1: twin pairs (0,1), (0,2), (1,2),
+# line 12:{1,2,3,4}.
+ONE_LAW_CASES = [
+    # 23 gains 0 but not 1
+    (4, 1, (2, 3), 0b1101, "twin-a", 1),
+    # 12 loses 0
+    (4, 1, (1, 2), 0b0110, "twin-b", 1),
+    # 12 gains 0: twin pair (0,1) sees it from 2, twin pair (0,2) from 1
+    (5, 19, (1, 2), 0b11111, "twin-c", 2),
+    # 23 becomes the line of 02 and of 12; 03 and 13 are not twins
+    (4, 1, (2, 3), 0b0111, "adjacent-label1-nontwin", 2),
+    # 01 takes the line of 23, whose label differs
+    (4, 1, (0, 1), 0b1100, "disjoint-diff-label", 1),
+    # 12 takes the line of 01: both labelled 2, sharing point 1
+    (4, 15, (1, 2), 0b0011, "adjacent-label2", 1),
+]
+
+
+def block_rows(n, size):
+    """Rows per gathered block of the label-law kernels: one; a count that
+    leaves a short last block in every row group longer than it
+    (test_row_groups); or every row of the longest group."""
+    groups = (*sw._line_law_rows(n), *sw._twin_law_rows(n))
+    return {"one": 1, "uneven": 5 if n == 4 else 11,
+            "all": max(g.shape[1] for g in groups)}[size]
+
+
+def set_block_rows(monkeypatch, n, size):
+    monkeypatch.setattr(sw, "_block_rows",
+                        lambda n_, tables, groups: block_rows(n, size))
+
+
 class TestLawKernels:
     @pytest.mark.parametrize("n", [4, 5])
     def test_exhaustive_against_scalar(self, n):
@@ -313,27 +352,7 @@ class TestLawKernels:
             assert np.flatnonzero(lanes(cnt.bad, m)).tolist() == \
                 [ci for ci, r in enumerate(oracle) if r[law][1]], law
 
-    # Code 1 on 4 points has d(0,1) = 2 and every other distance 1: twin
-    # pair (0,1), lines 01:{0,1,2,3}, 02 and 12:{0,1,2}, 03 and 13:{0,1,3},
-    # 23:{2,3}.  Code 15 on 4 points has d(1,3) = d(2,3) = 1 and every other
-    # distance 2: twin pair (1,2), lines 01:{0,1}, 02:{0,2}, 03:{0,3}, and
-    # {1,2,3} for 12, 13 and 23.  Code 19 on 5 points has d(0,1) = d(0,2) =
-    # d(1,2) = 2 and every other distance 1: twin pairs (0,1), (0,2), (1,2),
-    # line 12:{1,2,3,4}.
-    @pytest.mark.parametrize("n, code, pair, line, law, violations", [
-        # 23 gains 0 but not 1
-        (4, 1, (2, 3), 0b1101, "twin-a", 1),
-        # 12 loses 0
-        (4, 1, (1, 2), 0b0110, "twin-b", 1),
-        # 12 gains 0: twin pair (0,1) sees it from 2, twin pair (0,2) from 1
-        (5, 19, (1, 2), 0b11111, "twin-c", 2),
-        # 23 becomes the line of 02 and of 12; 03 and 13 are not twins
-        (4, 1, (2, 3), 0b0111, "adjacent-label1-nontwin", 2),
-        # 01 takes the line of 23, whose label differs
-        (4, 1, (0, 1), 0b1100, "disjoint-diff-label", 1),
-        # 12 takes the line of 01: both labelled 2, sharing point 1
-        (4, 15, (1, 2), 0b0011, "adjacent-label2", 1),
-    ])
+    @pytest.mark.parametrize("n, code, pair, line, law, violations", ONE_LAW_CASES)
     def test_corrupted_line_fails_one_law(self, n, code, pair, line, law,
                                           violations):
         codes = all_codes(n)
@@ -351,6 +370,81 @@ class TestLawKernels:
                              family_of(n, table[:, code].tolist()))
         assert {name: len(got[name]) for name in counts if got[name]} == \
             {law: violations}
+
+    @pytest.mark.parametrize("size", ["one", "uneven", "all"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_corrupted_lines_in_blocks(self, n, size, monkeypatch):
+        # the gathers' block boundaries change no count and no bad plane
+        set_block_rows(monkeypatch, n, size)
+        self.test_corrupted_lines_against_oracle(n)
+
+    @pytest.mark.parametrize("size", ["one", "uneven", "all"])
+    def test_corrupted_line_fails_one_law_in_blocks(self, size, monkeypatch):
+        for case in ONE_LAW_CASES:
+            n = case[0]
+            set_block_rows(monkeypatch, n, size)
+            self.test_corrupted_line_fails_one_law(*case)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_row_groups(self, n):
+        P = pair_count(n)
+        e = sw._edge_pairs(n)
+        ends = list(iter_pairs(n))
+        rows = Counter()
+        for group, meets in zip(sw._line_law_rows(n), (False, True)):
+            for j, k, row, *outer in group.T.tolist():
+                assert j < k and row == pair_index(j, k, P)
+                shared = set(ends[j]) & set(ends[k])
+                assert bool(e.meet[row, 0]) == bool(shared) == meets
+                if meets:
+                    assert outer == [e.outer[row]] == \
+                        [pair_index(*set(ends[j]) ^ set(ends[k]), n)]
+                rows[row] += 1
+        assert rows == Counter(range(comb(P, 2)))
+        # each row once: for each pair (u, v), line[xy] at u and v for each
+        # pair xy outside it, and the pair wv with the lines of wv and wu at
+        # u and v for each third point w
+        split, third = Counter(), Counter()
+        for t, (u, v) in enumerate(ends):
+            others = [w for w in range(n) if w not in (u, v)]
+            for x, y in combinations(others, 2):
+                split[t, n * pair_index(x, y, n) + u, n * pair_index(x, y, n) + v] += 1
+            for w in others:
+                wv, wu = pair_index(w, v, n), pair_index(w, u, n)
+                third[t, wv, n * wv + u, n * wv + v, n * wu + u, n * wu + v] += 1
+        got = sw._twin_law_rows(n)
+        assert Counter(map(tuple, got[0].T.tolist())) == split
+        assert Counter(map(tuple, got[1].T.tolist())) == third
+        if n >= 4:
+            r = block_rows(n, "uneven")
+            long = [g.shape[1] for g in (*sw._line_law_rows(n), *got) if g.shape[1] > r]
+            assert len(long) == (3 if n == 4 else 4)
+            assert all(size % r for size in long)
+
+    def test_warm_chunk_temporaries(self):
+        # the second 2^16-code n = 7 chunk through a warmed workspace: each
+        # law kernel gathers into scratch, and its own allocations peak
+        # under 256 KiB (fresh per-edge temporaries would take 670-751 KiB)
+        n, ws = 7, sw.Workspace()
+        for lo in (0, CHUNK_CODES):
+            codes = np.arange(lo, lo + CHUNK_CODES, dtype=np.int64)
+            valid = sw.valid_plane(codes.size)
+            bits = sw.label_bits(n, codes, ws)
+            ones = sw.one_masks(n, bits, ws)
+            lines = sw.line_masks(n, bits, ones, ws)
+            equal = sw.distinct_counts(lines, valid, ws)[1]
+            twins = sw.twin_pair_flags(n, bits, ones, ws)
+            peaks = []
+            for kernel, args in ((sw.distinct_line_counts,
+                                  (n, bits, equal.pairs, twins, valid)),
+                                 (sw.twin_law_counts, (n, bits, lines, twins))):
+                tracemalloc.start()
+                try:
+                    kernel(*args, ws)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) < 256 << 10, peaks
 
     def test_size_bound_counts(self):
         n = 6
