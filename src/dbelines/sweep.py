@@ -37,9 +37,11 @@ a fresh one, so its arrays alias nothing.
 Two canonical forms name an isomorphism class.  canonical_min is the least
 code over all n! relabelings, the form every report prints.  refined_codes
 is the least code over the relabelings that keep the points sorted by an
-invariant key, with the class's automorphism count beside it: it tries
-about 14 relabelings per code at n = 7 instead of 5040, and iso_classes
-grows the classes with it.
+invariant key, with the class's automorphism count beside it, and
+iso_classes grows the classes with it.  It relabels each distinct sorted
+code once, in blocks of (code, relabeling) rows that span cell patterns:
+83,252 relabelings for the 9984 candidates of the n = 7 growth step, about
+8 per candidate instead of 5040.
 
 The scalar implementations in lines/structure (law_violations for the
 laws) are the readable copy of each kernel and share its rules; the
@@ -580,29 +582,58 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
 # canonical_min blocks its codes so that one float64 product holds at most
 # this many entries (128 KB): 22 codes at n = 6, 3 at n = 7, 1 at n = 8.  At
 # these sizes through n = 7 the product runs on one BLAS thread.
-# _least_relabelings blocks its codes the same way.
 _PRODUCT_ENTRIES = 1 << 14
 
 # canonical_min takes at most this many codes through _least_relabelings:
-# each costs about 0.15 ms at n = 7 there, against 0.011 ms through the float64
+# each costs about 0.3 ms at n = 7 there, against 0.012 ms through the float64
 # product, but that one first builds the float64 weights (0.85 MB at n = 7)
 # and starts OpenBLAS's buffers.
 _FEW_CODES = 64
 
-# refined_codes computes the point keys of this many codes at a time
+# _sorted_by_key computes the point keys of this many codes at a time, from
+# a (codes, n, n) int64 adjacency tensor: 98 KiB at n = 7, 128 KiB at n = 8
 _KEY_CODES = 256
 
+# _least_relabelings relabels at most this many (code, permutation) rows at a
+# time.  A row takes its C(n,2) int8 pair sources twice (gathered, then
+# transposed) and 41 bytes of int64 and bool temporaries: 83 bytes, 332 KiB
+# for a block, at n = 7.  A code with more rows goes alone and reads its
+# sources in place: 17 bytes a row, 670 KiB for 40320 rows at n = 8.
+_RELABEL_ROWS = 1 << 12
+
+
+def _pair_indices(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pair_index(x, y, n) of each pair of distinct points, elementwise and
+    in place: x becomes the result, y is overwritten."""
+    low = np.minimum(x, y)
+    np.maximum(x, y, out=y)
+    np.subtract(2 * n - 3, low, out=x)
+    x *= low
+    x >>= 1  # low * (2n - 3 - low) is even
+    x += y
+    x -= 1
+    return x
+
 
 @cache
-def _pair_table(n: int) -> np.ndarray:
-    """(n, n) intp: pair_index(u, v, n) at [u, v] and [v, u]."""
+def _cell_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed _cell_sources tables of all 2^(n-1) cut patterns,
+    stacked into one (columns, C(n,2)) int8 table (8431 columns, 173 KiB,
+    at n = 7; 62,391, 1.7 MiB, at n = 8), and the first column of each
+    pattern's, with the column count appended.  A pattern's columns are
+    those of the n! permutations, in itertools order, that map each cell
+    onto itself, i.e. points 0..i onto themselves at each cut i."""
+    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8,
+                        count=factorial(n) * n).reshape(-1, n)
     us, vs = _ends(n)
-    index = np.zeros((n, n), dtype=np.intp)
-    index[us, vs] = index[vs, us] = np.arange(us.size)
-    return index
+    every = _pair_indices(n, perms[:, us], perms[:, vs])
+    # bit i is set where the permutation maps points 0..i onto themselves
+    closed = (np.maximum.accumulate(perms[:, :-1], axis=1) == np.arange(n - 1)) \
+        @ (1 << np.arange(n - 1))
+    tables = [every[(closed & cuts) == cuts] for cuts in range(1 << n - 1)]
+    return np.concatenate(tables), np.cumsum([0] + [len(t) for t in tables])
 
 
-@cache
 def _cell_sources(n: int, cuts: int) -> np.ndarray:
     """(C(n,2), q) int8 table of the q relabelings that map every cell onto
     itself: column p holds pair_index(perm[i], perm[j], n) at row
@@ -611,25 +642,8 @@ def _cell_sources(n: int, cuts: int) -> np.ndarray:
     code.  The cells are runs of consecutive points, and bit i of cuts is
     set where a cell ends after point i; cuts = 0 is one cell, so every
     relabeling."""
-    ends = [i + 1 for i in range(n - 1) if cuts >> i & 1]
-    cells = [range(lo, hi) for lo, hi in zip([0, *ends], [*ends, n])]
-    q = prod(factorial(len(cell)) for cell in cells)
-    # perms[p] is the p-th tuple of itertools.product over the cells'
-    # permutations, built without holding them as Python tuples
-    perms = np.empty((n, q), dtype=np.int8)
-    inner = q
-    for cell in cells:
-        size = factorial(len(cell))
-        inner //= size
-        block = np.fromiter(chain.from_iterable(permutations(cell)),
-                            dtype=np.int8, count=size * len(cell))
-        perms[cell.start:cell.stop].reshape(len(cell), -1, size, inner)[...] = \
-            block.reshape(size, len(cell)).T[:, None, :, None]
-    index = _pair_table(n)
-    sources = np.empty((pair_count(n), q), dtype=np.int8)
-    for k, (i, j) in enumerate(iter_pairs(n)):
-        sources[k] = index[perms[i], perms[j]]
-    return sources
+    table, first = _cell_tables(n)
+    return table[first[cuts]:first[cuts + 1]].T
 
 
 @cache
@@ -643,28 +657,52 @@ def _relabel_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _least_relabelings(codes: np.ndarray,
-                       sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 per code: its least relabeling over the columns of sources (a
-    _cell_sources table), and how many columns give that code.  A block of
-    codes is relabeled one pair bit at a time, in int64, with at most
-    _PRODUCT_ENTRIES (code, relabeling) entries per block."""
-    step = max(1, _PRODUCT_ENTRIES // sources.shape[1])
-    best = np.empty(codes.shape[0], dtype=np.int64)
-    count = np.empty_like(best)
-    for lo in range(0, codes.shape[0], step):
-        block = codes[lo:lo + step, None]
-        relabeled = np.zeros((block.shape[0], sources.shape[1]), dtype=np.int64)
-        bit = np.empty_like(relabeled)
-        for k, source in enumerate(sources):
-            np.right_shift(block, source, out=bit)
-            bit &= 1
-            bit <<= k
-            relabeled |= bit
-        low = relabeled.min(axis=1)
-        best[lo:lo + step] = low
-        count[lo:lo + step] = (relabeled == low[:, None]).sum(axis=1)
+def _least_relabelings(n: int, codes: np.ndarray,
+                       cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 per code: its least relabeling over the columns of
+    _cell_sources(n, cut) of its cuts, and how many columns give that code.
+    A code has a row per column, and the codes go through in blocks of
+    consecutive codes with at most _RELABEL_ROWS rows, or of one code."""
+    table, first = _cell_tables(n)
+    rows = np.diff(first)[cuts]
+    ends = np.cumsum(rows)
+    best, count = np.empty_like(codes), np.empty_like(codes)
+    lo = 0
+    while lo < codes.size:
+        hi = int(np.searchsorted(ends, ends[lo] - rows[lo] + _RELABEL_ROWS, "right"))
+        hi = max(hi, lo + 1)
+        best[lo:hi], count[lo:hi] = _least_in_block(table, first[cuts[lo:hi]],
+                                                    rows[lo:hi], codes[lo:hi])
+        lo = hi
     return best, count
+
+
+def _least_in_block(table: np.ndarray, first: np.ndarray, span: np.ndarray,
+                    codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_least_relabelings of one block, whose c-th code has span[c] rows,
+    relabeled by the table rows from first[c] on.  The block gathers its
+    rows' pair sources in one call, whatever cell patterns it spans, and is
+    relabeled one pair bit at a time, in int64; a code's least relabeling
+    and tie count are reductions over its rows."""
+    starts = np.cumsum(span) - span
+    lone = codes.size == 1  # then its rows are a run of table, and it broadcasts
+    if lone:
+        sources = table[first[0]:][:span[0]].T
+    else:
+        columns = np.repeat(first - starts, span)
+        columns += np.arange(columns.size)
+        sources = np.take(table, columns, axis=0).T.copy()
+        codes = np.repeat(codes, span)
+    relabeled = np.zeros(sources.shape[1], dtype=np.int64)
+    bit = np.empty_like(relabeled)
+    for k, source in enumerate(sources):
+        np.right_shift(codes, source, out=bit)
+        bit &= 1
+        bit <<= k
+        relabeled |= bit
+    low = np.minimum.reduceat(relabeled, starts)
+    tied = relabeled == (low if lone else np.repeat(low, span))
+    return low, np.add.reduceat(tied, starts)
 
 
 def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
@@ -683,7 +721,7 @@ def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     """
     check_point_count(n)
     if codes.shape[0] <= _FEW_CODES:
-        return _least_relabelings(codes, _cell_sources(n, 0))[0]
+        return _least_relabelings(n, codes, np.zeros_like(codes))[0]
     weights = _relabel_weights(n)
     step = max(1, _PRODUCT_ENTRIES // weights.shape[1])
     shifts = np.arange(weights.shape[0])
@@ -694,25 +732,11 @@ def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     return best
 
 
-def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(canonical code, automorphism count) per code, both int64.
-
-    The first step of partition refinement (McKay & Piperno 2014,
-    "Practical graph isomorphism, II").  Each point gets a key: its
-    distance-1 degree, the sum of its distance-1 neighbours' degrees, and
-    the sum of their second keys.  The code is relabeled with its points
-    sorted by key, and a cell is a run of equal keys.  The canonical code is
-    the least relabeling of that code over the permutations that map every
-    cell onto itself (_cell_sources of the cell pattern).  Keys are
-    invariant under relabeling, so isomorphic codes get one canonical code.
-    The permutations that reach it form a coset of the automorphism group,
-    since every automorphism preserves the keys, so their number is |Aut|.
-    Unlike canonical_min, the code need not be the least of its class.
-    """
-    check_point_count(n)
+def _sorted_by_key(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per code, the code relabeled with its points sorted by the keys of
+    refined_codes, int64, and the cuts of its cells (_cell_sources), int8."""
     us, vs = _ends(n)
     shifts = np.arange(us.size)
-    index = _pair_table(n)
     by_key = np.empty_like(codes)
     cuts = np.empty(codes.shape[0], dtype=np.int8)
     for lo in range(0, codes.shape[0], _KEY_CODES):
@@ -728,15 +752,40 @@ def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = np.take_along_axis(keys, order, axis=1)
         cuts[lo:lo + _KEY_CODES] = ((keys[:, 1:] != keys[:, :-1])
                                     << np.arange(n - 1)).sum(axis=1)
-        sources = index[order[:, us], order[:, vs]]
+        sources = _pair_indices(n, order[:, us], order[:, vs])
         by_key[lo:lo + _KEY_CODES] = (((block >> sources) & 1) << shifts).sum(axis=1)
-    canon = np.empty_like(codes)
-    aut = np.empty_like(codes)
-    for cut in set(cuts.tolist()):
-        group = np.flatnonzero(cuts == cut)
-        canon[group], aut[group] = _least_relabelings(by_key[group],
-                                                      _cell_sources(n, cut))
-    return canon, aut
+    return by_key, cuts
+
+
+def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(canonical code, automorphism count) per code, both int64.
+
+    The first step of partition refinement (McKay & Piperno 2014,
+    "Practical graph isomorphism, II").  Each point gets a key: its
+    distance-1 degree, the sum of its distance-1 neighbours' degrees, and
+    the sum of their second keys.  The code is relabeled with its points
+    sorted by key, and a cell is a run of equal keys.  The canonical code is
+    the least relabeling of that code over the permutations that map every
+    cell onto itself (_cell_sources of the cell pattern), taken once per
+    distinct sorted code; where all keys differ, it is the sorted code.  Keys
+    are invariant under relabeling, so isomorphic codes get one canonical code.
+    The permutations that reach it form a coset of the automorphism group,
+    since every automorphism preserves the keys, so their number is |Aut|.
+    Unlike canonical_min, the code need not be the least of its class.
+    """
+    check_point_count(n)
+    by_key, cuts = _sorted_by_key(n, codes)
+    # by_key fixes its keys, so its cuts: each distinct one is relabeled once
+    canon = np.sort(by_key, kind="stable")
+    keep = np.ones(canon.size, dtype=bool)
+    keep[1:] = canon[1:] != canon[:-1]
+    canon = canon[keep]
+    inverse = np.searchsorted(canon, by_key)
+    cut, aut = np.empty(canon.size, dtype=np.int8), np.ones_like(canon)
+    cut[inverse] = cuts
+    coarse = cut != (1 << n - 1) - 1  # the discrete pattern has one relabeling
+    canon[coarse], aut[coarse] = _least_relabelings(n, canon[coarse], cut[coarse])
+    return canon[inverse], aut[inverse]
 
 
 def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -765,11 +814,8 @@ def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         for i in range(m):
             joins |= ((patterns >> i) & 1) << pair_index(i, m, m + 1)
         canon, auts = refined_codes(m + 1, (lifted[:, None] | joins).ravel())
-        order = np.argsort(canon, kind="stable")
-        canon = canon[order]
-        first = np.ones(canon.shape[0], dtype=bool)
-        first[1:] = canon[1:] != canon[:-1]
-        reps, aut = canon[first], auts[order][first]
+        reps, first = np.unique(canon, return_index=True)
+        aut = auts[first]
         labeled = int((factorial(m + 1) // aut).sum())
         if labeled != 1 << pair_count(m + 1):
             raise RuntimeError(f"the {reps.size} classes on {m + 1} points have "

@@ -291,7 +291,7 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
 
     mode "all" visits every code; "iso" visits the minimum code of each
     isomorphism class (n <= 7), grown by one-point extension in about
-    0.07 s at n = 7, and calls progress with (points, n) once per
+    0.05 s at n = 7, and calls progress with (points, n) once per
     extension step instead of with (codes, total) once per chunk.
     The report is independent of jobs and of chunking.
     """
@@ -374,8 +374,8 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
     it, and only those classes go to sw.canonical_min.  Every row so has
     the four fields of the labeled sweep; total_codes and dbe_failures
     count classes.  The no-universal minimum is None when every space on n
-    points has a universal line (n = 2).  The table takes about 0.04 s to
-    n = 7 and 0.5 s to n = 8, in this process: jobs is checked and starts
+    points has a universal line (n = 2).  The table takes about 0.035 s to
+    n = 7 and 0.48 s to n = 8, in this process: jobs is checked and starts
     nothing.  progress, if given, is called with (n, n_hi) after each row.
     """
     sw.check_point_count(n_lo)

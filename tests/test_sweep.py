@@ -781,6 +781,34 @@ def code_and_relabeling(draw):
     return n, code, draw(st.permutations(range(n)))
 
 
+def brute_cell_sources(n, cuts):
+    """The pair sources of the permutations of range(n), in itertools order,
+    that keep every point in its cell: point i is in cell popcount(cuts
+    below bit i)."""
+    cell = [bin(cuts & ((1 << i) - 1)).count("1") for i in range(n)]
+    bit = {(a, b): ref_pair_bit(a, b, n) for a, b in permutations(range(n), 2)}
+    columns = [[bit[perm[i], perm[j]] for i, j in combinations(range(n), 2)]
+               for perm in permutations(range(n))
+               if all(cell[p] == cell[i] for i, p in enumerate(perm))]
+    return np.array(columns, dtype=np.int8).reshape(-1, pair_count(n)).T
+
+
+@pytest.fixture(scope="module")
+def growth_candidates():
+    """The codes that iso_classes(7) hands to refined_codes, by point count."""
+    seen = {}
+    refined = sw.refined_codes
+
+    def recorded(n, codes):
+        seen[n] = codes
+        return refined(n, codes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sw, "refined_codes", recorded)
+        list(sw.iso_classes(7))
+    return seen
+
+
 class TestRefinedCodes:
     """sw.refined_codes: one code per class, with |Aut| beside it."""
 
@@ -813,6 +841,57 @@ class TestRefinedCodes:
             assert np.all(np.diff(reps) > 0)
             assert int((factorial(m) // aut).sum()) == 1 << pair_count(m)
         assert counts == [2, 4, 11, 34, 156, 1044, 12346]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cell_sources_equal_brute_tables(self, n):
+        # every cell pattern to n = 7; at n = 8 one cell, a split-off first
+        # point, two cuts, a split-off last point, and all points apart
+        patterns = range(1 << n - 1) if n <= 7 else (0, 1, 5, 64, 127)
+        for cuts in patterns:
+            np.testing.assert_array_equal(sw._cell_sources(n, cuts),
+                                          brute_cell_sources(n, cuts), str(cuts))
+
+    @pytest.mark.parametrize("rows", ["one", "uneven", "all"])
+    def test_blocks_change_nothing(self, rows, growth_candidates, monkeypatch):
+        # the 9984 candidates of the n = 7 step, relabeled one row per block,
+        # in blocks of 1000 rows, and in one block, against the default
+        codes = growth_candidates[7]
+        by_key, cuts = sw._sorted_by_key(7, codes)
+        distinct, first = np.unique(by_key, return_index=True)
+        assert codes.size == 9984 and distinct.size < codes.size  # repeats
+        discrete = cuts[first] == (1 << 6) - 1
+        assert discrete.any()
+        span = np.diff(sw._cell_tables(7)[1])[cuts[first][~discrete]]
+        # 1000 rows: blocks of several codes, whose cell patterns differ and
+        # whose rows fall short of the budget, and the one-cell codes (5040
+        # rows) alone
+        budget = {"one": 1, "uneven": 1000, "all": int(span.sum()) + 1}[rows]
+        assert span.min() < 1000 < span.max() and span.sum() > 1000
+        canon, aut = sw.refined_codes(7, codes)
+        monkeypatch.setattr(sw, "_RELABEL_ROWS", budget)
+        got_canon, got_aut = sw.refined_codes(7, codes)
+        np.testing.assert_array_equal(got_canon, canon)
+        np.testing.assert_array_equal(got_aut, aut)
+
+    def test_warm_temporaries(self, growth_candidates):
+        # a warm call on the n = 7 step: beside its two int64 outputs, its
+        # temporaries peak under 512 KiB, a block of _RELABEL_ROWS rows
+        # (332 KiB) and two int64 arrays over the candidates (156 KiB);
+        # blocks of 2^16 rows would take 5 MiB
+        codes = growth_candidates[7]
+        sw.refined_codes(7, codes)
+        tracemalloc.start()
+        try:
+            sw.refined_codes(7, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * codes.nbytes < 512 << 10, peak
+
+    def test_empty_batch(self):
+        canon, aut = sw.refined_codes(7, np.zeros(0, dtype=np.int64))
+        assert canon.dtype == aut.dtype == np.int64
+        assert canon.shape == aut.shape == (0,)
 
     def test_a_wrong_canonical_code_is_caught(self, monkeypatch):
         # every candidate its own class: far more labeled codes than exist

@@ -275,8 +275,8 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_tasks_are_nonempty_and_cover_the_codes(self, jobs):
-        # the merge has no empty-batch case: every task holds a code, and
-        # the tasks hold the codes in order
+        # every task holds a code, and the tasks hold the codes in order; no
+        # codes make no task, which _merge_chunks folds as an empty sweep
         chunk = verify_mod.CHUNK_CODES
         for size in (0, 1, chunk, chunk + 1):
             shuffled = np.random.default_rng(size).permutation(size).astype(np.int64)
