@@ -63,14 +63,6 @@ def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
     sys.stdout.flush()
 
 
-def _confirm_n8(args, sweeps_all: bool, what: str) -> None:
-    """Exit 1 unless a sweep of all 2^28 n = 8 codes was confirmed."""
-    if args.n == 8 and sweeps_all and not args.allow_large:
-        print(f"{what} sweeps 2^28 codes; pass --allow-large to confirm",
-              file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _law_text_lines(laws: dict, skipped=()) -> list[str]:
     out = ["law                        instances  violations"]
     for law, stat in laws.items():
@@ -143,11 +135,8 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
-    _confirm_n8(args, args.mode == "all", "enumerate --n 8 --mode all")
-    # iso mode reports once per point added to the class representatives
-    progress = (_progress_printer(f"enumerate n={args.n}", "points", 1, timed=False)
-                if args.mode == "iso" else
-                _progress_printer(f"enumerate n={args.n}"))
+    # both modes report once per point added to the class representatives
+    progress = _progress_printer(f"enumerate n={args.n}", "points", 1, timed=False)
     rep = verify_theorem(args.n, mode=args.mode, jobs=args.jobs,
                          max_witnesses=args.max_witnesses, progress=progress)
     results = reports.theorem_report_to_json(rep)
@@ -169,8 +158,9 @@ def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_claims(args) -> tuple[dict, int, list[str]]:
-    _confirm_n8(args, args.trials is None, "claims --n 8 without --trials")
-    progress = _progress_printer(f"claims n={args.n}")
+    # a sample reports its codes, an exhaustive run its points
+    progress = (_progress_printer(f"claims n={args.n}") if args.trials is not None
+                else _progress_printer(f"claims n={args.n}", "points", 1, timed=False))
     rep = claims_sweep(args.n, trials=args.trials, seed=args.seed,
                        jobs=args.jobs, max_witnesses=args.max_witnesses,
                        progress=progress)
@@ -270,22 +260,21 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("enumerate",
                        help="sweep all 1-2 spaces on n points and verify the "
                             "De Bruijn-Erdos property plus structural laws")
-    common(p, n_required=True)
+    common(p, n_required=True,
+           jobs_help="worker processes for --mode iso (never changes the output)")
     p.add_argument("--mode", choices=("all", "iso"), default="all",
                    help="visit all codes or one per isomorphism class")
     p.add_argument("--max-witnesses", type=int, default=100,
                    help="cap on stored failure codes")
-    p.add_argument("--allow-large", action="store_true",
-                   help="confirm the 2^28-code n=8 sweep")
 
     p = sub.add_parser("claims",
                        help="per-law traceability over all codes or a sample")
-    common(p, n_required=True)
+    common(p, n_required=True,
+           jobs_help="worker processes for --trials (never changes the output)")
     p.add_argument("--trials", type=int, default=None,
                    help="sample this many random codes instead of sweeping")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--max-witnesses", type=int, default=100)
-    p.add_argument("--allow-large", action="store_true")
 
     p = sub.add_parser("witnesses",
                        help="construct the six decisive 6-point spaces and "

@@ -21,10 +21,12 @@ then applies a step of the formula to the whole block.  Two edges are in
 one class exactly when their lines are equal, and line equality is
 transitive, so each class aggregates onto its head, the first edge of the
 class, through the head's equal-line planes; the class laws are evaluated
-there.  Violations are counted with np.bitwise_count, and a law's witnesses
-are the set bits of the OR of its bad planes.  Only the per-code
-distinct-line count and universal flag are unpacked from planes, for the
-argmins.
+there.  Violations are counted with np.bitwise_count (popcount), and a
+law's witnesses are the set bits of the OR of its bad planes.  Inside
+weighted(), popcount weighs each word, so a batch of isomorphism classes
+grouped into words by orbit size counts every labeled code of their orbits.
+Only the per-code distinct-line count and universal flag are unpacked from
+planes, for the argmins.
 
 The bits past m belong to no code.  They read as code 0, and valid_plane
 masks them out of every count.
@@ -52,6 +54,8 @@ larger n.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, combinations, permutations
@@ -161,9 +165,30 @@ def unpack(plane: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, bitorder="little").view(bool)
 
 
+# word weights of the counts of the batch in sweep (see weighted)
+_word_weights: ContextVar[np.ndarray | None] = ContextVar("word_weights", default=None)
+
+
+@contextmanager
+def weighted(weights: np.ndarray | None) -> Iterator[None]:
+    """Inside the block, popcount counts a set bit of word w weights[w]
+    times, for every kernel at once; None counts each bit once.  A batch of
+    isomorphism classes grouped into words by orbit size so gets every count
+    of all their labeled codes."""
+    token = _word_weights.set(weights)
+    try:
+        yield
+    finally:
+        _word_weights.reset(token)
+
+
 def popcount(planes: np.ndarray) -> int:
-    """Number of set bits over all planes."""
-    return int(np.bitwise_count(planes).sum())
+    """Number of set bits over all planes, weighted per word (weighted)."""
+    counts = np.bitwise_count(planes)
+    weights = _word_weights.get()
+    if weights is None:
+        return int(counts.sum())
+    return int(counts.reshape(-1, weights.size).sum(axis=0, dtype=np.int64) @ weights)
 
 
 def set_lanes(plane: np.ndarray, cap: int) -> list[int]:

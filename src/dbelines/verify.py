@@ -1,31 +1,32 @@
 """Exhaustive verification over 1-2 spaces and the randomized general harness.
 
-verify_theorem sweeps every label code on n points (or the minimum code of
-each isomorphism class, from sweep.iso_codes), checks the De Bruijn-Erdos
-property plus the structural laws, and aggregates a TheoremReport.  Every
-sweep of verify_theorem and claims_sweep, sampled codes too, takes one
-route: its codes are cut into consecutive nonempty chunks (_sweep_tasks),
-each swept in this process or a pool into a TheoremReport of its own
-(_run_chunks), and those are folded in order by an associative _merge
+Every sweep checks the De Bruijn-Erdos property plus the structural laws,
+and _sweep_codes alone builds its TheoremReport.  verify_theorem(n) and
+exhaustive claims_sweep(n) sweep one code per isomorphism class
+(sw.iso_classes) as one batch, in this process (_sweep_classes).  Each count
+they report is invariant under relabeling, so by orbit-stabilizer it is a
+sum over the classes weighted by n!/|Aut|: the batch is grouped into 64-code
+words by orbit size, which sw.weighted counts.  Argmins and witnesses name
+labeled codes (_least, _orbit_witnesses), so the report equals that of all
+2^C(n,2) codes.  Sampled claims and --mode iso cut their codes into
+consecutive nonempty chunks (_sweep_tasks), each swept in this process or a
+pool (_run_chunks) and folded in order by an associative _merge
 (_merge_chunks), which takes the level's fields and laws from the first
-chunk.  min_lines_table sweeps one representative per isomorphism class of
-each point count (sweep.iso_classes) as one batch, in this process: every
-field of its rows depends only on the class.  _sweep_codes is the only
-code that builds a report: a set of no codes is folded as its sweep of an
-empty batch.  Every minimum names the smallest labeled code with the least
-count, so the report is identical for any worker count, chunk size or code
-order.  TheoremReport is the only sweep result; reports.py alone projects
-it to JSON.
+chunk; over range(2^C(n,2)) that is the labeled sweep, the tests' check of
+the class route.  min_lines_table sweeps the classes unweighted, as one
+batch: every field of its rows depends only on the class.  A set of no
+codes is folded as the sweep of an empty batch.  Every minimum names the
+smallest labeled code with the least count, so a report is identical for
+any worker count, chunk size or code order.  reports.py alone projects
+reports to JSON.
 
-Checker depth per sweep, set from what is swept:
+Checker depth per sweep (_level for the exhaustive ones):
   full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
           and sampled claims)
   vector  line stats + seven laws, no full-cover, class-shape
           or histogram                     (n = 7, and exhaustive claims at 8)
   none    line stats only                  (verify_theorem at n = 8, min-lines)
-n = 7 stays at "vector" so that its report keeps its seven-law form; "full"
-takes 0.23-0.25 s against 0.17-0.18 s per 2^20 n = 7 codes on a 2-core host.
-The labeled n = 8 sweeps visit 2^28 codes and are opt-in at the CLI.
+n = 7 and 8 keep these levels so that their reports keep their fields.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,58 +137,114 @@ def _least(counts: np.ndarray, codes: np.ndarray, n: Optional[int] = None):
 
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                  max_witnesses: int, ws: sw.Workspace | None = None,
-                 orbits: bool = False) -> TheoremReport:
+                 orbits: bool = False,
+                 sizes: np.ndarray | None = None) -> TheoremReport:
     """The report of one batch, in mode "chunk", with its laws in LAW_ORDER:
     a merge takes n, mode, level and law keys from its left operand.  An
     empty batch gives the zero report of the level.  The batch's planes live
     in ws (a fresh workspace when None), and none of them is kept in the
     report.  With orbits, the codes are one representative per isomorphism
     class, of any form, and each argmin names the smallest labeled code
-    with the least count (_least)."""
+    with the least count (_least).  With sizes, the orbit size of each lane
+    of a _class_batch, the report is that of every code of the orbits: as
+    with orbits, with counts weighted by orbit size, padding lanes (size 0)
+    left out, and witnesses from the flagged orbits (_orbit_witnesses)."""
     m = codes.size
     ws = ws or sw.Workspace()
-    valid = sw.valid_plane(m) if checkers != "none" else None
+    own = slice(None) if sizes is None else sizes > 0
+    valid = (sw.valid_plane(m) if sizes is None else
+             np.packbits(own, bitorder="little").view("<u8").astype(np.uint64))
     bits = sw.label_bits(n, codes, ws)
     ones = sw.one_masks(n, bits, ws)
     lines = sw.line_masks(n, bits, ones, ws)
-    distinct, equal = sw.distinct_counts(lines, valid, ws)
+    distinct, equal = sw.distinct_counts(lines, valid if checkers != "none" else None,
+                                         ws)
     universal = sw.universal_flags(n, lines)
 
-    counts = distinct[:m]
-    has_universal = sw.unpack(universal)[:m]
+    counts = distinct[:m][own]
+    has_universal = sw.unpack(universal)[:m][own]
     fail_idx = np.flatnonzero((counts < n) & ~has_universal)
-    classes_of = n if orbits else None
-    overall = _least(counts, codes, classes_of)
-    no_universal = _least(counts[~has_universal], codes[~has_universal], classes_of)
+    classes_of = n if orbits or sizes is not None else None
+    overall = _least(counts, codes[own], classes_of)
+    no_universal = _least(counts[~has_universal], codes[own][~has_universal], classes_of)
+
+    def witnesses(flagged: np.ndarray) -> tuple[int, ...]:
+        if sizes is None:
+            return tuple(flagged[:max_witnesses].tolist())
+        return _orbit_witnesses(n, flagged, max_witnesses)
 
     twin_free_codes, hist, laws = None, None, None
     if checkers != "none":
-        twins = sw.twin_pair_flags(n, bits, ones, ws)
-        twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
-        oversize = sw.class_size_stats(n, equal.pairs, ws)
+        with sw.weighted(None if sizes is None else sizes[::64]):
+            twins = sw.twin_pair_flags(n, bits, ones, ws)
+            twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
+            oversize = sw.class_size_stats(n, equal.pairs, ws)
 
-        law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid, ws)
-        law_counts.update(sw.twin_law_counts(n, bits, lines, twins, ws))
-        law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
-                                                        equal.heads, oversize)
-        if checkers == "full":
-            hist, class_counts = sw.class_law_counts(n, bits, lines, equal,
-                                                     twin_free, ws)
-            law_counts.update(class_counts)
+            law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid, ws)
+            law_counts.update(sw.twin_law_counts(n, bits, lines, twins, ws))
+            law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
+                                                            equal.heads, oversize)
+            if checkers == "full":
+                hist, class_counts = sw.class_law_counts(n, bits, lines, equal,
+                                                         twin_free, ws)
+                law_counts.update(class_counts)
+            twin_free_codes = sw.popcount(twin_free)
+        cap = max_witnesses if sizes is None else None
         laws = {law: LawStat(cnt.instances, cnt.violations,
-                             tuple(int(codes[i])
-                                   for i in sw.set_lanes(cnt.bad, max_witnesses)))
+                             witnesses(codes[sw.set_lanes(cnt.bad, cap)]))
                 for law in LAW_ORDER if (cnt := law_counts.get(law))}
-        twin_free_codes = sw.popcount(twin_free)
 
     return TheoremReport(
-        n=n, mode="chunk", checker_level=checkers, total_codes=m,
-        dbe_failures=int(fail_idx.size),
-        failure_witnesses=tuple(int(codes[i]) for i in fail_idx[:max_witnesses]),
+        n=n, mode="chunk", checker_level=checkers,
+        total_codes=m if sizes is None else int(sizes.sum()),
+        dbe_failures=int(fail_idx.size if sizes is None else sizes[own][fail_idx].sum()),
+        failure_witnesses=witnesses(codes[own][fail_idx]),
         min_lines_overall=overall[0], argmin_overall=overall[1],
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],
         twin_free_codes=twin_free_codes, class_counts_by_shape=hist, laws=laws)
+
+
+def _class_batch(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, sizes): one refined code per isomorphism class on n points
+    (sw.iso_classes), sorted by orbit size n!/|Aut| and padded to whole
+    64-code words per orbit size with code 0, and the orbit size of each
+    lane, 0 for padding.  progress is called with (m, n) after each step
+    of the growth that adds a point."""
+    for m, reps, aut in sw.iso_classes(n):
+        if progress and m > 2:
+            progress(m, n)
+    size = factorial(n) // aut
+    order = np.argsort(size, kind="stable")
+    _, first, count = np.unique(size[order], return_index=True, return_counts=True)
+    words = -(-count // 64)
+    # a class's lane: its rank among its orbit size, from that size's first word
+    lane = np.arange(order.size) + np.repeat(64 * (np.cumsum(words) - words) - first,
+                                             count)
+    codes = np.zeros(64 * int(words.sum()), dtype=np.int64)
+    sizes = np.zeros_like(codes)
+    codes[lane], sizes[lane] = reps[order], size[order]
+    return codes, sizes
+
+
+def _orbit_witnesses(n: int, reps: np.ndarray, cap: int) -> tuple[int, ...]:
+    """The cap smallest labeled codes of the orbits of reps, one code per
+    isomorphism class, ascending: what a labeled sweep lists for the codes
+    of those orbits.  Orbits are relabeled through _cell_sources(n, 0) in
+    order of their minima, until the next minimum is above the cap-th code
+    found."""
+    if not cap:
+        return ()
+    least = sw.canonical_min(n, reps)
+    sources = sw._cell_sources(n, 0).astype(np.int64)
+    shifts = np.arange(sources.shape[0])[:, None]
+    found = np.empty(0, dtype=np.int64)
+    for i in np.argsort(least):
+        if found.size == cap and least[i] > found[-1]:
+            break
+        orbit = np.bitwise_or.reduce(((reps[i] >> sources) & 1) << shifts, axis=0)
+        found = np.union1d(found, orbit)[:cap]
+    return tuple(found.tolist())
 
 
 def _least_pair(a: tuple, b: tuple) -> tuple:
@@ -284,16 +341,30 @@ def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
         raise ValueError(f"witness cap must be nonnegative, got {max_witnesses}")
 
 
+def _level(n: int, claims: bool = False) -> str:
+    """The checker level of an exhaustive sweep on n points, on either
+    route: "full" through n = 6, "vector" at n = 7, and at n = 8 "vector"
+    for claims_sweep and "none" for verify_theorem."""
+    return "full" if n <= 6 else "vector" if n == 7 or claims else "none"
+
+
+def _sweep_classes(n: int, checkers: str, max_witnesses: int,
+                   progress: Progress) -> TheoremReport:
+    """The report of all 2^C(n,2) codes on n points, in mode "all", from one
+    sweep of one code per isomorphism class weighted by orbit size."""
+    codes, sizes = _class_batch(n, progress)
+    return replace(_sweep_codes(n, codes, checkers, max_witnesses, _workspace(),
+                                sizes=sizes), mode="all")
+
+
 def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                    max_witnesses: int = 100,
                    progress: Progress = None) -> TheoremReport:
-    """Sweep all label codes (or canonical representatives) on n points.
-
-    mode "all" visits every code; "iso" visits the minimum code of each
-    isomorphism class (n <= 7), grown by one-point extension in about
-    0.05 s at n = 7, and calls progress with (points, n) once per
-    extension step instead of with (codes, total) once per chunk.
-    The report is independent of jobs and of chunking.
+    """The report of all label codes on n points (mode "all"), from one
+    weighted sweep of the isomorphism classes in this process, or of the
+    minimum code of each class (mode "iso", n <= 7), swept in chunks by
+    jobs workers.  Both call progress with (points, n) once per step of the
+    class growth.  The report is independent of jobs.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
@@ -306,9 +377,7 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                              "and iso counts are not weighted by orbit size)")
         return _sweep(n, mode, sw.iso_codes(n, progress), "full", jobs,
                       max_witnesses, None)
-    checkers = "full" if n <= 6 else "vector" if n == 7 else "none"
-    return _sweep(n, mode, range(1 << pair_count(n)), checkers, jobs,
-                  max_witnesses, progress)
+    return _sweep_classes(n, _level(n), max_witnesses, progress)
 
 
 def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
@@ -319,22 +388,20 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     "sample", with total_codes = trials).
 
     Exhaustive runs use the "full" level through n = 6 and the "vector"
-    level at n = 7, 8, whose laws lack full-cover and class-shape.  Sampled
-    runs, drawn uniformly with replacement, use the full level at every n,
-    and are swept in chunks like any other code set.  A seed's sample is
-    trials calls of random.Random(seed).randrange(2^C(n,2)) (_sample_codes).
+    level at n = 7, 8, whose laws lack full-cover and class-shape, and take
+    the route of verify_theorem(n).  Sampled runs, drawn uniformly with
+    replacement, use the full level at every n, and are swept in chunks
+    like any other code set.  A seed's sample is trials calls of
+    random.Random(seed).randrange(2^C(n,2)) (_sample_codes).
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if trials is None:
-        mode, codes = "all", range(1 << pair_count(n))
-        level = "full" if n <= 6 else "vector"
-    elif trials < 0:
+        return _sweep_classes(n, _level(n, claims=True), max_witnesses, progress)
+    if trials < 0:
         raise ValueError("trials must be nonnegative")
-    else:
-        mode, level = "sample", "full"
-        codes = _sample_codes(random.Random(seed), n, trials)
-    return _sweep(n, mode, codes, level, jobs, max_witnesses, progress)
+    return _sweep(n, "sample", _sample_codes(random.Random(seed), n, trials), "full",
+                  jobs, max_witnesses, progress)
 
 
 def _sample_codes(rng: random.Random, n: int, trials: int) -> np.ndarray:

@@ -211,12 +211,16 @@ class TestUsageErrors:
         assert out.out == ""
         assert "input error" in out.err
 
-    def test_n8_needs_opt_in(self):
+    def test_n8_needs_no_opt_in(self):
+        # an n = 8 report sweeps 12,346 classes, not 2^28 codes
         res = run_cli("enumerate", "--n", "8")
-        assert res.returncode == 1
-        assert "--allow-large" in res.stderr
+        assert res.returncode == 0
+        assert "enumerate n=8: 8/8 points" in res.stderr
         assert run_cli("min-lines", "--n", "8").returncode == 0
-        assert run_cli("claims", "--n", "8").returncode == 1
+        assert run_cli("claims", "--n", "8").returncode == 0
+        res = run_cli("enumerate", "--n", "8", "--allow-large")
+        assert res.returncode == 1
+        assert "unrecognized arguments: --allow-large" in res.stderr
 
 
 class TestEnumerate:
@@ -268,8 +272,8 @@ class TestEnumerate:
         assert "12,346 classes need about 5 s of float64 canonical_min" in err
 
     def test_jobs_do_not_change_bytes(self):
-        # n = 6 is the smallest n split into several chunks, so --jobs
-        # starts a pool; below it a sweep is one task and runs in-process
+        # an exhaustive report sweeps the isomorphism classes in this
+        # process at any --jobs
         a = run_cli("enumerate", "--n", "6", "--json", "--jobs", "1")
         b = run_cli("enumerate", "--n", "6", "--json", "--jobs", "4")
         assert a.returncode == b.returncode == 0
@@ -286,7 +290,7 @@ class TestEnumerate:
         assert r["total_codes"] == 2_097_152
         assert r["dbe_failures"] == 0
         # progress lines hit stderr, stdout stays machine-clean
-        assert "codes" in res.stderr
+        assert "7/7 points" in res.stderr
 
 
 class TestClaims:
@@ -322,7 +326,7 @@ class TestClaims:
         assert all(law["violations"] == 0 for law in r["laws"].values())
 
     def test_jobs_do_not_change_bytes(self):
-        # n = 6 so that --jobs starts a pool (see TestEnumerate)
+        # exhaustive runs start no pool at any --jobs
         a = run_cli("claims", "--n", "6", "--json", "--jobs", "1")
         b = run_cli("claims", "--n", "6", "--json", "--jobs", "3")
         assert a.returncode == b.returncode == 0
@@ -516,7 +520,6 @@ class TestExitCodeProperty:
                 "random-metrics": {"--trials": trials, "--max-witnesses": cap},
                 }[cmd]
         bad = ("--n" in args and not 2 <= n <= 8
-               or cmd == "enumerate" and n == 8  # no --allow-large
                or args.get("--jobs", 1) < 1
                or args.get("--max-witnesses", 0) < 0
                or args.get("--trials", 0) < 0)
@@ -543,8 +546,9 @@ class TestJobsProperty:
             assert cli_mod.main(argv) == 0, (argv, err.getvalue())
         return out.getvalue()
 
-    # n = 6 is the smallest n that starts a pool (see TestEnumerate), and a
-    # 3000-code sample is three tasks; at most 3 workers exist at a time
+    # a 3000-code sample is three tasks, so --jobs starts a pool, and the
+    # exhaustive commands run in this process; at most 3 workers exist at a
+    # time
     @settings(max_examples=10, deadline=None)
     @given(cmd=st.sampled_from([("enumerate",), ("claims",), ("min-lines",),
                                 ("claims", "--trials", "3000")]),
@@ -577,9 +581,9 @@ class TestProgressLines:
         assert with_progress == without
 
     def test_code_sweeps_show_rate_and_eta(self):
-        _, _, err = run_main(["enumerate", "--n", "7", "--json"])
+        _, _, err = run_main(["claims", "--n", "7", "--trials", "1100000", "--json"])
         lines = err.splitlines()[:-1]
-        assert lines[-1].startswith("enumerate n=7: 2097152/2097152 codes, ")
+        assert lines[-1].startswith("claims n=7: 1100000/1100000 codes, ")
         assert all(" codes/s, ETA " in line for line in lines)
         assert lines[-1].endswith(", ETA 0.0 s")
 

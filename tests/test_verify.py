@@ -61,10 +61,19 @@ def code_batches(draw):
     return n, np.array(draw(st.permutations([0, *rest])), dtype=np.int64)
 
 
+def labeled(n, level=None, jobs=1, cap=100, progress=None):
+    """The labeled sweep of all 2^C(n,2) codes on n points, chunk by chunk,
+    at verify_theorem's level unless given: what verify_theorem and
+    claims_sweep report from the isomorphism classes."""
+    return verify_mod._sweep(n, "all", range(1 << pair_count(n)),
+                             level or verify_mod._level(n), jobs, cap, progress)
+
+
 @functools.cache
 def cached_report(n, mode="all"):
-    """verify_theorem, run once per argument set in this module."""
-    return verify_theorem(n, mode=mode)
+    """The iso report or the labeled sweep, run once per argument set in
+    this module."""
+    return verify_theorem(n, mode="iso") if mode == "iso" else labeled(n)
 
 
 def canonical_codes(n, codes):
@@ -169,7 +178,7 @@ class TestVerifyTheorem:
             lines[0, col], lines[1, col] = lines[1, col], lines[0, col]
 
         monkeypatch.setattr(sw, "line_masks", edited_line_masks(swap))
-        rep = verify_theorem(4)
+        rep = labeled(4)
         for law in ("full-cover", "class-shape"):
             assert (rep.laws[law].violations, rep.laws[law].witnesses) == (2, (3,))
         assert rep.class_counts_by_shape["other"] == SHAPE_HIST_EXPECTED[4]["other"] + 2
@@ -220,13 +229,13 @@ class TestVerifyTheorem:
         assert sizes == [2]
 
     def test_partition_independence(self, monkeypatch):
-        base = verify_theorem(5)
+        base = labeled(5)
         iso = cached_report(6, "iso")
         sample = claims_sweep(6, trials=5000, seed=3)
-        assert verify_theorem(5, jobs=2) == base
-        assert verify_theorem(5, jobs=5) == base
+        assert labeled(5, jobs=2) == base
+        assert labeled(5, jobs=5) == base
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
-        assert verify_theorem(5) == base
+        assert labeled(5) == base
         for jobs in (1, 2):
             assert verify_theorem(6, mode="iso", jobs=jobs) == iso
             assert claims_sweep(6, trials=5000, seed=3, jobs=jobs) == sample
@@ -294,11 +303,11 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(sw, "line_masks", edited_line_masks(collapse))
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 16)
-        full = verify_theorem(4)
+        full = labeled(4)
         assert full.failure_witnesses == (3, 20, 21, 40)
         assert full.laws["disjoint-diff-label"].witnesses == (3, 20, 21, 40)
         for cap in (0, 1, 2, 3):
-            rep = verify_theorem(4, max_witnesses=cap)
+            rep = labeled(4, cap=cap)
             assert rep.failure_witnesses == full.failure_witnesses[:cap]
             for law, stat in rep.laws.items():
                 assert stat.witnesses == full.laws[law].witnesses[:cap], law
@@ -314,9 +323,9 @@ class TestVerifyTheorem:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sw, "line_masks", edited_line_masks(collapse))
-            whole = verify_theorem(5)
+            whole = labeled(5)
             mp.setattr(verify_mod, "CHUNK_CODES", chunk)
-            assert verify_theorem(5) == whole
+            assert labeled(5) == whole
         assert whole.failure_witnesses == tuple(sorted(bad))
         assert whole.total_law_violations > 0
         for stat in whole.laws.values():
@@ -360,8 +369,13 @@ class TestVerifyTheorem:
 
     def test_progress_reporting(self):
         calls = []
-        verify_theorem(4, progress=lambda done, total: calls.append((done, total)))
+        labeled(4, progress=lambda done, total: calls.append((done, total)))
         assert calls == [(64, 64)]
+        # exhaustive reports: points of the class growth, once per step
+        calls.clear()
+        verify_theorem(4, progress=lambda done, total: calls.append((done, total)))
+        claims_sweep(4, progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(3, 4), (4, 4)] * 2
         # iso mode: points of the class representatives, once per step
         calls.clear()
         verify_theorem(5, mode="iso",
@@ -389,20 +403,94 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         # n <= 5 is one 1024-code task at any jobs: no pool at all
-        assert verify_theorem(4, jobs=64) == verify_theorem(4)
+        assert labeled(4, jobs=64) == labeled(4)
         assert sizes == []
-        base = verify_theorem(6)
+        base = labeled(6)
         calls = []
-        rep = verify_theorem(6, jobs=64, progress=lambda d, t: calls.append(d))
+        rep = labeled(6, jobs=64, progress=lambda d, t: calls.append(d))
         assert rep == base
         assert sizes == [32]  # 32 tasks of 1024 codes
         assert calls == list(range(1024, 32769, 1024))
-        assert verify_theorem(6, jobs=3) == base
+        assert labeled(6, jobs=3) == base
         assert sizes == [32, 3]
         # a min-lines table sweeps class representatives in this process
         sizes.clear()
         assert min_lines_table(2, 7, jobs=2) == min_lines_table(2, 7)
         assert sizes == []
+
+
+def class_faults(n, chosen):
+    """A stand-in for sw.line_masks that empties every line of each code
+    whose refined code is in chosen.  All codes of a class get the same
+    edit, so both routes see the same spaces, and each count of a faulted
+    code is the same across its orbit: one distinct line, no universal line,
+    and one class of all edges."""
+    def empty(lines, codes):
+        lines[:, np.isin(sw.refined_codes(n, codes)[0], chosen)] = 0
+
+    return edited_line_masks(empty)
+
+
+class TestClassReports:
+    """verify_theorem and exhaustive claims_sweep report from one sweep of
+    the isomorphism classes, weighted by orbit size; the labeled sweep of
+    every code is their cross-check."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equal_the_labeled_sweep(self, n, monkeypatch):
+        # at n <= 7 both take verify_theorem's level; jobs starts no pool
+        want = cached_report(n)
+        monkeypatch.setattr(multiprocessing, "Pool", None)
+        for jobs in (1, 2):
+            assert verify_theorem(n, jobs=jobs) == want
+            assert claims_sweep(n, jobs=jobs) == want
+
+    @pytest.mark.parametrize("n, level", [(2, "full"), (4, "full"), (5, "full"),
+                                          (5, "vector"), (5, "none"), (6, "full")])
+    def test_faulted_classes_equal_the_labeled_sweep(self, n, level, monkeypatch):
+        # the class of code 0, which also fills the padding lanes, and the
+        # classes of the largest orbit and of a middle one
+        codes, sizes = verify_mod._class_batch(n, None)
+        reps, size = codes[sizes > 0], sizes[sizes > 0]
+        chosen = np.unique([0, reps[-1], reps[reps.size // 2]])
+        flagged = int(size[np.isin(reps, chosen)].sum())
+        big = int(size[np.isin(reps, chosen)].max()) + 1
+        monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
+        for cap in (0, 1, 3, big):
+            rep = verify_mod._sweep_classes(n, level, cap, None)
+            assert rep == labeled(n, level, cap=cap)
+            assert rep.dbe_failures == flagged
+            assert rep.failure_witnesses == rep.failure_witnesses[:cap]
+            assert len(rep.failure_witnesses) == min(cap, flagged)
+            if rep.laws is not None:
+                assert rep.total_law_violations > 0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_orbit_witnesses_are_the_least_orbit_codes(self, n):
+        codes = np.arange(1 << pair_count(n), dtype=np.int64)
+        least = sw.canonical_min(n, codes)
+        reps = np.array(sorted(set(least.tolist())), dtype=np.int64)[1::3]
+        refined = sw.refined_codes(n, reps)[0]
+        orbits = codes[np.isin(least, reps)]
+        for cap in (0, 1, 2, 7, 40, orbits.size + 1):
+            assert verify_mod._orbit_witnesses(n, refined, cap) == \
+                tuple(orbits[:cap].tolist())
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_class_batch_layout(self, n):
+        codes, sizes = verify_mod._class_batch(n, None)
+        words = sizes.reshape(-1, 64)
+        # one orbit size a word, ascending; padding lanes end a word, and
+        # only the last word of an orbit size
+        assert np.all((words == words[:, :1]) | (words == 0))
+        assert np.all(np.diff(words == 0, axis=1) >= 0)
+        step = np.diff(words[:, 0])
+        assert np.all(step >= 0) and np.all(step[(words == 0).any(axis=1)[:-1]] > 0)
+        assert not codes[sizes == 0].any()
+        assert int(sizes.sum()) == 1 << pair_count(n)
+        reps = codes[sizes > 0]
+        assert np.unique(reps).size == reps.size == \
+            {**ISO_CLASSES, 8: 12346}[n]
 
 
 # the laws each checker level reports, in report order
