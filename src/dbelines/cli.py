@@ -261,7 +261,8 @@ def _build_parser() -> _CliParser:
                        help="sweep all 1-2 spaces on n points and verify the "
                             "De Bruijn-Erdos property plus structural laws")
     common(p, n_required=True,
-           jobs_help="worker processes for --mode iso (never changes the output)")
+           jobs_help="checked, but starts no process: enumerate sweeps one "
+                     "code per isomorphism class in this process")
     p.add_argument("--mode", choices=("all", "iso"), default="all",
                    help="visit all codes or one per isomorphism class")
     p.add_argument("--max-witnesses", type=int, default=100,

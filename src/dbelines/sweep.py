@@ -36,14 +36,15 @@ the large temporaries of the kernels that make them live in a Workspace,
 which keeps its buffers from batch to batch; a caller that passes none gets
 a fresh one, so its arrays alias nothing.
 
-Two canonical forms name an isomorphism class.  canonical_min is the least
-code over all n! relabelings, the form every report prints.  refined_codes
-is the least code over the relabelings that keep the points sorted by an
-invariant key, with the class's automorphism count beside it, and
-iso_classes grows the classes with it.  It relabels each distinct sorted
-code once, in blocks of (code, relabeling) rows that span cell patterns:
-83,252 relabelings for the 9984 candidates of the n = 7 growth step, about
-8 per candidate instead of 5040.
+Two canonical forms name an isomorphism class.  refined_codes is the least
+code over the relabelings that keep the points sorted by an invariant key,
+with the class's automorphism count beside it, and iso_classes grows the
+classes with it.  It relabels each distinct sorted code once, in blocks of
+(code, relabeling) rows that span cell patterns: 83,252 relabelings for the
+9984 candidates of the n = 7 growth step, about 8 per candidate instead of
+5040.  canonical_min is the least code over all n! relabelings, through the
+same blocks with one cell: the form every report prints, needed only for
+the classes that a report names.
 
 The scalar implementations in lines/structure (law_violations for the
 laws) are the readable copy of each kernel and share its rules; the
@@ -69,8 +70,8 @@ from .structure import ClassShape, class_size_bound
 
 # label_bits folds two codes into one uint64 word, so a code may have at
 # most 32 pair bits: C(8, 2) = 28.  canonical_min also tries all n!
-# relabelings, through a cached C(n,2) x n! float64 weight matrix: 28 x
-# 40320 entries, 8.6 MB, at n = 8.
+# relabelings, from the cached int8 relabel table of _cell_tables: 62,391 x
+# 28 entries, 1.7 MiB, at n = 8.
 ENUM_MAX_POINTS = 8
 
 ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -604,17 +605,6 @@ def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
     return cnt
 
 
-# canonical_min blocks its codes so that one float64 product holds at most
-# this many entries (128 KB): 22 codes at n = 6, 3 at n = 7, 1 at n = 8.  At
-# these sizes through n = 7 the product runs on one BLAS thread.
-_PRODUCT_ENTRIES = 1 << 14
-
-# canonical_min takes at most this many codes through _least_relabelings:
-# each costs about 0.3 ms at n = 7 there, against 0.012 ms through the float64
-# product, but that one first builds the float64 weights (0.85 MB at n = 7)
-# and starts OpenBLAS's buffers.
-_FEW_CODES = 64
-
 # _sorted_by_key computes the point keys of this many codes at a time, from
 # a (codes, n, n) int64 adjacency tensor: 98 KiB at n = 7, 128 KiB at n = 8
 _KEY_CODES = 256
@@ -671,17 +661,6 @@ def _cell_sources(n: int, cuts: int) -> np.ndarray:
     return table[first[cuts]:first[cuts + 1]].T
 
 
-@cache
-def _relabel_weights(n: int) -> np.ndarray:
-    """(C(n,2), n!) float64: column p holds 2^k at row _cell_sources(n, 0)[k, p],
-    so the product of a code's bits with column p is its p-th relabeling."""
-    sources = _cell_sources(n, 0)
-    weights = np.zeros(sources.shape)
-    weights[sources, np.arange(sources.shape[1])] = \
-        (1 << np.arange(sources.shape[0]))[:, None]
-    return weights
-
-
 def _least_relabelings(n: int, codes: np.ndarray,
                        cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int64 per code: its least relabeling over the columns of
@@ -731,30 +710,13 @@ def _least_in_block(table: np.ndarray, first: np.ndarray, span: np.ndarray,
 
 
 def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
-    """int64 per code: minimum label code over all n! relabelings.
-
-    Up to _FEW_CODES codes go through _least_relabelings.  For more,
-    relabeling the points permutes the pair bits, so one matrix product of
-    the codes' bits, (codes, C(n,2)), with _relabel_weights(n) gives every
-    relabeled code of every code, and the row minimum is the canonical code.
-    The product is exact in float64: each entry is a sum of distinct powers
-    of two below 2^28, and any partial sum of those is an integer below
-    2^28 < 2^53, so no summation order rounds.  Codes go through in blocks
-    whose product holds at most _PRODUCT_ENTRIES entries.  iso_codes calls
-    it on one representative per class, 1044 codes at n = 7, and
-    min_lines_table on the few classes that reach a least line count.
+    """int64 per code: minimum label code over all n! relabelings, the
+    _least_relabelings of one cell.  The reports call it only on the few
+    classes that reach a least line count or break a law: at most 7 codes
+    per call on every real sweep through n = 8, about 0.3 ms each at n = 7.
     """
     check_point_count(n)
-    if codes.shape[0] <= _FEW_CODES:
-        return _least_relabelings(n, codes, np.zeros_like(codes))[0]
-    weights = _relabel_weights(n)
-    step = max(1, _PRODUCT_ENTRIES // weights.shape[1])
-    shifts = np.arange(weights.shape[0])
-    best = np.empty(codes.shape[0], dtype=np.int64)
-    for lo in range(0, codes.shape[0], step):
-        bits = (codes[lo:lo + step, None] >> shifts) & 1
-        best[lo:lo + step] = (bits.astype(np.float64) @ weights).min(axis=1)
-    return best
+    return _least_relabelings(n, codes, np.zeros_like(codes))[0]
 
 
 def _sorted_by_key(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -847,12 +809,3 @@ def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
                                f"{labeled} labeled codes, not 2^{pair_count(m + 1)}")
         yield m + 1, reps, aut
 
-
-def iso_codes(n: int, progress=None) -> np.ndarray:
-    """Ascending int64 minimum codes, one per isomorphism class on n points:
-    the canonical_min of the classes of iso_classes.  progress, if given, is
-    called with (m, n) after each step that adds a point."""
-    for m, reps, _ in iso_classes(n):
-        if progress and m > 2:
-            progress(m, n)
-    return np.sort(canonical_min(n, reps))

@@ -1,32 +1,34 @@
 """Exhaustive verification over 1-2 spaces and the randomized general harness.
 
 Every sweep checks the De Bruijn-Erdos property plus the structural laws,
-and _sweep_codes alone builds its TheoremReport.  verify_theorem(n) and
-exhaustive claims_sweep(n) sweep one code per isomorphism class
-(sw.iso_classes) as one batch, in this process (_sweep_classes).  Each count
-they report is invariant under relabeling, so by orbit-stabilizer it is a
-sum over the classes weighted by n!/|Aut|: the batch is grouped into 64-code
-words by orbit size, which sw.weighted counts.  Argmins and witnesses name
-labeled codes (_least, _orbit_witnesses), so the report equals that of all
-2^C(n,2) codes.  Sampled claims and --mode iso cut their codes into
+and _sweep_codes alone builds its TheoremReport.  Every exhaustive report
+sweeps one code per isomorphism class (sw.iso_classes) as one batch, in this
+process.  verify_theorem(n) and exhaustive claims_sweep(n) report all
+2^C(n,2) codes (_sweep_classes): each count they report is invariant under
+relabeling, so by orbit-stabilizer it is a sum over the classes weighted by
+n!/|Aut|, and the batch is grouped into 64-code words by orbit size, which
+sw.weighted counts.  Argmins and witnesses name labeled codes (_least,
+_orbit_witnesses).  verify_theorem(n, "iso") and min_lines_table sweep the
+classes unweighted: their counts count classes, and their argmins and
+witnesses name orbit minima.  Sampled claims cut their codes into
 consecutive nonempty chunks (_sweep_tasks), each swept in this process or a
 pool (_run_chunks) and folded in order by an associative _merge
 (_merge_chunks), which takes the level's fields and laws from the first
 chunk; over range(2^C(n,2)) that is the labeled sweep, the tests' check of
-the class route.  min_lines_table sweeps the classes unweighted, as one
-batch: every field of its rows depends only on the class.  A set of no
-codes is folded as the sweep of an empty batch.  Every minimum names the
-smallest labeled code with the least count, so a report is identical for
-any worker count, chunk size or code order.  reports.py alone projects
-reports to JSON.
+the class route.  A set of no codes is folded as the sweep of an empty
+batch.  Every minimum names the smallest labeled code with the least count,
+so a report is identical for any worker count, chunk size or code order.
+reports.py alone projects reports to JSON.
 
 Checker depth per sweep (_level for the exhaustive ones):
-  full    line stats + all nine laws + class-shape histogram  (n <= 6, iso,
-          and sampled claims)
+  full    line stats + all nine laws + class-shape histogram  (n <= 6,
+          --mode iso at every n, and sampled claims)
   vector  line stats + seven laws, no full-cover, class-shape
           or histogram                     (n = 7, and exhaustive claims at 8)
   none    line stats only                  (verify_theorem at n = 8, min-lines)
-n = 7 and 8 keep these levels so that their reports keep their fields.
+n = 7 and 8 keep these levels so that their reports keep their fields.  Only
+sampled claims start a --jobs pool; every other sweep checks jobs and runs
+in this process.
 """
 
 from __future__ import annotations
@@ -144,11 +146,13 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     empty batch gives the zero report of the level.  The batch's planes live
     in ws (a fresh workspace when None), and none of them is kept in the
     report.  With orbits, the codes are one representative per isomorphism
-    class, of any form, and each argmin names the smallest labeled code
-    with the least count (_least).  With sizes, the orbit size of each lane
-    of a _class_batch, the report is that of every code of the orbits: as
-    with orbits, with counts weighted by orbit size, padding lanes (size 0)
-    left out, and witnesses from the flagged orbits (_orbit_witnesses)."""
+    class, of any form, each argmin names the smallest labeled code with the
+    least count (_least), and a witness list holds the least cap orbit
+    minima (sw.canonical_min) of the flagged classes.  With sizes, the orbit
+    size of each lane of a _class_batch, the report is that of every code
+    of the orbits: as with orbits, with counts weighted by orbit size,
+    padding lanes (size 0) left out, and witnesses from the flagged orbits
+    (_orbit_witnesses)."""
     m = codes.size
     ws = ws or sw.Workspace()
     own = slice(None) if sizes is None else sizes > 0
@@ -169,9 +173,11 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     no_universal = _least(counts[~has_universal], codes[own][~has_universal], classes_of)
 
     def witnesses(flagged: np.ndarray) -> tuple[int, ...]:
-        if sizes is None:
-            return tuple(flagged[:max_witnesses].tolist())
-        return _orbit_witnesses(n, flagged, max_witnesses)
+        if sizes is not None:
+            return _orbit_witnesses(n, flagged, max_witnesses)
+        if orbits and max_witnesses and flagged.size:
+            flagged = np.sort(sw.canonical_min(n, flagged))
+        return tuple(flagged[:max_witnesses].tolist())
 
     twin_free_codes, hist, laws = None, None, None
     if checkers != "none":
@@ -189,7 +195,8 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                                                          twin_free, ws)
                 law_counts.update(class_counts)
             twin_free_codes = sw.popcount(twin_free)
-        cap = max_witnesses if sizes is None else None
+        # class witnesses are ordered by orbit minimum, so every lane is taken
+        cap = None if classes_of else max_witnesses
         laws = {law: LawStat(cnt.instances, cnt.violations,
                              witnesses(codes[sw.set_lanes(cnt.bad, cap)]))
                 for law in LAW_ORDER if (cnt := law_counts.get(law))}
@@ -205,15 +212,21 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
         twin_free_codes=twin_free_codes, class_counts_by_shape=hist, laws=laws)
 
 
-def _class_batch(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, sizes): one refined code per isomorphism class on n points
-    (sw.iso_classes), sorted by orbit size n!/|Aut| and padded to whole
-    64-code words per orbit size with code 0, and the orbit size of each
-    lane, 0 for padding.  progress is called with (m, n) after each step
-    of the growth that adds a point."""
+def _grown_classes(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
+    """The last step of sw.iso_classes(n): one refined code per isomorphism
+    class on n points, and its |Aut|.  progress is called with (m, n) after
+    each step of the growth that adds a point."""
     for m, reps, aut in sw.iso_classes(n):
         if progress and m > 2:
             progress(m, n)
+    return reps, aut
+
+
+def _class_batch(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, sizes): the classes of _grown_classes, sorted by orbit size
+    n!/|Aut| and padded to whole 64-code words per orbit size with code 0,
+    and the orbit size of each lane, 0 for padding."""
+    reps, aut = _grown_classes(n, progress)
     size = factorial(n) // aut
     order = np.argsort(size, kind="stable")
     _, first, count = np.unique(size[order], return_index=True, return_counts=True)
@@ -361,22 +374,22 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                    max_witnesses: int = 100,
                    progress: Progress = None) -> TheoremReport:
     """The report of all label codes on n points (mode "all"), from one
-    weighted sweep of the isomorphism classes in this process, or of the
-    minimum code of each class (mode "iso", n <= 7), swept in chunks by
-    jobs workers.  Both call progress with (points, n) once per step of the
-    class growth.  The report is independent of jobs.
+    weighted sweep of the isomorphism classes, or of one code per class
+    (mode "iso"), at level "full" and unweighted: its counts count classes,
+    and its argmins and witnesses name orbit minima, the least labeled code
+    of each class.  Both sweep the classes of one growth as one batch, in
+    this process, and call progress with (points, n) once per step of the
+    growth.  jobs is checked and starts nothing.  verify_theorem(8, "iso")
+    takes about 0.4 s.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "iso":
-        if n > 7:
-            raise ValueError("iso mode is not supported at n = 8 (its 12,346 "
-                             "classes need about 5 s of float64 canonical_min, "
-                             "and iso counts are not weighted by orbit size)")
-        return _sweep(n, mode, sw.iso_codes(n, progress), "full", jobs,
-                      max_witnesses, None)
+        reps, _ = _grown_classes(n, progress)
+        return replace(_sweep_codes(n, reps, "full", max_witnesses, _workspace(),
+                                    orbits=True), mode="iso")
     return _sweep_classes(n, _level(n), max_witnesses, progress)
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON determinism."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -28,6 +29,16 @@ GENERAL4 = "4\n0 1 3/2 2\n1 0 1 7/4\n3/2 1 0 1\n2 7/4 1 0\n"
 
 # stdout pins of the benchmark workloads, read and never written here
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
+
+
+@functools.cache
+def brute_iso_report(n):
+    """The iso report of the codes that are their own minimum over all n!
+    relabelings, swept as one batch."""
+    codes = np.arange(1 << pair_count(n), dtype=np.int64)
+    codes = codes[sw.canonical_min(n, codes) == codes]
+    return verify_mod._merge_chunks(
+        n, "iso", "full", [verify_mod._sweep_codes(n, codes, "full", 100)], 100)
 
 
 def run_cli(*args, timeout=600):
@@ -259,17 +270,15 @@ class TestEnumerate:
         assert code == 0
         assert [line for line in err.splitlines() if "points" in line] == [
             f"enumerate n={n}: {m}/{n} points" for m in range(3, n + 1)]
-        codes = np.arange(1 << pair_count(n), dtype=np.int64)
-        codes = codes[sw.canonical_min(n, codes) == codes]
-        brute = verify_mod._merge_chunks(
-            n, "iso", "full", [verify_mod._sweep_codes(n, codes, "full", 100)], 100)
+        brute = brute_iso_report(n)
         monkeypatch.setattr(cli_mod, "verify_theorem", lambda *a, **k: brute)
         assert run_main(argv)[:2] == (0, out)
 
-    def test_iso_n8_is_an_input_error(self):
-        code, out, err = run_main(["enumerate", "--n", "8", "--mode", "iso"])
-        assert (code, out) == (1, "")
-        assert "12,346 classes need about 5 s of float64 canonical_min" in err
+    def test_iso_n8(self):
+        code, out, err = run_main(["enumerate", "--n", "8", "--mode", "iso", "--json"])
+        assert code == 0
+        assert json.loads(out)["results"]["total_codes"] == 12346
+        assert "8/8 points" in err
 
     def test_jobs_do_not_change_bytes(self):
         # an exhaustive report sweeps the isomorphism classes in this
@@ -374,7 +383,8 @@ class TestMinLines:
 
     def test_jobs_help_says_it_starts_no_process(self, capsys):
         for sub, phrase in (("min-lines", "starts no process"),
-                            ("enumerate", "worker processes")):
+                            ("enumerate", "starts no process"),
+                            ("claims", "worker processes")):
             with pytest.raises(SystemExit):
                 cli_mod.main([sub, "--help"])
             assert phrase in " ".join(capsys.readouterr().out.split())

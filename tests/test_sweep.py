@@ -687,6 +687,25 @@ class TestScalarLawPass:
         assert len(fired) == 6 and all(fired.values()), fired
 
 
+def float_relabel_minima(n, codes):
+    """int64 least relabeling of each code, as the row minimum of one float64
+    product: column p of the weights holds 2^b at row k, where permutation p
+    sends pair bit k to pair bit b.  Exact in float64: every partial sum is a
+    sum of distinct powers of two below 2^28 < 2^53."""
+    pairs = list(combinations(range(n), 2))
+    rows = np.array([ref_pair_bit(i, j, n) for i, j in pairs])
+    bit_of = np.zeros((n, n), dtype=np.int64)
+    for (i, j), k in zip(pairs, rows):
+        bit_of[i, j] = bit_of[j, i] = k
+    perms = np.array(list(permutations(range(n))))
+    first, second = np.array(pairs).T
+    targets = bit_of[perms[:, first], perms[:, second]]  # (n!, C(n,2))
+    weights = np.zeros((len(pairs), perms.shape[0]))
+    weights[rows[:, None], np.arange(perms.shape[0])] = np.exp2(targets.T)
+    bits = (codes[:, None] >> np.arange(len(pairs))) & 1
+    return (bits.astype(np.float64) @ weights).min(axis=1).astype(np.int64)
+
+
 class TestCanonicalKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_scalar(self, n):
@@ -702,22 +721,24 @@ class TestCanonicalKernel:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_blocks_equal_single_codes(self, n):
-        # one block plus one codes, shuffled, with repeats
-        step = max(1, sw._PRODUCT_ENTRIES // factorial(n))
+        # two _RELABEL_ROWS blocks and one code more, shuffled, with repeats:
+        # 2 * 170 + 1 codes at n = 4, 11 at n = 6, and 3 at n = 7, 8, where a
+        # code has more rows than a block and goes alone
+        per_block = max(1, sw._RELABEL_ROWS // factorial(n))
         rng = np.random.default_rng(70 + n)
-        pool = random_codes(n, max(2, step // 2), seed=60 + n)
-        codes = rng.choice(pool, step + 1)
+        pool = random_codes(n, per_block + 1, seed=60 + n)
+        codes = rng.choice(pool, 2 * per_block + 1)
         vec = sw.canonical_min(n, codes)
         singles = [int(sw.canonical_min(n, codes[i:i + 1])[0]) for i in range(codes.size)]
         assert vec.tolist() == singles
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_float_product_equals_integer_path(self, n):
-        # more than _FEW_CODES codes take the float64 product, one code at a
-        # time takes _least_relabelings
-        codes = random_codes(n, sw._FEW_CODES + 1, seed=80 + n)
-        singles = [int(sw.canonical_min(n, codes[i:i + 1])[0]) for i in range(codes.size)]
-        assert sw.canonical_min(n, codes).tolist() == singles
+        # 65 codes through the int64 relabelings of canonical_min against
+        # one float64 product over all n! relabelings, built here from
+        # itertools.permutations
+        codes = random_codes(n, 65, seed=80 + n)
+        assert sw.canonical_min(n, codes).tolist() == float_relabel_minima(n, codes).tolist()
 
     def test_empty_batch(self):
         out = sw.canonical_min(6, np.zeros(0, dtype=np.int64))
@@ -736,12 +757,19 @@ def brute_iso_codes(n):
     return codes[sw.canonical_min(n, codes) == codes]
 
 
+def iso_minima(n):
+    """Ascending canonical_min of the classes of sw.iso_classes(n)."""
+    *_, (_, reps, _) = sw.iso_classes(n)
+    return np.sort(sw.canonical_min(n, reps))
+
+
 class TestIsoCodes:
-    """sw.iso_codes against the factorial filter and the graph atlas."""
+    """The orbit minima of sw.iso_classes against the factorial filter and
+    the graph atlas."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equals_brute_filter(self, n):
-        reps = sw.iso_codes(n)
+        reps = iso_minima(n)
         assert reps.dtype == np.int64
         np.testing.assert_array_equal(reps, brute_iso_codes(n))
 
@@ -758,7 +786,7 @@ class TestIsoCodes:
                     code &= ~(1 << ref_pair_bit(min(i, j), max(i, j), n))
                 codes.append(code)
         canon = set(sw.canonical_min(n, np.array(codes, dtype=np.int64)).tolist())
-        reps = sw.iso_codes(n)
+        reps = iso_minima(n)
         assert len(canon) == len(codes) == reps.size
         assert set(reps.tolist()) == canon
         assert np.all(np.diff(reps) > 0)

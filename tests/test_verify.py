@@ -213,20 +213,41 @@ class TestVerifyTheorem:
             labeled.min_lines_overall, labeled.argmin_overall,
             labeled.min_lines_no_universal, labeled.argmin_no_universal)
 
+    def test_iso_n8(self):
+        iso = verify_theorem(8, mode="iso")
+        row = min_lines_table(8, 8)[0]
+        assert (iso.total_codes, iso.dbe_failures) == (12346, 0)  # OEIS A000088
+        assert list(iso.laws) == list(verify_mod.LAW_ORDER)
+        for law, stat in iso.laws.items():
+            assert (stat.violations, stat.witnesses) == (0, ()), law
+        assert (iso.min_lines_overall, iso.argmin_overall,
+                iso.min_lines_no_universal, iso.argmin_no_universal) == (
+            row.min_lines_overall, row.argmin_overall,
+            row.min_lines_no_universal, row.argmin_no_universal)
+
     def test_iso_jobs_independence(self, monkeypatch):
-        # 64-code chunks cut the 156 representatives on 6 points into three
-        # tasks, so two real workers share them
-        real_pool = multiprocessing.Pool
-        sizes = []
+        # the classes are swept in this process, so jobs starts no pool
+        monkeypatch.setattr(multiprocessing, "Pool", None)
+        for jobs in (1, 2):
+            assert verify_theorem(6, mode="iso", jobs=jobs) == cached_report(6, "iso")
 
-        def pool(processes):
-            sizes.append(processes)
-            return real_pool(processes=processes)
-
-        monkeypatch.setattr(multiprocessing, "Pool", pool)
-        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
-        assert verify_theorem(6, mode="iso", jobs=2) == cached_report(6, "iso")
-        assert sizes == [2]
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_iso_witnesses_under_class_faults(self, n, monkeypatch):
+        # the sweep of the ascending orbit minima, as one batch, lists the
+        # first cap flagged minima; the class of code 0 is among the faulted
+        *_, (_, reps, _) = sw.iso_classes(n)
+        minima = np.sort(sw.canonical_min(n, reps))
+        chosen = reps[::max(1, reps.size // 5)]
+        assert chosen[0] == 0
+        monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
+        for cap in (0, 1, 3, 100):
+            rep = verify_theorem(n, mode="iso", max_witnesses=cap)
+            brute = verify_mod._merge_chunks(
+                n, "iso", "full", [verify_mod._sweep_codes(n, minima, "full", cap)], cap)
+            assert rep == brute
+            assert rep.dbe_failures == chosen.size
+            assert len(rep.failure_witnesses) == min(cap, chosen.size)
+            assert rep.total_law_violations > 0
 
     def test_partition_independence(self, monkeypatch):
         base = labeled(5)
@@ -363,9 +384,6 @@ class TestVerifyTheorem:
             verify_theorem(9)
         with pytest.raises(ValueError):
             verify_theorem(4, mode="fancy")
-        with pytest.raises(ValueError,
-                           match="12,346 classes need about 5 s of float64 canonical_min"):
-            verify_theorem(8, mode="iso")
 
     def test_progress_reporting(self):
         calls = []
