@@ -23,10 +23,10 @@ transitive, so each class aggregates onto its head, the first edge of the
 class, through the head's equal-line planes; the class laws are evaluated
 there.  Violations are counted with np.bitwise_count (popcount), and a
 law's witnesses are the set bits of the OR of its bad planes.  Inside
-weighted(), popcount weighs each word, so a batch of isomorphism classes
-grouped into words by orbit size counts every labeled code of their orbits.
-Only the per-code distinct-line count and universal flag are unpacked from
-planes, for the argmins.
+weighted(), popcount weighs each lane, so a batch of one code per
+isomorphism class, weighted by orbit size, counts every labeled code of
+their orbits.  Only the per-code distinct-line count and universal flag
+are unpacked from planes, for the argmins.
 
 The bits past m belong to no code.  They read as code 0, and valid_plane
 masks them out of every count.
@@ -166,30 +166,32 @@ def unpack(plane: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, bitorder="little").view(bool)
 
 
-# word weights of the counts of the batch in sweep (see weighted)
-_word_weights: ContextVar[np.ndarray | None] = ContextVar("word_weights", default=None)
+# lane weights of the counts of the batch in sweep (see weighted)
+_lane_weights: ContextVar[np.ndarray | None] = ContextVar("lane_weights", default=None)
 
 
 @contextmanager
 def weighted(weights: np.ndarray | None) -> Iterator[None]:
-    """Inside the block, popcount counts a set bit of word w weights[w]
-    times, for every kernel at once; None counts each bit once.  A batch of
-    isomorphism classes grouped into words by orbit size so gets every count
-    of all their labeled codes."""
-    token = _word_weights.set(weights)
+    """Inside the block, popcount counts a set bit of lane c weights[c]
+    times, for every kernel at once; weights has one int64 entry per lane
+    of the batch's words, 0 past the batch.  None counts each bit once.  A
+    batch of one code per isomorphism class, weighted by orbit size, so
+    gets every count of all their labeled codes."""
+    token = _lane_weights.set(weights)
     try:
         yield
     finally:
-        _word_weights.reset(token)
+        _lane_weights.reset(token)
 
 
 def popcount(planes: np.ndarray) -> int:
-    """Number of set bits over all planes, weighted per word (weighted)."""
-    counts = np.bitwise_count(planes)
-    weights = _word_weights.get()
+    """Number of set bits over all planes, weighted per lane (weighted)."""
+    weights = _lane_weights.get()
     if weights is None:
-        return int(counts.sum())
-    return int(counts.reshape(-1, weights.size).sum(axis=0, dtype=np.int64) @ weights)
+        return int(np.bitwise_count(planes).sum())
+    per_lane = np.add.reduce(unpack(planes).reshape(-1, weights.size).view(np.uint8),
+                             axis=0, dtype=np.int32)
+    return int(per_lane @ weights)
 
 
 def set_lanes(plane: np.ndarray, cap: int) -> list[int]:
@@ -293,27 +295,24 @@ class EqualLines(NamedTuple):
     heads: np.ndarray  # (P, W)
 
 
-def distinct_counts(lines: np.ndarray, valid: np.ndarray | None,
-                    ws: Workspace | None = None) -> tuple[np.ndarray, EqualLines | None]:
+def distinct_counts(lines: np.ndarray, valid: np.ndarray,
+                    ws: Workspace | None = None) -> tuple[np.ndarray, EqualLines]:
     """int16 per code (64 per word): number of distinct lines, i.e. of edges
-    whose line no earlier edge has; and, unless valid (the plane of the
-    batch's codes) is None, the equal-line planes restricted to valid."""
+    whose line no earlier edge has; and the equal-line planes restricted to
+    valid, the plane of the batch's codes."""
     ws = ws or Workspace()
     P, n, W = lines.shape
-    keep = valid is not None
     seen = ws.take("seen", (P, W))
     seen.fill(0)
-    pairs = ws.take("pairs", (P * (P - 1) // 2 if keep else P - 1, W))
+    pairs = ws.take("pairs", (P * (P - 1) // 2, W))
     differ, = ws.scratch(lines[1:].shape)
     for j in range(P - 1):
         d = np.bitwise_xor(lines[j + 1:], lines[j], out=differ[:P - 1 - j])
-        eq = pairs[_later(j, P)] if keep else pairs[:P - 1 - j]
+        eq = pairs[_later(j, P)]
         np.bitwise_or.reduce(d, axis=1, out=eq)
         np.invert(eq, out=eq)
         seen[j + 1:] |= eq
     distinct = P - _lane_counts(seen[1:])
-    if not keep:
-        return distinct, None
     pairs &= valid
     heads = np.invert(seen, out=seen)
     heads &= valid

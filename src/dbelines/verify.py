@@ -6,16 +6,15 @@ sweeps one code per isomorphism class (sw.iso_classes) as one batch, in this
 process.  verify_theorem(n) and exhaustive claims_sweep(n) report all
 2^C(n,2) codes (_sweep_classes): each count they report is invariant under
 relabeling, so by orbit-stabilizer it is a sum over the classes weighted by
-n!/|Aut|, and the batch is grouped into 64-code words by orbit size, which
-sw.weighted counts.  Argmins and witnesses name labeled codes (_least,
-_orbit_witnesses).  verify_theorem(n, "iso") and min_lines_table sweep the
-classes unweighted: their counts count classes, and their argmins and
-witnesses name orbit minima.  Sampled claims cut their codes into
-consecutive nonempty chunks (_sweep_tasks), each swept in this process or a
-pool (_run_chunks) and folded in order by an associative _merge
-(_merge_chunks), which takes the level's fields and laws from the first
-chunk; over range(2^C(n,2)) that is the labeled sweep, the tests' check of
-the class route.  A set of no codes is folded as the sweep of an empty
+n!/|Aut|, which sw.weighted gives each class's lane.  Argmins and
+witnesses name labeled codes (_least, _orbit_witnesses).  verify_theorem(n,
+"iso") and min_lines_table sweep the classes unweighted: their counts count
+classes, and their argmins and witnesses name orbit minima.  Sampled claims
+cut their codes into consecutive nonempty chunks (_sweep_tasks), each swept
+in this process or a pool (_run_chunks) and folded in order by an
+associative _merge (_merge_chunks), which takes the level's fields and laws
+from the first chunk; over range(2^C(n,2)) that is the labeled sweep, the
+tests' check of the class route.  A set of no codes is folded as the sweep of an empty
 batch.  Every minimum names the smallest labeled code with the least count,
 so a report is identical for any worker count, chunk size or code order.
 reports.py alone projects reports to JSON.
@@ -24,8 +23,8 @@ Checker depth per sweep (_level for the exhaustive ones):
   full    line stats + all nine laws + class-shape histogram  (n <= 6,
           --mode iso at every n, and sampled claims)
   vector  line stats + seven laws, no full-cover, class-shape
-          or histogram                     (n = 7, and exhaustive claims at 8)
-  none    line stats only                  (verify_theorem at n = 8, min-lines)
+          or histogram                     (n = 7, 8)
+  none    line stats only                  (min-lines)
 n = 7 and 8 keep these levels so that their reports keep their fields.  Only
 sampled claims start a --jobs pool; every other sweep checks jobs and runs
 in this process.
@@ -34,11 +33,10 @@ in this process.
 from __future__ import annotations
 
 import random
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import factorial, lcm
 from typing import Callable, Optional
 
@@ -81,8 +79,9 @@ class TheoremReport:
     (mode "all", "iso" or "sample"): made by _sweep_codes alone and folded
     by _merge.  A nonzero dbe_failures would be a counterexample and is
     reported, never raised.  The level fixes which fields are None: "none"
-    has no laws, twin-free count or histogram, and only "full" has the two
-    class laws and the histogram.  laws lists its laws in LAW_ORDER."""
+    (min-lines alone) has no laws, twin-free count or histogram, and only
+    "full" has the two class laws and the histogram.  laws lists its laws
+    in LAW_ORDER; mode "all" counts labeled codes, "iso" classes."""
 
     n: int
     mode: str
@@ -103,16 +102,12 @@ class TheoremReport:
         return sum(stat.violations for stat in (self.laws or {}).values())
 
 
-_local = threading.local()
-
-
+@cache
 def _workspace() -> sw.Workspace:
-    """This thread's workspace, made on first use and kept for the life of
+    """This process's workspace, made on first use and kept for the life of
     the process, so every chunk after the first, in a pool worker too,
     reuses the planes of the one before."""
-    if not hasattr(_local, "ws"):
-        _local.ws = sw.Workspace()
-    return _local.ws
+    return sw.Workspace()
 
 
 def _sweep_chunk(task: tuple) -> TheoremReport:
@@ -149,28 +144,25 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     class, of any form, each argmin names the smallest labeled code with the
     least count (_least), and a witness list holds the least cap orbit
     minima (sw.canonical_min) of the flagged classes.  With sizes, the orbit
-    size of each lane of a _class_batch, the report is that of every code
-    of the orbits: as with orbits, with counts weighted by orbit size,
-    padding lanes (size 0) left out, and witnesses from the flagged orbits
+    size n!/|Aut| of each class, the report is that of every code of the
+    orbits: as with orbits, with counts weighted by orbit size
+    (sw.weighted), and witnesses from the flagged orbits
     (_orbit_witnesses)."""
     m = codes.size
     ws = ws or sw.Workspace()
-    own = slice(None) if sizes is None else sizes > 0
-    valid = (sw.valid_plane(m) if sizes is None else
-             np.packbits(own, bitorder="little").view("<u8").astype(np.uint64))
+    valid = sw.valid_plane(m)
     bits = sw.label_bits(n, codes, ws)
     ones = sw.one_masks(n, bits, ws)
     lines = sw.line_masks(n, bits, ones, ws)
-    distinct, equal = sw.distinct_counts(lines, valid if checkers != "none" else None,
-                                         ws)
+    distinct, equal = sw.distinct_counts(lines, valid, ws)
     universal = sw.universal_flags(n, lines)
 
-    counts = distinct[:m][own]
-    has_universal = sw.unpack(universal)[:m][own]
+    counts = distinct[:m]
+    has_universal = sw.unpack(universal)[:m]
     fail_idx = np.flatnonzero((counts < n) & ~has_universal)
     classes_of = n if orbits or sizes is not None else None
-    overall = _least(counts, codes[own], classes_of)
-    no_universal = _least(counts[~has_universal], codes[own][~has_universal], classes_of)
+    overall = _least(counts, codes, classes_of)
+    no_universal = _least(counts[~has_universal], codes[~has_universal], classes_of)
 
     def witnesses(flagged: np.ndarray) -> tuple[int, ...]:
         if sizes is not None:
@@ -181,7 +173,7 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
 
     twin_free_codes, hist, laws = None, None, None
     if checkers != "none":
-        with sw.weighted(None if sizes is None else sizes[::64]):
+        with sw.weighted(None if sizes is None else np.pad(sizes, (0, -m % 64))):
             twins = sw.twin_pair_flags(n, bits, ones, ws)
             twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
             oversize = sw.class_size_stats(n, equal.pairs, ws)
@@ -204,8 +196,8 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     return TheoremReport(
         n=n, mode="chunk", checker_level=checkers,
         total_codes=m if sizes is None else int(sizes.sum()),
-        dbe_failures=int(fail_idx.size if sizes is None else sizes[own][fail_idx].sum()),
-        failure_witnesses=witnesses(codes[own][fail_idx]),
+        dbe_failures=int(fail_idx.size if sizes is None else sizes[fail_idx].sum()),
+        failure_witnesses=witnesses(codes[fail_idx]),
         min_lines_overall=overall[0], argmin_overall=overall[1],
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],
@@ -220,24 +212,6 @@ def _grown_classes(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
         if progress and m > 2:
             progress(m, n)
     return reps, aut
-
-
-def _class_batch(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, sizes): the classes of _grown_classes, sorted by orbit size
-    n!/|Aut| and padded to whole 64-code words per orbit size with code 0,
-    and the orbit size of each lane, 0 for padding."""
-    reps, aut = _grown_classes(n, progress)
-    size = factorial(n) // aut
-    order = np.argsort(size, kind="stable")
-    _, first, count = np.unique(size[order], return_index=True, return_counts=True)
-    words = -(-count // 64)
-    # a class's lane: its rank among its orbit size, from that size's first word
-    lane = np.arange(order.size) + np.repeat(64 * (np.cumsum(words) - words) - first,
-                                             count)
-    codes = np.zeros(64 * int(words.sum()), dtype=np.int64)
-    sizes = np.zeros_like(codes)
-    codes[lane], sizes[lane] = reps[order], size[order]
-    return codes, sizes
 
 
 def _orbit_witnesses(n: int, reps: np.ndarray, cap: int) -> tuple[int, ...]:
@@ -354,20 +328,19 @@ def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
         raise ValueError(f"witness cap must be nonnegative, got {max_witnesses}")
 
 
-def _level(n: int, claims: bool = False) -> str:
-    """The checker level of an exhaustive sweep on n points, on either
-    route: "full" through n = 6, "vector" at n = 7, and at n = 8 "vector"
-    for claims_sweep and "none" for verify_theorem."""
-    return "full" if n <= 6 else "vector" if n == 7 or claims else "none"
+def _level(n: int) -> str:
+    """The checker level of an exhaustive sweep on n points, verify_theorem
+    and claims_sweep alike: "full" through n = 6, "vector" at n = 7, 8."""
+    return "full" if n <= 6 else "vector"
 
 
 def _sweep_classes(n: int, checkers: str, max_witnesses: int,
                    progress: Progress) -> TheoremReport:
     """The report of all 2^C(n,2) codes on n points, in mode "all", from one
     sweep of one code per isomorphism class weighted by orbit size."""
-    codes, sizes = _class_batch(n, progress)
-    return replace(_sweep_codes(n, codes, checkers, max_witnesses, _workspace(),
-                                sizes=sizes), mode="all")
+    reps, aut = _grown_classes(n, progress)
+    return replace(_sweep_codes(n, reps, checkers, max_witnesses, _workspace(),
+                                sizes=factorial(n) // aut), mode="all")
 
 
 def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
@@ -410,7 +383,7 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if trials is None:
-        return _sweep_classes(n, _level(n, claims=True), max_witnesses, progress)
+        return _sweep_classes(n, _level(n), max_witnesses, progress)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     return _sweep(n, "sample", _sample_codes(random.Random(seed), n, trials), "full",

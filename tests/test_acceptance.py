@@ -4,7 +4,8 @@ All assertions are exact; no tolerances exist anywhere in this package.
 The exhaustive reports come from one orbit-weighted sweep of the
 isomorphism classes, which C2 runs at n = 8 in under a second.  The two
 opt-in items, C2b and C10b, check them against the labeled sweep of all
-2^28 codes (set DBELINES_RUN_N8=1; about a minute with 2 worker processes).
+2^28 codes at level "vector" (set DBELINES_RUN_N8=1; about 30 s with 2 worker
+processes).
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s`.
 """
@@ -32,13 +33,14 @@ needs_n8 = pytest.mark.skipif(
 _CACHE: dict = {}
 
 
-def n8_labeled(level):
-    # the labeled sweep of all 2^28 codes at n = 8, with its wall time
-    if level not in _CACHE:
+def n8_labeled():
+    # the labeled sweep of all 2^28 codes at n = 8, at the level of both
+    # exhaustive routes, with its wall time
+    if "n8" not in _CACHE:
         start = time.monotonic()
-        rep = verify_mod._sweep(8, "all", range(1 << 28), level, 2, 100, None)
-        _CACHE[level] = rep, time.monotonic() - start
-    return _CACHE[level]
+        rep = verify_mod._sweep(8, "all", range(1 << 28), "vector", 2, 100, None)
+        _CACHE["n8"] = rep, time.monotonic() - start
+    return _CACHE["n8"]
 
 
 def n7_sampled_claims():
@@ -97,13 +99,11 @@ def test_criterion_02_theorem_n8():
 def test_criterion_02b_classes_equal_labeled_n8():
     # the independent check of the reduction: every field of both n = 8
     # exhaustive reports against the labeled sweep of all 2^28 codes
-    none, t_none = n8_labeled("none")
-    vector, t_vector = n8_labeled("vector")
-    ok = verify_theorem(8) == none and claims_sweep(8) == vector
+    labeled, elapsed = n8_labeled()
+    ok = verify_theorem(8) == labeled and claims_sweep(8) == labeled
     report("C2b", ok,
            f"verify_theorem(8) and claims_sweep(8) equal the labeled 2^28 "
-           f"sweeps on every field (levels none and vector, 2 jobs, "
-           f"{t_none:.0f}s and {t_vector:.0f}s)")
+           f"sweep on every field (level vector, 2 jobs, {elapsed:.0f}s)")
 
 
 def test_criterion_03_six_point_witnesses():
@@ -222,7 +222,7 @@ def test_criterion_10_min_lines_companion():
 
 @needs_n8
 def test_criterion_10b_min_lines_n8():
-    rep, _ = n8_labeled("none")
+    rep, _ = n8_labeled()
     v_all = dbe_verdict(space_from_code(8, rep.argmin_overall))
     v_nu = dbe_verdict(space_from_code(8, rep.argmin_no_universal))
     # the min-lines row, from one code per isomorphism class

@@ -1,7 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON determinism."""
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from dbelines import cli as cli_mod
 from dbelines import lines as lines_mod
-from dbelines import sweep as sw
 from dbelines import verify as verify_mod
 from dbelines import dbe_verdict, parse_distance_matrix, validate_metric
 from dbelines.bitset import pair_count
@@ -31,12 +29,11 @@ GENERAL4 = "4\n0 1 3/2 2\n1 0 1 7/4\n3/2 1 0 1\n2 7/4 1 0\n"
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
 
 
-@functools.cache
-def brute_iso_report(n):
+def brute_iso_report(n, least):
     """The iso report of the codes that are their own minimum over all n!
-    relabelings, swept as one batch."""
+    relabelings, least (the orbit_minima fixture's), swept as one batch."""
     codes = np.arange(1 << pair_count(n), dtype=np.int64)
-    codes = codes[sw.canonical_min(n, codes) == codes]
+    codes = codes[least == codes]
     return verify_mod._merge_chunks(
         n, "iso", "full", [verify_mod._sweep_codes(n, codes, "full", 100)], 100)
 
@@ -261,7 +258,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("as_json", [False, True])
-    def test_iso_matches_brute_filter(self, n, as_json, monkeypatch):
+    def test_iso_matches_brute_filter(self, n, as_json, monkeypatch, orbit_minima):
         # the report of the codes that are their own minimum over all
         # relabelings, rendered by the same command
         argv = ["enumerate", "--n", str(n), "--mode", "iso",
@@ -270,7 +267,7 @@ class TestEnumerate:
         assert code == 0
         assert [line for line in err.splitlines() if "points" in line] == [
             f"enumerate n={n}: {m}/{n} points" for m in range(3, n + 1)]
-        brute = brute_iso_report(n)
+        brute = brute_iso_report(n, orbit_minima(n))
         monkeypatch.setattr(cli_mod, "verify_theorem", lambda *a, **k: brute)
         assert run_main(argv)[:2] == (0, out)
 

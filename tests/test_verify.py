@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 from unittest import mock
 
 import numpy as np
@@ -466,11 +467,11 @@ class TestClassReports:
     @pytest.mark.parametrize("n, level", [(2, "full"), (4, "full"), (5, "full"),
                                           (5, "vector"), (5, "none"), (6, "full")])
     def test_faulted_classes_equal_the_labeled_sweep(self, n, level, monkeypatch):
-        # the class of code 0, which also fills the padding lanes, and the
-        # classes of the largest orbit and of a middle one
-        codes, sizes = verify_mod._class_batch(n, None)
-        reps, size = codes[sizes > 0], sizes[sizes > 0]
-        chosen = np.unique([0, reps[-1], reps[reps.size // 2]])
+        # the class of code 0, which also fills the lanes past the batch, and
+        # the classes of the largest orbit and of a middle one
+        reps, aut = verify_mod._grown_classes(n, None)
+        size = factorial(n) // aut
+        chosen = np.unique([0, reps[np.argmax(size)], reps[reps.size // 2]])
         flagged = int(size[np.isin(reps, chosen)].sum())
         big = int(size[np.isin(reps, chosen)].max()) + 1
         monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
@@ -483,6 +484,15 @@ class TestClassReports:
             if rep.laws is not None:
                 assert rep.total_law_violations > 0
 
+    def test_one_level_at_n8(self):
+        # both routes sweep at "vector"; acceptance C2b checks them against
+        # the labeled sweep of all 2^28 codes
+        rep = verify_theorem(8)
+        assert claims_sweep(8) == rep
+        assert rep.checker_level == "vector" and list(rep.laws) == LEVEL_LAWS["vector"]
+        assert (rep.total_codes, rep.twin_free_codes, rep.dbe_failures,
+                rep.total_law_violations) == (1 << 28, 218_608_712, 0, 0)
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_orbit_witnesses_are_the_least_orbit_codes(self, n):
         codes = np.arange(1 << pair_count(n), dtype=np.int64)
@@ -493,22 +503,6 @@ class TestClassReports:
         for cap in (0, 1, 2, 7, 40, orbits.size + 1):
             assert verify_mod._orbit_witnesses(n, refined, cap) == \
                 tuple(orbits[:cap].tolist())
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_class_batch_layout(self, n):
-        codes, sizes = verify_mod._class_batch(n, None)
-        words = sizes.reshape(-1, 64)
-        # one orbit size a word, ascending; padding lanes end a word, and
-        # only the last word of an orbit size
-        assert np.all((words == words[:, :1]) | (words == 0))
-        assert np.all(np.diff(words == 0, axis=1) >= 0)
-        step = np.diff(words[:, 0])
-        assert np.all(step >= 0) and np.all(step[(words == 0).any(axis=1)[:-1]] > 0)
-        assert not codes[sizes == 0].any()
-        assert int(sizes.sum()) == 1 << pair_count(n)
-        reps = codes[sizes > 0]
-        assert np.unique(reps).size == reps.size == \
-            {**ISO_CLASSES, 8: 12346}[n]
 
 
 # the laws each checker level reports, in report order
@@ -803,11 +797,11 @@ class TestMinLinesTable:
                 ("iso", ISO_CLASSES[r.n], 0)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_argmins_name_orbit_minima(self, n):
+    def test_argmins_name_orbit_minima(self, n, orbit_minima):
         # the largest code of each class stands for it, and the argmins
         # still name the smallest labeled codes
         codes = np.arange(1 << pair_count(n), dtype=np.int64)
-        largest = dict(zip(sw.canonical_min(n, codes).tolist(), codes.tolist()))
+        largest = dict(zip(orbit_minima(n).tolist(), codes.tolist()))
         reps = np.array(sorted(largest.values()), dtype=np.int64)
         rep = cached_report(n)
         want = (rep.argmin_overall, rep.argmin_no_universal)
