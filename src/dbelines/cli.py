@@ -64,11 +64,13 @@ def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
 
 
 def _law_text_lines(laws: dict, skipped=()) -> list[str]:
-    out = ["law                        instances  violations"]
+    # the instances column widens past 9 digits (n = 8 counts have 11)
+    width = max([9] + [len(str(stat.instances)) for stat in laws.values()])
+    out = [f"{'law':<26} {'instances':>{width}}  violations"]
     for law, stat in laws.items():
-        out.append(f"{law:<26} {stat.instances:>9}  {stat.violations:>10}")
+        out.append(f"{law:<26} {stat.instances:>{width}}  {stat.violations:>10}")
     for law in skipped:
-        out.append(f"{law:<26} {'skipped':>9}")
+        out.append(f"{law:<26} {'skipped':>{width}}")
     return out
 
 
@@ -244,14 +246,15 @@ def _build_parser() -> _CliParser:
                                     "and exhaustive 1-2 space verification.")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    def common(p, n_default=None, n_required=False,
-               jobs_help="worker processes (never changes the output)"):
+    def common(p, n_default=None, n_required=False):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report on stdout")
         if n_default is not None or n_required:  # the code sweeps
             p.add_argument("--n", type=int, required=n_required,
                            default=n_default, help="point count")
-            p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+            p.add_argument("--jobs", type=int, default=1,
+                           help="checked, but starts no process: every sweep "
+                                "runs in this process")
 
     p = sub.add_parser("analyze", help="analyze one metric space from a file")
     p.add_argument("file", help="distance matrix file")
@@ -260,9 +263,7 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("enumerate",
                        help="sweep all 1-2 spaces on n points and verify the "
                             "De Bruijn-Erdos property plus structural laws")
-    common(p, n_required=True,
-           jobs_help="checked, but starts no process: enumerate sweeps one "
-                     "code per isomorphism class in this process")
+    common(p, n_required=True)
     p.add_argument("--mode", choices=("all", "iso"), default="all",
                    help="visit all codes or one per isomorphism class")
     p.add_argument("--max-witnesses", type=int, default=100,
@@ -270,8 +271,7 @@ def _build_parser() -> _CliParser:
 
     p = sub.add_parser("claims",
                        help="per-law traceability over all codes or a sample")
-    common(p, n_required=True,
-           jobs_help="worker processes for --trials (never changes the output)")
+    common(p, n_required=True)
     p.add_argument("--trials", type=int, default=None,
                    help="sample this many random codes instead of sweeping")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -284,9 +284,7 @@ def _build_parser() -> _CliParser:
 
     p = sub.add_parser("min-lines",
                        help="exact minimum line counts for 2..n points")
-    common(p, n_default=7,
-           jobs_help="checked, but starts no process: min-lines sweeps one "
-                     "code per isomorphism class in this process")
+    common(p, n_default=7)
 
     p = sub.add_parser("random-metrics",
                        help="exhaustive small 1-2 codes plus seeded random "

@@ -10,14 +10,13 @@ n!/|Aut|, which sw.weighted gives each class's lane.  Argmins and
 witnesses name labeled codes (_least, _orbit_witnesses).  verify_theorem(n,
 "iso") and min_lines_table sweep the classes unweighted: their counts count
 classes, and their argmins and witnesses name orbit minima.  Sampled claims
-cut their codes into consecutive nonempty chunks (_sweep_tasks), each swept
-in this process or a pool (_run_chunks) and folded in order by an
-associative _merge (_merge_chunks), which takes the level's fields and laws
-from the first chunk; over range(2^C(n,2)) that is the labeled sweep, the
-tests' check of the class route.  A set of no codes is folded as the sweep of an empty
-batch.  Every minimum names the smallest labeled code with the least count,
-so a report is identical for any worker count, chunk size or code order.
-reports.py alone projects reports to JSON.
+are swept CHUNK_CODES codes at a time (_sweep), and the chunks are folded in
+order by an associative _merge (_merge_chunks), which takes the level's
+fields and laws from the first chunk; over range(2^C(n,2)) that is the
+labeled sweep, the tests' check of the class route.  A set of no codes is
+folded as the sweep of an empty batch.  Every minimum names the smallest
+labeled code with the least count, so a report is identical for any chunk
+size or code order.  reports.py alone projects reports to JSON.
 
 Checker depth per sweep (_level for the exhaustive ones):
   full    line stats + all nine laws + class-shape histogram  (n <= 6,
@@ -25,15 +24,13 @@ Checker depth per sweep (_level for the exhaustive ones):
   vector  line stats + seven laws, no full-cover, class-shape
           or histogram                     (n = 7, 8)
   none    line stats only                  (min-lines)
-n = 7 and 8 keep these levels so that their reports keep their fields.  Only
-sampled claims start a --jobs pool; every other sweep checks jobs and runs
-in this process.
+n = 7 and 8 keep these levels so that their reports keep their fields.
+Every sweep runs in this process: jobs is checked and starts nothing.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -52,10 +49,10 @@ from .spaces import space_from_code  # noqa: F401
 from .structure import LAW_ORDER, classify_class, equiv_classes  # noqa: F401
 from . import sweep as sw
 
-# 2^16 codes keep a chunk's planes at 8 KiB each.  verify_theorem(7) took
-# 0.43-0.52 s and peaked at 36.6 MB with it, against 0.60-0.76 s and 140 MB
-# with 2^20-code chunks and 0.76-0.84 s with 2^14 (fresh processes on a
-# 2-core host).
+# Codes per chunk of a sampled or labeled sweep; 2^16 keep a chunk's planes
+# at 8 KiB each.  claims_sweep(8, trials=10**6) took 0.42-0.44 s and peaked
+# at 48 MB with it, against 0.55-0.57 s and 40 MB with 2^14 and 0.47-0.49 s
+# and 81 MB with 2^18 (3 fresh processes each on a 2-core host).
 CHUNK_CODES = 1 << 16
 
 # Mersenne Twister words per getrandbits call of _sample_codes (64 KiB)
@@ -105,16 +102,9 @@ class TheoremReport:
 @cache
 def _workspace() -> sw.Workspace:
     """This process's workspace, made on first use and kept for the life of
-    the process, so every chunk after the first, in a pool worker too,
-    reuses the planes of the one before."""
+    the process, so every chunk after the first reuses the planes of the one
+    before."""
     return sw.Workspace()
-
-
-def _sweep_chunk(task: tuple) -> TheoremReport:
-    n, codes, checkers, max_witnesses = task
-    if isinstance(codes, range):
-        codes = np.arange(codes.start, codes.stop, dtype=np.int64)
-    return _sweep_codes(n, codes, checkers, max_witnesses, _workspace())
 
 
 def _least(counts: np.ndarray, codes: np.ndarray, n: Optional[int] = None):
@@ -279,46 +269,20 @@ def _merge_chunks(n: int, mode: str, checkers: str,
                    mode=mode)
 
 
-def _sweep_tasks(n: int, codes, checkers: str, jobs: int,
-                 max_witnesses: int) -> list[tuple]:
-    """One task per consecutive slice of codes, a range or an int64 array.
-    A slice of a range is a range, so a labeled-sweep task pickles in a few
-    bytes however many codes it covers."""
-    chunk = CHUNK_CODES
-    if jobs > 1:
-        chunk = min(chunk, max(1024, -(-len(codes) // (jobs * 4))))
-    return [(n, codes[lo:lo + chunk], checkers, max_witnesses)
-            for lo in range(0, len(codes), chunk)]
-
-
-def _run_chunks(tasks: list[tuple], jobs: int,
-                progress: Progress) -> list[TheoremReport]:
-    # a pool only when two tasks can share it, and no idle workers
-    workers = min(jobs, len(tasks))
-    total = sum(len(task[1]) for task in tasks)
+def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
+           progress: Progress) -> TheoremReport:
+    """The merged report of codes, a range or an int64 array, swept
+    CHUNK_CODES at a time in this process; progress is called with (codes
+    done, total) after each chunk."""
     parts = []
-    done = 0
-    with ExitStack() as stack:
-        if workers > 1:
-            import multiprocessing as mp
-            pool = stack.enter_context(mp.Pool(processes=workers))
-            results = pool.imap(_sweep_chunk, tasks)
-        else:
-            results = map(_sweep_chunk, tasks)
-        for task, part in zip(tasks, results):
-            parts.append(part)
-            done += len(task[1])
-            if progress:
-                progress(done, total)
-    return parts
-
-
-def _sweep(n: int, mode: str, codes, checkers: str, jobs: int,
-           max_witnesses: int, progress: Progress) -> TheoremReport:
-    """The merged report of codes swept chunk by chunk."""
-    tasks = _sweep_tasks(n, codes, checkers, jobs, max_witnesses)
-    return _merge_chunks(n, mode, checkers, _run_chunks(tasks, jobs, progress),
-                         max_witnesses)
+    for lo in range(0, len(codes), CHUNK_CODES):
+        chunk = codes[lo:lo + CHUNK_CODES]
+        if isinstance(chunk, range):
+            chunk = np.arange(chunk.start, chunk.stop, dtype=np.int64)
+        parts.append(_sweep_codes(n, chunk, checkers, max_witnesses, _workspace()))
+        if progress:
+            progress(lo + chunk.size, len(codes))
+    return _merge_chunks(n, mode, checkers, parts, max_witnesses)
 
 
 def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
@@ -377,8 +341,9 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     level at n = 7, 8, whose laws lack full-cover and class-shape, and take
     the route of verify_theorem(n).  Sampled runs, drawn uniformly with
     replacement, use the full level at every n, and are swept in chunks
-    like any other code set.  A seed's sample is trials calls of
-    random.Random(seed).randrange(2^C(n,2)) (_sample_codes).
+    (_sweep).  A seed's sample is trials calls of
+    random.Random(seed).randrange(2^C(n,2)) (_sample_codes).  Every run is
+    in this process: jobs is checked and starts nothing.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
@@ -387,7 +352,7 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     return _sweep(n, "sample", _sample_codes(random.Random(seed), n, trials), "full",
-                  jobs, max_witnesses, progress)
+                  max_witnesses, progress)
 
 
 def _sample_codes(rng: random.Random, n: int, trials: int) -> np.ndarray:

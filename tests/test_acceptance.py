@@ -4,8 +4,8 @@ All assertions are exact; no tolerances exist anywhere in this package.
 The exhaustive reports come from one orbit-weighted sweep of the
 isomorphism classes, which C2 runs at n = 8 in under a second.  The two
 opt-in items, C2b and C10b, check them against the labeled sweep of all
-2^28 codes at level "vector" (set DBELINES_RUN_N8=1; about 30 s with 2 worker
-processes).
+2^28 codes at level "vector" (set DBELINES_RUN_N8=1; about 1 min in one
+process).
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s`.
 """
@@ -38,7 +38,7 @@ def n8_labeled():
     # exhaustive routes, with its wall time
     if "n8" not in _CACHE:
         start = time.monotonic()
-        rep = verify_mod._sweep(8, "all", range(1 << 28), "vector", 2, 100, None)
+        rep = verify_mod._sweep(8, "all", range(1 << 28), "vector", 100, None)
         _CACHE["n8"] = rep, time.monotonic() - start
     return _CACHE["n8"]
 
@@ -103,7 +103,7 @@ def test_criterion_02b_classes_equal_labeled_n8():
     ok = verify_theorem(8) == labeled and claims_sweep(8) == labeled
     report("C2b", ok,
            f"verify_theorem(8) and claims_sweep(8) equal the labeled 2^28 "
-           f"sweep on every field (level vector, 2 jobs, {elapsed:.0f}s)")
+           f"sweep on every field (level vector, one process, {elapsed:.0f}s)")
 
 
 def test_criterion_03_six_point_witnesses():

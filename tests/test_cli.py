@@ -331,8 +331,23 @@ class TestClaims:
         assert r["skipped_laws"] == []
         assert all(law["violations"] == 0 for law in r["laws"].values())
 
+    def test_n8_law_table_lines_up(self):
+        # the n = 8 counts have up to 11 digits, and the column widens to fit
+        code, out, _ = run_main(["claims", "--n", "8"])
+        assert code == 0
+        header, *rows = out.splitlines()[1:]
+        assert header.split() == ["law", "instances", "violations"]
+        instances_end = header.index("instances") + len("instances")
+        assert len(rows) == 9
+        for row in rows:
+            if row.endswith("skipped"):
+                assert len(row) == instances_end, row
+            else:
+                assert len(row) == len(header), row
+                assert row[:instances_end].endswith(row.split()[1]), row
+
     def test_jobs_do_not_change_bytes(self):
-        # exhaustive runs start no pool at any --jobs
+        # no run starts a process at any --jobs
         a = run_cli("claims", "--n", "6", "--json", "--jobs", "1")
         b = run_cli("claims", "--n", "6", "--json", "--jobs", "3")
         assert a.returncode == b.returncode == 0
@@ -379,23 +394,25 @@ class TestMinLines:
             f"min-lines: {m}/5 points" for m in range(2, 6)]
 
     def test_jobs_help_says_it_starts_no_process(self, capsys):
-        for sub, phrase in (("min-lines", "starts no process"),
-                            ("enumerate", "starts no process"),
-                            ("claims", "worker processes")):
+        for sub in ("min-lines", "enumerate", "claims"):
             with pytest.raises(SystemExit):
                 cli_mod.main([sub, "--help"])
-            assert phrase in " ".join(capsys.readouterr().out.split())
+            assert "starts no process" in " ".join(capsys.readouterr().out.split())
 
 
 def test_sweeps_leave_numpy_ma_and_random_unimported():
     # in a fresh interpreter numpy.ma costs about 20 ms and 0.5 MB on first
-    # import (np.unique imports it), and numpy.random 5 MB
+    # import (np.unique imports it), and numpy.random 5 MB; no sweep starts
+    # a process, not even a sample of three chunks at --jobs 2
     script = ("import sys\n"
               "from dbelines import cli\n"
               "assert cli.main(['enumerate', '--n', '6', '--mode', 'iso', '--json']) == 0\n"
               "assert cli.main(['min-lines', '--n', '7', '--json']) == 0\n"
               "assert cli.main(['claims', '--n', '8', '--trials', '100', '--json']) == 0\n"
-              "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n")
+              "assert cli.main(['claims', '--n', '6', '--trials', '140000', '--jobs', '2',\n"
+              "                 '--json']) == 0\n"
+              "print([m for m in ('numpy.ma', 'numpy.random', 'multiprocessing')\n"
+              "       if m in sys.modules])\n")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=600)
     assert res.returncode == 0, res.stderr
@@ -553,9 +570,7 @@ class TestJobsProperty:
             assert cli_mod.main(argv) == 0, (argv, err.getvalue())
         return out.getvalue()
 
-    # a 3000-code sample is three tasks, so --jobs starts a pool, and the
-    # exhaustive commands run in this process; at most 3 workers exist at a
-    # time
+    # a 3000-code sample is one chunk, and no command starts a process
     @settings(max_examples=10, deadline=None)
     @given(cmd=st.sampled_from([("enumerate",), ("claims",), ("min-lines",),
                                 ("claims", "--trials", "3000")]),

@@ -2,7 +2,6 @@
 
 import functools
 import multiprocessing
-import pickle
 import random
 import tracemalloc
 from dataclasses import replace
@@ -62,12 +61,25 @@ def code_batches(draw):
     return n, np.array(draw(st.permutations([0, *rest])), dtype=np.int64)
 
 
-def labeled(n, level=None, jobs=1, cap=100, progress=None):
+def labeled(n, level=None, cap=100, progress=None):
     """The labeled sweep of all 2^C(n,2) codes on n points, chunk by chunk,
     at verify_theorem's level unless given: what verify_theorem and
     claims_sweep report from the isomorphism classes."""
     return verify_mod._sweep(n, "all", range(1 << pair_count(n)),
-                             level or verify_mod._level(n), jobs, cap, progress)
+                             level or verify_mod._level(n), cap, progress)
+
+
+def recorded_chunks(monkeypatch):
+    """The codes of every _sweep_codes call from here on, in call order."""
+    calls = []
+    sweep_codes = verify_mod._sweep_codes
+
+    def recorded(n, codes, *args):
+        calls.append(codes.copy())
+        return sweep_codes(n, codes, *args)
+
+    monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
+    return calls
 
 
 @functools.cache
@@ -254,8 +266,6 @@ class TestVerifyTheorem:
         base = labeled(5)
         iso = cached_report(6, "iso")
         sample = claims_sweep(6, trials=5000, seed=3)
-        assert labeled(5, jobs=2) == base
-        assert labeled(5, jobs=5) == base
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         assert labeled(5) == base
         for jobs in (1, 2):
@@ -287,34 +297,41 @@ class TestVerifyTheorem:
 
     def test_sweeps_ship_and_hold_one_chunk(self, monkeypatch):
         # a sampled run never sweeps more than one chunk of codes at a time,
-        # and --jobs sends a labeled sweep's tasks as ranges, not code arrays
-        tasks = verify_mod._sweep_tasks(8, range(1 << 28), "vector", 2, 100)
-        assert sum(len(t[1]) for t in tasks) == 1 << 28
-        assert max(len(pickle.dumps(t)) for t in tasks) < 256
+        # and a labeled sweep of 2^28 codes holds one chunk's codes at a
+        # time, as an int64 array cut from the range
+        empty = verify_mod._sweep_codes(8, np.empty(0, dtype=np.int64), "vector", 100)
         sizes = []
-        sweep_codes = verify_mod._sweep_codes
 
-        def recorded(n, codes, *args):
+        def counted(n, codes, *args):
+            assert codes.dtype == np.int64
             sizes.append(codes.size)
-            return sweep_codes(n, codes, *args)
+            return empty
 
-        monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
+        monkeypatch.setattr(verify_mod, "_sweep_codes", counted)
+        verify_mod._sweep(8, "all", range(1 << 28), "vector", 100, None)
+        assert sum(sizes) == 1 << 28 and max(sizes) == verify_mod.CHUNK_CODES
+        monkeypatch.undo()
+        calls = recorded_chunks(monkeypatch)
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 16)
         rep = claims_sweep(5, trials=3 * 16)
+        sizes = [codes.size for codes in calls]
         assert rep.total_codes == sum(sizes) == 48
         assert max(sizes) <= 16
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_tasks_are_nonempty_and_cover_the_codes(self, jobs):
-        # every task holds a code, and the tasks hold the codes in order; no
-        # codes make no task, which _merge_chunks folds as an empty sweep
+    def test_chunks_are_nonempty_and_cover_the_codes(self, monkeypatch):
+        # every chunk holds a code, and the chunks hold the codes in order;
+        # no codes make no chunk, and _merge_chunks folds one empty sweep
         chunk = verify_mod.CHUNK_CODES
-        for size in (0, 1, chunk, chunk + 1):
+        for size, sizes in ((0, [0]), (1, [1]), (chunk, [chunk]),
+                            (chunk + 1, [chunk, 1])):
             shuffled = np.random.default_rng(size).permutation(size).astype(np.int64)
             for codes in (range(size), shuffled):
-                tasks = verify_mod._sweep_tasks(8, codes, "none", jobs, 0)
-                assert all(len(task[1]) > 0 for task in tasks)
-                assert [int(c) for task in tasks for c in task[1]] == list(codes)
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = recorded_chunks(mp)
+                    rep = verify_mod._sweep(8, "sample", codes, "none", 0, None)
+                assert rep.total_codes == size
+                assert [part.size for part in calls] == sizes
+                assert [int(c) for part in calls for c in part] == list(codes)
 
     def test_witness_cap_spans_chunks(self, monkeypatch):
         # Every line of codes 3, 20, 21 and 40 on 4 points set to {0, 1}:
@@ -386,7 +403,7 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(4, mode="fancy")
 
-    def test_progress_reporting(self):
+    def test_progress_reporting(self, monkeypatch):
         calls = []
         labeled(4, progress=lambda done, total: calls.append((done, total)))
         assert calls == [(64, 64)]
@@ -400,42 +417,11 @@ class TestVerifyTheorem:
         verify_theorem(5, mode="iso",
                        progress=lambda done, total: calls.append((done, total)))
         assert calls == [(3, 5), (4, 5), (5, 5)]
-
-    def test_pool_has_no_idle_workers(self, monkeypatch):
-        import multiprocessing
-        sizes = []
-
-        class FakePool:
-            """Records its size and runs tasks in this process."""
-
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        # n <= 5 is one 1024-code task at any jobs: no pool at all
-        assert labeled(4, jobs=64) == labeled(4)
-        assert sizes == []
-        base = labeled(6)
-        calls = []
-        rep = labeled(6, jobs=64, progress=lambda d, t: calls.append(d))
-        assert rep == base
-        assert sizes == [32]  # 32 tasks of 1024 codes
-        assert calls == list(range(1024, 32769, 1024))
-        assert labeled(6, jobs=3) == base
-        assert sizes == [32, 3]
-        # a min-lines table sweeps class representatives in this process
-        sizes.clear()
-        assert min_lines_table(2, 7, jobs=2) == min_lines_table(2, 7)
-        assert sizes == []
+        # a labeled or sampled sweep: codes done after each chunk
+        calls.clear()
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 1024)
+        labeled(6, progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(done, 1 << 15) for done in range(1024, 32769, 1024)]
 
 
 def class_faults(n, chosen):
@@ -635,13 +621,22 @@ class TestWorkspaceReuse:
         assert not any(isinstance(v, np.ndarray) for v in vars(first).values())
 
     def test_chunks_share_the_process_workspace(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 1 << 12)
-        first, second = verify_mod._sweep_tasks(7, range(1 << 13), "vector", 1, 5)
+        # the second of two equal chunks reuses the first one's buffers
         ws = verify_mod._workspace()
-        verify_mod._sweep_chunk(first)
-        grown = buffer_addresses(ws)
-        verify_mod._sweep_chunk(second)
-        assert verify_mod._workspace() is ws and buffer_addresses(ws) == grown
+        grown = []
+        sweep_codes = verify_mod._sweep_codes
+
+        def recorded(n, codes, checkers, cap, chunk_ws):
+            assert chunk_ws is ws
+            report = sweep_codes(n, codes, checkers, cap, chunk_ws)
+            grown.append(buffer_addresses(ws))
+            return report
+
+        monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 1 << 12)
+        verify_mod._sweep(7, "all", range(1 << 13), "vector", 5, None)
+        assert len(grown) == 2 and grown[0] == grown[1]
+        assert verify_mod._workspace() is ws
 
 
 class TestClaimsSweep:
