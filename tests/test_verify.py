@@ -318,9 +318,19 @@ class TestVerifyTheorem:
         assert rep.total_codes == sum(sizes) == 48
         assert max(sizes) <= 16
 
-    def test_chunks_are_nonempty_and_cover_the_codes(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_tasks_are_nonempty_and_cover_the_codes(self, jobs):
         # every chunk holds a code, and the chunks hold the codes in order;
-        # no codes make no chunk, and _merge_chunks folds one empty sweep
+        # no codes make no chunk, and _merge_chunks folds one empty sweep.
+        # jobs changes none of it: a sampled claims run is chunked the same
+        with pytest.MonkeyPatch.context() as mp:
+            calls = recorded_chunks(mp)
+            mp.setattr(verify_mod, "CHUNK_CODES", 16)
+            rep = claims_sweep(5, trials=33, seed=jobs, jobs=jobs)
+        assert rep.total_codes == 33
+        assert [part.size for part in calls] == [16, 16, 1]
+        assert np.array_equal(np.concatenate(calls),
+                              verify_mod._sample_codes(random.Random(jobs), 5, 33))
         chunk = verify_mod.CHUNK_CODES
         for size, sizes in ((0, [0]), (1, [1]), (chunk, [chunk]),
                             (chunk + 1, [chunk, 1])):
