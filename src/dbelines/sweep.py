@@ -39,12 +39,15 @@ a fresh one, so its arrays alias nothing.
 Two canonical forms name an isomorphism class.  refined_codes is the least
 code over the relabelings that keep the points sorted by an invariant key,
 with the class's automorphism count beside it, and iso_classes grows the
-classes with it.  It relabels each distinct sorted code once, in blocks of
-(code, relabeling) rows that span cell patterns: 83,252 relabelings for the
-9984 candidates of the n = 7 growth step, about 8 per candidate instead of
-5040.  canonical_min is the least code over all n! relabelings, through the
-same blocks with one cell: the form every report prints, needed only for
-the classes that a report names.
+classes with it from the joins that give the new point the largest degree.
+It relabels each distinct sorted code once, in blocks of (code, relabeling)
+rows that span cell patterns, and a code of one cell once per point that it
+individualizes: 35,916 relabelings for the 2690 candidates of the n = 7
+growth step, 10,960 of them in the 56 branches of its 8 one-cell codes,
+which all 5040 relabelings would take 40,320.
+canonical_min is the least code over all n! relabelings, through the same
+blocks with one cell: the form every report prints, needed only for the
+classes that a report names.
 
 The scalar implementations in lines/structure (law_violations for the
 laws) are the readable copy of each kernel and share its rules; the
@@ -718,22 +721,41 @@ def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     return _least_relabelings(n, codes, np.zeros_like(codes))[0]
 
 
-def _sorted_by_key(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _walks(adjacent: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """int64 per point p: for k = 1, 2, 3, the sum of start[q] over the
+    walks of length k from p to q, in 10-bit fields with k = 1 highest.
+    adjacent is a (codes, n, n) distance-1 tensor and start (codes, n).
+    Every field stays below 2^10 to n = 10: with all-ones starts, the third
+    is at most 9^3 = 729."""
+    key = np.zeros(start.shape, dtype=np.int64)
+    for _ in range(3):
+        start = (adjacent @ start[..., None])[..., 0]
+        key <<= 10
+        key |= start
+    return key
+
+
+def _sorted_by_key(n: int, codes: np.ndarray,
+                   points: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per code, the code relabeled with its points sorted by the keys of
-    refined_codes, int64, and the cuts of its cells (_cell_sources), int8."""
+    refined_codes, int64, and the cuts of its cells (_cell_sources), uint8:
+    all 8 cut bits fit at n = 9.  With points, the key of each code gains a
+    last field for its point x: is the point x, then the walks of length 1, 2
+    and 3 from the point to x.  The field sits below the first key, so it
+    only splits cells."""
     us, vs = _ends(n)
     shifts = np.arange(us.size)
     by_key = np.empty_like(codes)
-    cuts = np.empty(codes.shape[0], dtype=np.int8)
+    cuts = np.empty(codes.shape[0], dtype=np.uint8)
     for lo in range(0, codes.shape[0], _KEY_CODES):
         block = codes[lo:lo + _KEY_CODES, None]
         adjacent = np.zeros((block.shape[0], n, n), dtype=np.int64)
         adjacent[:, us, vs] = adjacent[:, vs, us] = 1 - ((block >> shifts) & 1)
-        degree = adjacent.sum(axis=2)
-        second = (adjacent @ degree[:, :, None])[..., 0]
-        third = (adjacent @ second[:, :, None])[..., 0]
-        # fields below 2^10: a degree is at most 7, a second key 49, a third 343
-        keys = degree << 20 | second << 10 | third
+        # degree, the sum of the neighbours' degrees, and the sum of theirs
+        keys = _walks(adjacent, np.ones((block.shape[0], n), dtype=np.int64))
+        if points is not None:
+            mark = (np.arange(n) == points[lo:lo + _KEY_CODES, None]).astype(np.int64)
+            keys = keys << 31 | mark << 30 | _walks(adjacent, mark)
         order = np.argsort(keys, axis=1, kind="stable")
         keys = np.take_along_axis(keys, order, axis=1)
         cuts[lo:lo + _KEY_CODES] = ((keys[:, 1:] != keys[:, :-1])
@@ -746,18 +768,28 @@ def _sorted_by_key(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(canonical code, automorphism count) per code, both int64.
 
-    The first step of partition refinement (McKay & Piperno 2014,
-    "Practical graph isomorphism, II").  Each point gets a key: its
-    distance-1 degree, the sum of its distance-1 neighbours' degrees, and
-    the sum of their second keys.  The code is relabeled with its points
-    sorted by key, and a cell is a run of equal keys.  The canonical code is
-    the least relabeling of that code over the permutations that map every
-    cell onto itself (_cell_sources of the cell pattern), taken once per
-    distinct sorted code; where all keys differ, it is the sorted code.  Keys
-    are invariant under relabeling, so isomorphic codes get one canonical code.
-    The permutations that reach it form a coset of the automorphism group,
-    since every automorphism preserves the keys, so their number is |Aut|.
-    Unlike canonical_min, the code need not be the least of its class.
+    Partition refinement (McKay & Piperno 2014, "Practical graph
+    isomorphism, II").  Each point gets a key: its distance-1 degree, the sum
+    of its distance-1 neighbours' degrees, and the sum of their second keys.
+    The code is relabeled with its points sorted by key, and a cell is a run
+    of equal keys.  The canonical code is the least relabeling of that code
+    over the permutations that map every cell onto itself (_cell_sources of
+    the cell pattern), taken once per distinct sorted code; where all keys
+    differ, it is the sorted code.  Keys are invariant under relabeling, so
+    isomorphic codes get one canonical code.  The permutations that reach it
+    form a coset of the automorphism group, since every automorphism
+    preserves the keys, so their number is |Aut|.
+
+    A sorted code of one cell (all keys equal) is not relabeled n! ways but
+    individualized: for each point x, a branch sorts the points by their key
+    and a last field that marks x (_sorted_by_key with points), so x is last,
+    and relabels over the branch's cells.  The canonical code is the least
+    branch minimum.  A permutation valid in branch x maps point n - 1 onto x,
+    so no permutation is in two branches, and an automorphism a carries the
+    valid permutations of branch x onto those of branch a(x): the coset that
+    reaches the minimum lies in the branches, and |Aut| is the sum of the
+    tie counts of the branches that reach it.  Unlike canonical_min, the code
+    need not be the least of its class.
     """
     check_point_count(n)
     by_key, cuts = _sorted_by_key(n, codes)
@@ -767,10 +799,17 @@ def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep[1:] = canon[1:] != canon[:-1]
     canon = canon[keep]
     inverse = np.searchsorted(canon, by_key)
-    cut, aut = np.empty(canon.size, dtype=np.int8), np.ones_like(canon)
+    cut, aut = np.empty(canon.size, dtype=np.uint8), np.ones_like(canon)
     cut[inverse] = cuts
-    coarse = cut != (1 << n - 1) - 1  # the discrete pattern has one relabeling
+    # the discrete pattern has one relabeling, and one cell is individualized
+    coarse = (cut != (1 << n - 1) - 1) & (cut != 0)
     canon[coarse], aut[coarse] = _least_relabelings(n, canon[coarse], cut[coarse])
+    one_cell = np.flatnonzero(cut == 0)
+    branches = _sorted_by_key(n, np.repeat(canon[one_cell], n),
+                              np.tile(np.arange(n), one_cell.size))
+    least, ties = (a.reshape(-1, n) for a in _least_relabelings(n, *branches))
+    canon[one_cell] = low = least.min(axis=1)
+    aut[one_cell] = np.where(least == low[:, None], ties, 0).sum(axis=1)
     return canon[inverse], aut[inverse]
 
 
@@ -779,13 +818,15 @@ def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     (refined_codes) per isomorphism class on m points, and its |Aut|.
 
     Grown from the two classes on 2 points by one point at a time: each
-    class representative on m points is lifted to m + 1 points, joined to
-    the new point in all 2^m ways, and the refined codes of the candidates
-    are deduplicated by a sort.  Deleting the last point of a space on
-    m + 1 points leaves a relabeled representative, so every class is
-    reached.  By orbit-stabilizer a class has (m + 1)!/|Aut| labeled codes,
-    and each step checks that these sum to 2^C(m + 1, 2): a missed or
-    doubled class, or a wrong |Aut|, raises RuntimeError.
+    class representative on m points is lifted to m + 1 points and joined to
+    the new point m in each of the 2^m ways that give m the largest
+    distance-1 degree, and the refined codes of these candidates are
+    deduplicated by a sort.  Every class is reached: deleting a point of
+    largest degree from a space on m + 1 points leaves a relabeling of some
+    representative, and one of its joins puts that point at m.  By
+    orbit-stabilizer a class has (m + 1)!/|Aut| labeled codes, and each step
+    checks that these sum to 2^C(m + 1, 2): a missed or doubled class, or a
+    wrong |Aut|, raises RuntimeError.
     """
     check_point_count(n)
     reps = np.arange(2, dtype=np.int64)
@@ -793,13 +834,19 @@ def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     yield 2, reps, aut
     for m in range(2, n):
         lifted = np.zeros_like(reps)
+        degree = np.full((reps.size, m), m - 1, dtype=np.int8)
         for i, j in iter_pairs(m):
-            lifted |= ((reps >> pair_index(i, j, m)) & 1) << pair_index(i, j, m + 1)
-        patterns = np.arange(1 << m, dtype=np.int64)
-        joins = np.zeros_like(patterns)
-        for i in range(m):
-            joins |= ((patterns >> i) & 1) << pair_index(i, m, m + 1)
-        canon, auts = refined_codes(m + 1, (lifted[:, None] | joins).ravel())
+            bit = (reps >> pair_index(i, j, m)) & 1
+            lifted |= bit << pair_index(i, j, m + 1)
+            degree[:, i] -= bit
+            degree[:, j] -= bit
+        # far[p, i]: join p puts point i at distance 2 from the new point m
+        far = np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m) & 1
+        joins = (far << [pair_index(i, m, m + 1) for i in range(m)]).sum(axis=1)
+        near = (1 - far).astype(np.int8)
+        top = (degree[:, None, :] + near).max(axis=2)
+        keep = near.sum(axis=1, dtype=np.int8) >= top
+        canon, auts = refined_codes(m + 1, (lifted[:, None] | joins)[keep])
         reps, first = np.unique(canon, return_index=True)
         aut = auts[first]
         labeled = int((factorial(m + 1) // aut).sum())
@@ -807,4 +854,3 @@ def iso_classes(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
             raise RuntimeError(f"the {reps.size} classes on {m + 1} points have "
                                f"{labeled} labeled codes, not 2^{pair_count(m + 1)}")
         yield m + 1, reps, aut
-

@@ -849,6 +849,24 @@ def growth_candidates():
     return seen
 
 
+@pytest.fixture(scope="module")
+def grown():
+    """{m: (codes, aut)} of every step of iso_classes(8)."""
+    return {m: (reps, aut) for m, reps, aut in sw.iso_classes(8)}
+
+
+def all_joins(m, reps):
+    """Every code on m + 1 points whose first m points are labeled as one of
+    reps: each code lifted, then joined to point m in all 2^m ways."""
+    out = np.zeros((reps.size, 1 << m), dtype=np.int64)
+    for i, j in combinations(range(m), 2):
+        out |= ((reps >> ref_pair_bit(i, j, m)) & 1)[:, None] << ref_pair_bit(i, j, m + 1)
+    patterns = np.arange(1 << m, dtype=np.int64)
+    for i in range(m):
+        out |= ((patterns >> i) & 1) << ref_pair_bit(i, m, m + 1)
+    return out.ravel()
+
+
 class TestRefinedCodes:
     """sw.refined_codes: one code per class, with |Aut| beside it."""
 
@@ -891,33 +909,102 @@ class TestRefinedCodes:
             np.testing.assert_array_equal(sw._cell_sources(n, cuts),
                                           brute_cell_sources(n, cuts), str(cuts))
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_unfiltered_joins_give_the_same_classes(self, n, grown):
+        # iso_classes keeps only the joins that give the new point the
+        # largest degree; the refined codes of all 2^(n-1) joins of every
+        # class on n - 1 points name exactly the same classes
+        parents, _ = grown[n - 1]
+        canon, aut = sw.refined_codes(n, all_joins(n - 1, parents))
+        reps, first = np.unique(canon, return_index=True)
+        np.testing.assert_array_equal(reps, grown[n][0])
+        np.testing.assert_array_equal(aut[first], grown[n][1])
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_one_cell_classes_are_individualized(self, n, grown):
+        # the classes whose first refinement leaves one cell (the regular
+        # spaces): |Aut| over the branches equals the tie count over all n!
+        # relabelings, and relabeled codes share the refined code
+        reps, _ = grown[n]
+        codes = reps[sw._sorted_by_key(n, reps)[1] == 0]
+        assert codes.size == {6: 8, 7: 6, 8: 22}[n]  # regular graphs
+        canon, aut = sw.refined_codes(n, codes)
+        np.testing.assert_array_equal(canon, codes)
+        ties = sw._least_relabelings(n, codes, np.zeros_like(codes))[1]
+        np.testing.assert_array_equal(aut, ties)
+        rng = random.Random(n)
+        for code in codes.tolist():
+            moved = np.array([relabeled(n, code, rng.sample(range(n), n))
+                              for _ in range(3)], dtype=np.int64)
+            assert set(sw.refined_codes(n, moved)[0].tolist()) == {code}
+
+    def test_discrete_cuts_at_nine_points(self):
+        # codes on 9 points whose (degree, second, third) keys all differ:
+        # the 8 cut bits make 255, which an int8 read as -1
+        n = 9
+        pairs = list(combinations(range(n), 2))
+        distinct = []
+        for code in random_codes(n, 40, seed=9).tolist():
+            adjacent = np.zeros((n, n), dtype=np.int64)
+            for k, (i, j) in enumerate(pairs):
+                if not code >> k & 1:
+                    adjacent[i, j] = adjacent[j, i] = 1
+            degree = adjacent.sum(axis=1)
+            second = adjacent @ degree
+            if len(set(zip(degree, second, adjacent @ second))) == n:
+                distinct.append(code)
+        assert len(distinct) >= 3
+        _, cuts = sw._sorted_by_key(n, np.array(distinct, dtype=np.int64))
+        assert cuts.tolist() == [255] * len(distinct)
+
     @pytest.mark.parametrize("rows", ["one", "uneven", "all"])
     def test_blocks_change_nothing(self, rows, growth_candidates, monkeypatch):
-        # the 9984 candidates of the n = 7 step, relabeled one row per block,
+        # the 2690 candidates of the n = 7 step, relabeled one row per block,
         # in blocks of 1000 rows, and in one block, against the default
         codes = growth_candidates[7]
         by_key, cuts = sw._sorted_by_key(7, codes)
         distinct, first = np.unique(by_key, return_index=True)
-        assert codes.size == 9984 and distinct.size < codes.size  # repeats
-        discrete = cuts[first] == (1 << 6) - 1
-        assert discrete.any()
-        span = np.diff(sw._cell_tables(7)[1])[cuts[first][~discrete]]
+        assert codes.size == 2690 and distinct.size < codes.size  # repeats
+        cut = cuts[first]
+        discrete, one_cell = cut == (1 << 6) - 1, cut == 0
+        assert discrete.any() and one_cell.any()
+        counts = np.diff(sw._cell_tables(7)[1])
+        span = counts[cut[~discrete & ~one_cell]]
+        # each one-cell code has a branch per point, whose cells split it
+        branch_cuts = sw._sorted_by_key(7, np.repeat(distinct[one_cell], 7),
+                                        np.tile(np.arange(7), one_cell.sum()))[1]
+        branch_span = counts[branch_cuts]
         # 1000 rows: blocks of several codes, whose cell patterns differ and
-        # whose rows fall short of the budget, and the one-cell codes (5040
-        # rows) alone
-        budget = {"one": 1, "uneven": 1000, "all": int(span.sum()) + 1}[rows]
-        assert span.min() < 1000 < span.max() and span.sum() > 1000
+        # whose rows fall short of the budget; no code reaches 1000 rows
+        largest = max(span.sum(), branch_span.sum())
+        budget = {"one": 1, "uneven": 1000, "all": int(largest) + 1}[rows]
+        assert max(span.max(), branch_span.max()) < 1000 < min(span.sum(),
+                                                                branch_span.sum())
         canon, aut = sw.refined_codes(7, codes)
         monkeypatch.setattr(sw, "_RELABEL_ROWS", budget)
         got_canon, got_aut = sw.refined_codes(7, codes)
         np.testing.assert_array_equal(got_canon, canon)
         np.testing.assert_array_equal(got_aut, aut)
 
+    @pytest.mark.parametrize("rows", ["one", "uneven", "all"])
+    def test_lone_codes_change_nothing(self, rows, grown, monkeypatch):
+        # canonical_min of the six one-cell classes on 7 points: 5040 rows a
+        # code, more than a block, so each goes alone and reads its sources
+        # in place, except in one block of all their rows
+        reps, _ = grown[7]
+        codes = reps[sw._sorted_by_key(7, reps)[1] == 0]
+        assert codes.size == 6 and factorial(7) > sw._RELABEL_ROWS
+        budget = {"one": 1, "uneven": 1000, "all": codes.size * factorial(7)}[rows]
+        least = sw.canonical_min(7, codes)
+        monkeypatch.setattr(sw, "_RELABEL_ROWS", budget)
+        np.testing.assert_array_equal(sw.canonical_min(7, codes), least)
+
     def test_warm_temporaries(self, growth_candidates):
         # a warm call on the n = 7 step: beside its two int64 outputs, its
         # temporaries peak under 512 KiB, a block of _RELABEL_ROWS rows
-        # (332 KiB) and two int64 arrays over the candidates (156 KiB);
-        # blocks of 2^16 rows would take 5 MiB
+        # (332 KiB), of coarse codes or of one-cell branches alike, and two
+        # int64 arrays over the 2690 candidates (42 KiB); blocks of 2^16
+        # rows would take 5 MiB
         codes = growth_candidates[7]
         sw.refined_codes(7, codes)
         tracemalloc.start()
