@@ -25,7 +25,7 @@ there.  Violations are counted with np.bitwise_count (popcount), and a
 law's witnesses are the set bits of the OR of its bad planes.  Inside
 weighted(), popcount weighs each lane, so a batch of one code per
 isomorphism class, weighted by orbit size, counts every labeled code of
-their orbits.  Only the per-code distinct-line count and universal flag
+those classes.  Only the per-code distinct-line count and universal flag
 are unpacked from planes, for the argmins.
 
 The bits past m belong to no code.  They read as code 0, and valid_plane
@@ -683,6 +683,19 @@ def _least_relabelings(n: int, codes: np.ndarray,
     return best, count
 
 
+def _relabeled(codes: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """int64 per column of a (C(n,2), q) sources table: the c-th code, or
+    the one code, relabeled by column c, one pair bit at a time."""
+    relabeled = np.zeros(sources.shape[1], dtype=np.int64)
+    bit = np.empty_like(relabeled)
+    for k, source in enumerate(sources):
+        np.right_shift(codes, source, out=bit)
+        bit &= 1
+        bit <<= k
+        relabeled |= bit
+    return relabeled
+
+
 def _least_in_block(table: np.ndarray, first: np.ndarray, span: np.ndarray,
                     codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_least_relabelings of one block, whose c-th code has span[c] rows,
@@ -699,13 +712,7 @@ def _least_in_block(table: np.ndarray, first: np.ndarray, span: np.ndarray,
         columns += np.arange(columns.size)
         sources = np.take(table, columns, axis=0).T.copy()
         codes = np.repeat(codes, span)
-    relabeled = np.zeros(sources.shape[1], dtype=np.int64)
-    bit = np.empty_like(relabeled)
-    for k, source in enumerate(sources):
-        np.right_shift(codes, source, out=bit)
-        bit &= 1
-        bit <<= k
-        relabeled |= bit
+    relabeled = _relabeled(codes, sources)
     low = np.minimum.reduceat(relabeled, starts)
     tied = relabeled == (low if lone else np.repeat(low, span))
     return low, np.add.reduceat(tied, starts)
@@ -719,6 +726,13 @@ def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
     """
     check_point_count(n)
     return _least_relabelings(n, codes, np.zeros_like(codes))[0]
+
+
+def orbit(n: int, code: int) -> np.ndarray:
+    """The distinct codes of the n! relabelings of code, ascending, int64:
+    the labeled codes of its isomorphism class, canonical_min first."""
+    check_point_count(n)
+    return np.unique(_relabeled(np.int64(code), _cell_sources(n, 0)))
 
 
 def _walks(adjacent: np.ndarray, start: np.ndarray) -> np.ndarray:

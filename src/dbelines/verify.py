@@ -3,20 +3,22 @@
 Every sweep checks the De Bruijn-Erdos property plus the structural laws,
 and _sweep_codes alone builds its TheoremReport.  Every exhaustive report
 sweeps one code per isomorphism class (sw.iso_classes) as one batch, in this
-process.  verify_theorem(n) and exhaustive claims_sweep(n) report all
-2^C(n,2) codes (_sweep_classes): each count they report is invariant under
-relabeling, so by orbit-stabilizer it is a sum over the classes weighted by
-n!/|Aut|, which sw.weighted gives each class's lane.  Argmins and
-witnesses name labeled codes (_least, _orbit_witnesses).  verify_theorem(n,
-"iso") and min_lines_table sweep the classes unweighted: their counts count
-classes, and their argmins and witnesses name orbit minima.  Sampled claims
-are swept CHUNK_CODES codes at a time (_sweep), and the chunks are folded in
-order by an associative _merge (_merge_chunks), which takes the level's
-fields and laws from the first chunk; over range(2^C(n,2)) that is the
-labeled sweep, the tests' check of the class route.  A set of no codes is
-folded as the sweep of an empty batch.  Every minimum names the smallest
-labeled code with the least count, so a report is identical for any chunk
-size or code order.  reports.py alone projects reports to JSON.
+process, through one helper (_class_report) and one weight rule: a class of
+weight w stands for the w least labeled codes of its orbit.
+verify_theorem(n) and exhaustive claims_sweep(n) weigh a class by its orbit
+size n!/|Aut|, so they report all 2^C(n,2) codes: each count they report is
+invariant under relabeling, so by orbit-stabilizer it is a sum over the
+classes, which sw.weighted weighs per lane.  verify_theorem(n, "iso") and
+each min_lines_table row weigh a class by 1, so they report the orbit
+minima: their counts count classes.  Either way argmins and witnesses name
+labeled codes (_least, _orbit_witnesses).  Sampled claims are swept
+CHUNK_CODES codes at a time (_sweep), and the chunks are folded in order by
+an associative _merge (_merge_chunks), which takes the level's fields and
+laws from the first chunk; over range(2^C(n,2)) that is the labeled sweep,
+the tests' check of the class route.  A set of no codes is folded as the
+sweep of an empty batch.  Every minimum names the smallest labeled code
+with the least count, so a report is identical for any chunk size or code
+order.  reports.py alone projects reports to JSON.
 
 Checker depth per sweep (_level for the exhaustive ones):
   full    line stats + all nine laws + class-shape histogram  (n <= 6,
@@ -78,7 +80,8 @@ class TheoremReport:
     reported, never raised.  The level fixes which fields are None: "none"
     (min-lines alone) has no laws, twin-free count or histogram, and only
     "full" has the two class laws and the histogram.  laws lists its laws
-    in LAW_ORDER; mode "all" counts labeled codes, "iso" classes."""
+    in LAW_ORDER; mode "all" counts labeled codes, "iso" classes, each the
+    report of classes weighted by orbit size or by 1 (_class_report)."""
 
     n: int
     mode: str
@@ -124,20 +127,18 @@ def _least(counts: np.ndarray, codes: np.ndarray, n: Optional[int] = None):
 
 def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                  max_witnesses: int, ws: sw.Workspace | None = None,
-                 orbits: bool = False,
-                 sizes: np.ndarray | None = None) -> TheoremReport:
+                 weights: np.ndarray | None = None) -> TheoremReport:
     """The report of one batch, in mode "chunk", with its laws in LAW_ORDER:
     a merge takes n, mode, level and law keys from its left operand.  An
     empty batch gives the zero report of the level.  The batch's planes live
     in ws (a fresh workspace when None), and none of them is kept in the
-    report.  With orbits, the codes are one representative per isomorphism
-    class, of any form, each argmin names the smallest labeled code with the
-    least count (_least), and a witness list holds the least cap orbit
-    minima (sw.canonical_min) of the flagged classes.  With sizes, the orbit
-    size n!/|Aut| of each class, the report is that of every code of the
-    orbits: as with orbits, with counts weighted by orbit size
-    (sw.weighted), and witnesses from the flagged orbits
-    (_orbit_witnesses)."""
+    report.  Without weights, the codes are labeled codes.  With weights,
+    they are one representative per isomorphism class, of any form, and a
+    class of weight w stands for the w least labeled codes of its orbit: w =
+    n!/|Aut| for the whole orbit, w = 1 for its minimum.  Its counts are
+    weighted (sw.weighted), each argmin names the smallest labeled code with
+    the least count (_least), and witnesses are the least codes that the
+    flagged classes stand for (_orbit_witnesses)."""
     m = codes.size
     ws = ws or sw.Workspace()
     valid = sw.valid_plane(m)
@@ -150,20 +151,18 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
     counts = distinct[:m]
     has_universal = sw.unpack(universal)[:m]
     fail_idx = np.flatnonzero((counts < n) & ~has_universal)
-    classes_of = n if orbits or sizes is not None else None
+    classes_of = None if weights is None else n
     overall = _least(counts, codes, classes_of)
     no_universal = _least(counts[~has_universal], codes[~has_universal], classes_of)
 
-    def witnesses(flagged: np.ndarray) -> tuple[int, ...]:
-        if sizes is not None:
-            return _orbit_witnesses(n, flagged, max_witnesses)
-        if orbits and max_witnesses and flagged.size:
-            flagged = np.sort(sw.canonical_min(n, flagged))
-        return tuple(flagged[:max_witnesses].tolist())
+    def witnesses(idx) -> tuple[int, ...]:
+        if weights is None:
+            return tuple(codes[idx][:max_witnesses].tolist())
+        return _orbit_witnesses(n, codes[idx], weights[idx], max_witnesses)
 
     twin_free_codes, hist, laws = None, None, None
     if checkers != "none":
-        with sw.weighted(None if sizes is None else np.pad(sizes, (0, -m % 64))):
+        with sw.weighted(None if weights is None else np.pad(weights, (0, -m % 64))):
             twins = sw.twin_pair_flags(n, bits, ones, ws)
             twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
             oversize = sw.class_size_stats(n, equal.pairs, ws)
@@ -178,49 +177,36 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                 law_counts.update(class_counts)
             twin_free_codes = sw.popcount(twin_free)
         # class witnesses are ordered by orbit minimum, so every lane is taken
-        cap = None if classes_of else max_witnesses
+        cap = max_witnesses if weights is None else None
         laws = {law: LawStat(cnt.instances, cnt.violations,
-                             witnesses(codes[sw.set_lanes(cnt.bad, cap)]))
+                             witnesses(sw.set_lanes(cnt.bad, cap)))
                 for law in LAW_ORDER if (cnt := law_counts.get(law))}
 
     return TheoremReport(
         n=n, mode="chunk", checker_level=checkers,
-        total_codes=m if sizes is None else int(sizes.sum()),
-        dbe_failures=int(fail_idx.size if sizes is None else sizes[fail_idx].sum()),
-        failure_witnesses=witnesses(codes[fail_idx]),
+        total_codes=m if weights is None else int(weights.sum()),
+        dbe_failures=int(fail_idx.size if weights is None else weights[fail_idx].sum()),
+        failure_witnesses=witnesses(fail_idx),
         min_lines_overall=overall[0], argmin_overall=overall[1],
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],
         twin_free_codes=twin_free_codes, class_counts_by_shape=hist, laws=laws)
 
 
-def _grown_classes(n: int, progress: Progress) -> tuple[np.ndarray, np.ndarray]:
-    """The last step of sw.iso_classes(n): one refined code per isomorphism
-    class on n points, and its |Aut|.  progress is called with (m, n) after
-    each step of the growth that adds a point."""
-    for m, reps, aut in sw.iso_classes(n):
-        if progress and m > 2:
-            progress(m, n)
-    return reps, aut
-
-
-def _orbit_witnesses(n: int, reps: np.ndarray, cap: int) -> tuple[int, ...]:
-    """The cap smallest labeled codes of the orbits of reps, one code per
-    isomorphism class, ascending: what a labeled sweep lists for the codes
-    of those orbits.  Orbits are relabeled through _cell_sources(n, 0) in
-    order of their minima, until the next minimum is above the cap-th code
-    found."""
-    if not cap:
+def _orbit_witnesses(n: int, reps: np.ndarray, weights: np.ndarray,
+                     cap: int) -> tuple[int, ...]:
+    """The cap smallest codes that the classes reps, one code per class,
+    stand for, ascending: the weights[i] least labeled codes of the orbit
+    (sw.orbit) of reps[i].  Orbits are taken in order of their minima,
+    until the next minimum is above the cap-th code found."""
+    if not cap or not reps.size:
         return ()
     least = sw.canonical_min(n, reps)
-    sources = sw._cell_sources(n, 0).astype(np.int64)
-    shifts = np.arange(sources.shape[0])[:, None]
     found = np.empty(0, dtype=np.int64)
     for i in np.argsort(least):
         if found.size == cap and least[i] > found[-1]:
             break
-        orbit = np.bitwise_or.reduce(((reps[i] >> sources) & 1) << shifts, axis=0)
-        found = np.union1d(found, orbit)[:cap]
+        found = np.union1d(found, sw.orbit(n, reps[i])[:weights[i]])[:cap]
     return tuple(found.tolist())
 
 
@@ -298,36 +284,35 @@ def _level(n: int) -> str:
     return "full" if n <= 6 else "vector"
 
 
-def _sweep_classes(n: int, checkers: str, max_witnesses: int,
-                   progress: Progress) -> TheoremReport:
-    """The report of all 2^C(n,2) codes on n points, in mode "all", from one
-    sweep of one code per isomorphism class weighted by orbit size."""
-    reps, aut = _grown_classes(n, progress)
+def _class_report(n: int, mode: str, reps: np.ndarray, aut: np.ndarray,
+                  checkers: str, max_witnesses: int) -> TheoremReport:
+    """The report of the classes reps on n points, with |Aut| aut, from one
+    sweep: weighted by orbit size n!/|Aut| in mode "all", the report of all
+    2^C(n,2) codes, and by 1 in mode "iso", that of the orbit minima."""
+    weights = factorial(n) // aut if mode == "all" else np.ones_like(reps)
     return replace(_sweep_codes(n, reps, checkers, max_witnesses, _workspace(),
-                                sizes=factorial(n) // aut), mode="all")
+                                weights), mode=mode)
 
 
 def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                    max_witnesses: int = 100,
                    progress: Progress = None) -> TheoremReport:
-    """The report of all label codes on n points (mode "all"), from one
-    weighted sweep of the isomorphism classes, or of one code per class
-    (mode "iso"), at level "full" and unweighted: its counts count classes,
-    and its argmins and witnesses name orbit minima, the least labeled code
-    of each class.  Both sweep the classes of one growth as one batch, in
-    this process, and call progress with (points, n) once per step of the
-    growth.  jobs is checked and starts nothing.  verify_theorem(8, "iso")
-    takes about 0.4 s.
+    """The report of all label codes on n points (mode "all"), at _level(n),
+    or of the least labeled code of each class (mode "iso"), at level
+    "full", whose counts count classes: one sweep of the classes of one
+    growth (_class_report), in this process, that calls progress with
+    (points, n) once per step of the growth.  jobs is checked and starts
+    nothing.  verify_theorem(8, "iso") takes about 0.4 s.
     """
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "iso":
-        reps, _ = _grown_classes(n, progress)
-        return replace(_sweep_codes(n, reps, "full", max_witnesses, _workspace(),
-                                    orbits=True), mode="iso")
-    return _sweep_classes(n, _level(n), max_witnesses, progress)
+    for m, reps, aut in sw.iso_classes(n):
+        if progress and m > 2:
+            progress(m, n)
+    return _class_report(n, mode, reps, aut, "full" if mode == "iso" else _level(n),
+                         max_witnesses)
 
 
 def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
@@ -338,8 +323,8 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     "sample", with total_codes = trials).
 
     Exhaustive runs use the "full" level through n = 6 and the "vector"
-    level at n = 7, 8, whose laws lack full-cover and class-shape, and take
-    the route of verify_theorem(n).  Sampled runs, drawn uniformly with
+    level at n = 7, 8, whose laws lack full-cover and class-shape: they are
+    verify_theorem(n).  Sampled runs, drawn uniformly with
     replacement, use the full level at every n, and are swept in chunks
     (_sweep).  A seed's sample is trials calls of
     random.Random(seed).randrange(2^C(n,2)) (_sample_codes).  Every run is
@@ -348,7 +333,8 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     sw.check_point_count(n)
     _check_limits(jobs, max_witnesses)
     if trials is None:
-        return _sweep_classes(n, _level(n), max_witnesses, progress)
+        return verify_theorem(n, jobs=jobs, max_witnesses=max_witnesses,
+                              progress=progress)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     return _sweep(n, "sample", _sample_codes(random.Random(seed), n, trials), "full",
@@ -383,8 +369,8 @@ def _sample_codes(rng: random.Random, n: int, trials: int) -> np.ndarray:
 def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
                     progress: Progress = None) -> tuple[TheoremReport, ...]:
     """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending:
-    one level-"none" report per n, in mode "iso", of one representative per
-    isomorphism class, from one growth of sw.iso_classes to n_hi.
+    one level-"none" _class_report per n, in mode "iso" (a class weighs 1),
+    from one growth of sw.iso_classes to n_hi.
 
     A line count is the same for every relabeling of a space, so the least
     counts are those of all 2^C(n,2) codes.  The smallest labeled code with
@@ -402,10 +388,9 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
         raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
     _check_limits(jobs)
     rows = []
-    for n, reps, _ in sw.iso_classes(n_hi):
+    for n, reps, aut in sw.iso_classes(n_hi):
         if n >= n_lo:
-            part = _sweep_codes(n, reps, "none", 0, _workspace(), orbits=True)
-            rows.append(replace(part, mode="iso"))
+            rows.append(_class_report(n, "iso", reps, aut, "none", 0))
             if progress:
                 progress(n, n_hi)
     return tuple(rows)

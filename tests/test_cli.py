@@ -421,8 +421,9 @@ def test_sweeps_leave_numpy_ma_and_random_unimported():
 
 class TestContractBytes:
     """The output contract, byte for byte: stdout of in-process runs
-    against the benchmark's pins, and sha256 pins of two claims reports
-    and the n = 7 iso report, which no file pins."""
+    against the benchmark's pins, and sha256 pins of two claims reports,
+    the n = 7 and 8 iso reports and the min-lines table to n = 8, which no
+    file pins."""
 
     @pytest.mark.parametrize("argv, pin", [
         (["enumerate", "--n", "7", "--json"], "exhaustive-n7.json"),
@@ -443,6 +444,10 @@ class TestContractBytes:
          "700aa61732d365c3513fd821727a1d4cbd3e1616dba0a52d9f6714e82549b38e"),
         (["enumerate", "--n", "7", "--mode", "iso", "--json"],
          "50cbc4ee809f01e5c07b0c295b7c89b3aff1fe05b960cc8420b2b96d4b8b4cab"),
+        (["enumerate", "--n", "8", "--mode", "iso", "--json"],
+         "a0fccaa79d8d6de2b6b070fb0cd5e9c523dc4abe3541155fabca4ecd390e1b3b"),
+        (["min-lines", "--n", "8", "--json"],
+         "b25816574e1522dbe0a072623aa7d658e26809e5a72c3f5009a272cf0bb05d07"),
     ])
     def test_matches_sha256_pin(self, argv, digest):
         code, out, _ = run_main(argv)

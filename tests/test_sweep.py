@@ -756,6 +756,20 @@ class TestCanonicalKernel:
         codes = random_codes(n, 65, seed=80 + n)
         assert sw.canonical_min(n, codes).tolist() == float_relabel_minima(n, codes).tolist()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_orbit_equals_brute_relabelings(self, n):
+        # every code to n = 4; at n = 5 the two constant codes and 40 more
+        top = (1 << pair_count(n)) - 1
+        codes = all_codes(n) if n <= 4 else \
+            np.concatenate([[0, top], random_codes(n, 40, seed=45)])
+        least = sw.canonical_min(n, codes)
+        for code, low in zip(codes.tolist(), least.tolist()):
+            got = sw.orbit(n, code)
+            assert got.dtype == np.int64
+            assert got.tolist() == sorted({relabeled(n, code, perm)
+                                           for perm in permutations(range(n))})
+            assert got[0] == low
+
     def test_empty_batch(self):
         out = sw.canonical_min(6, np.zeros(0, dtype=np.int64))
         assert out.dtype == np.int64 and out.shape == (0,)

@@ -465,14 +465,14 @@ class TestClassReports:
     def test_faulted_classes_equal_the_labeled_sweep(self, n, level, monkeypatch):
         # the class of code 0, which also fills the lanes past the batch, and
         # the classes of the largest orbit and of a middle one
-        reps, aut = verify_mod._grown_classes(n, None)
+        *_, (_, reps, aut) = sw.iso_classes(n)
         size = factorial(n) // aut
         chosen = np.unique([0, reps[np.argmax(size)], reps[reps.size // 2]])
         flagged = int(size[np.isin(reps, chosen)].sum())
         big = int(size[np.isin(reps, chosen)].max()) + 1
         monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
         for cap in (0, 1, 3, big):
-            rep = verify_mod._sweep_classes(n, level, cap, None)
+            rep = verify_mod._class_report(n, "all", reps, aut, level, cap)
             assert rep == labeled(n, level, cap=cap)
             assert rep.dbe_failures == flagged
             assert rep.failure_witnesses == rep.failure_witnesses[:cap]
@@ -494,11 +494,17 @@ class TestClassReports:
         codes = np.arange(1 << pair_count(n), dtype=np.int64)
         least = sw.canonical_min(n, codes)
         reps = np.array(sorted(set(least.tolist())), dtype=np.int64)[1::3]
-        refined = sw.refined_codes(n, reps)[0]
-        orbits = codes[np.isin(least, reps)]
-        for cap in (0, 1, 2, 7, 40, orbits.size + 1):
-            assert verify_mod._orbit_witnesses(n, refined, cap) == \
-                tuple(orbits[:cap].tolist())
+        refined, aut = sw.refined_codes(n, reps)
+        whole = codes[np.isin(least, reps)]
+        for cap in (0, 1, 2, 7, 40, whole.size + 1):
+            # a weight of n!/|Aut| stands for the whole orbit, 1 for its minimum
+            assert verify_mod._orbit_witnesses(n, refined, factorial(n) // aut, cap) == \
+                tuple(whole[:cap].tolist())
+            assert verify_mod._orbit_witnesses(n, refined, np.ones_like(aut), cap) == \
+                tuple(reps[:cap].tolist())
+            two = np.sort(np.concatenate([codes[least == r][:2] for r in reps]))
+            assert verify_mod._orbit_witnesses(n, refined, np.full_like(aut, 2), cap) == \
+                tuple(two[:cap].tolist())
 
 
 # the laws each checker level reports, in report order
@@ -810,7 +816,7 @@ class TestMinLinesTable:
         reps = np.array(sorted(largest.values()), dtype=np.int64)
         rep = cached_report(n)
         want = (rep.argmin_overall, rep.argmin_no_universal)
-        got = verify_mod._sweep_codes(n, reps, "none", 0, orbits=True)
+        got = verify_mod._sweep_codes(n, reps, "none", 0, weights=np.ones_like(reps))
         assert (got.argmin_overall, got.argmin_no_universal) == want
         plain = verify_mod._sweep_codes(n, reps, "none", 0)
         assert (plain.argmin_overall, plain.argmin_no_universal) != want
