@@ -139,7 +139,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
 def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
     # both modes report once per point added to the class representatives
     progress = _progress_printer(f"enumerate n={args.n}", "points", 1, timed=False)
-    rep = verify_theorem(args.n, mode=args.mode, jobs=args.jobs,
+    rep = verify_theorem(args.n, mode=args.mode,
                          max_witnesses=args.max_witnesses, progress=progress)
     results = reports.theorem_report_to_json(rep)
     inputs = {"n": args.n, "mode": args.mode, "max_witnesses": args.max_witnesses}
@@ -164,8 +164,7 @@ def _cmd_claims(args) -> tuple[dict, int, list[str]]:
     progress = (_progress_printer(f"claims n={args.n}") if args.trials is not None
                 else _progress_printer(f"claims n={args.n}", "points", 1, timed=False))
     rep = claims_sweep(args.n, trials=args.trials, seed=args.seed,
-                       jobs=args.jobs, max_witnesses=args.max_witnesses,
-                       progress=progress)
+                       max_witnesses=args.max_witnesses, progress=progress)
     results = reports.claims_report_to_json(rep, args.seed)
     inputs = {"n": args.n,
               "trials": args.trials,
@@ -205,8 +204,10 @@ def _cmd_witnesses(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
     # one report per point count of the table
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     progress = _progress_printer("min-lines", "points", 1, timed=False)
-    rows = min_lines_table(2, args.n, jobs=args.jobs, progress=progress)
+    rows = min_lines_table(2, args.n, progress=progress)
     results = reports.min_lines_to_json(rows)
     text_lines = ["n   min_lines  argmin_code  min_no_universal  argmin_code"]
     for r in rows:
@@ -252,9 +253,6 @@ def _build_parser() -> _CliParser:
         if n_default is not None or n_required:  # the code sweeps
             p.add_argument("--n", type=int, required=n_required,
                            default=n_default, help="point count")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="checked, but starts no process: every sweep "
-                                "runs in this process")
 
     p = sub.add_parser("analyze", help="analyze one metric space from a file")
     p.add_argument("file", help="distance matrix file")
@@ -285,6 +283,9 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("min-lines",
                        help="exact minimum line counts for 2..n points")
     common(p, n_default=7)
+    # checked and unused: the benchmark's minlines-n7-jobs2 command still
+    # passes --jobs 2, and the flag goes when that command drops it
+    p.add_argument("--jobs", type=int, default=1, help="checked; starts no process")
 
     p = sub.add_parser("random-metrics",
                        help="exhaustive small 1-2 codes plus seeded random "

@@ -27,7 +27,7 @@ Checker depth per sweep (_level for the exhaustive ones):
           or histogram                     (n = 7, 8)
   none    line stats only                  (min-lines)
 n = 7 and 8 keep these levels so that their reports keep their fields.
-Every sweep runs in this process: jobs is checked and starts nothing.
+Every sweep runs in this process.
 """
 
 from __future__ import annotations
@@ -271,9 +271,7 @@ def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
     return _merge_chunks(n, mode, checkers, parts, max_witnesses)
 
 
-def _check_limits(jobs: int = 1, max_witnesses: int = 0) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+def _check_limits(max_witnesses: int) -> None:
     if max_witnesses < 0:
         raise ValueError(f"witness cap must be nonnegative, got {max_witnesses}")
 
@@ -294,18 +292,17 @@ def _class_report(n: int, mode: str, reps: np.ndarray, aut: np.ndarray,
                                 weights), mode=mode)
 
 
-def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
-                   max_witnesses: int = 100,
+def verify_theorem(n: int, mode: str = "all", *, max_witnesses: int = 100,
                    progress: Progress = None) -> TheoremReport:
     """The report of all label codes on n points (mode "all"), at _level(n),
     or of the least labeled code of each class (mode "iso"), at level
     "full", whose counts count classes: one sweep of the classes of one
     growth (_class_report), in this process, that calls progress with
-    (points, n) once per step of the growth.  jobs is checked and starts
-    nothing.  verify_theorem(8, "iso") takes about 0.4 s.
+    (points, n) once per step of the growth.  Warm, verify_theorem(8, "iso")
+    takes about 0.1 s.
     """
     sw.check_point_count(n)
-    _check_limits(jobs, max_witnesses)
+    _check_limits(max_witnesses)
     if mode not in ("all", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     for m, reps, aut in sw.iso_classes(n):
@@ -315,8 +312,8 @@ def verify_theorem(n: int, mode: str = "all", jobs: int = 1,
                          max_witnesses)
 
 
-def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
-                 jobs: int = 1, max_witnesses: int = 100,
+def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0, *,
+                 max_witnesses: int = 100,
                  progress: Progress = None) -> TheoremReport:
     """Run every structural law checker over all codes (mode "all"), or
     over a seeded random sample of codes when trials is given (mode
@@ -327,14 +324,12 @@ def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0,
     verify_theorem(n).  Sampled runs, drawn uniformly with
     replacement, use the full level at every n, and are swept in chunks
     (_sweep).  A seed's sample is trials calls of
-    random.Random(seed).randrange(2^C(n,2)) (_sample_codes).  Every run is
-    in this process: jobs is checked and starts nothing.
+    random.Random(seed).randrange(2^C(n,2)) (_sample_codes).
     """
     sw.check_point_count(n)
-    _check_limits(jobs, max_witnesses)
+    _check_limits(max_witnesses)
     if trials is None:
-        return verify_theorem(n, jobs=jobs, max_witnesses=max_witnesses,
-                              progress=progress)
+        return verify_theorem(n, max_witnesses=max_witnesses, progress=progress)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     return _sweep(n, "sample", _sample_codes(random.Random(seed), n, trials), "full",
@@ -366,7 +361,7 @@ def _sample_codes(rng: random.Random, n: int, trials: int) -> np.ndarray:
     return codes
 
 
-def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
+def min_lines_table(n_lo: int, n_hi: int, *,
                     progress: Progress = None) -> tuple[TheoremReport, ...]:
     """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending:
     one level-"none" _class_report per n, in mode "iso" (a class weighs 1),
@@ -378,15 +373,14 @@ def min_lines_table(n_lo: int, n_hi: int, jobs: int = 1,
     it, and only those classes go to sw.canonical_min.  Every row so has
     the four fields of the labeled sweep; total_codes and dbe_failures
     count classes.  The no-universal minimum is None when every space on n
-    points has a universal line (n = 2).  The table takes about 0.035 s to
-    n = 7 and 0.48 s to n = 8, in this process: jobs is checked and starts
-    nothing.  progress, if given, is called with (n, n_hi) after each row.
+    points has a universal line (n = 2).  Warm, the table takes about 0.02 s
+    to n = 7 and 0.14 s to n = 8.  progress, if given, is called with
+    (n, n_hi) after each row.
     """
     sw.check_point_count(n_lo)
     sw.check_point_count(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
-    _check_limits(jobs)
     rows = []
     for n, reps, aut in sw.iso_classes(n_hi):
         if n >= n_lo:
@@ -511,7 +505,7 @@ def verify_small_spaces(trials: int = 100_000, seed: int = 0,
     """Check the property on every 1-2 code and on random rational metrics
     at n = 2, 3, 4.  Deterministic in seed.  Random results can only say
     "no counterexample found"; they settle nothing beyond the trials run."""
-    _check_limits(max_witnesses=max_examples)
+    _check_limits(max_examples)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     exhaustive = []

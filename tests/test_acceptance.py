@@ -10,11 +10,8 @@ process).
 Run with `python3 -m pytest tests/test_acceptance.py -v -s`.
 """
 
-import json
 import os
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -22,6 +19,7 @@ import pytest
 from dbelines import (all_lines, claims_sweep, dbe_verdict, line_of,
                       line_of_fast, min_lines_table, six_point_witnesses,
                       space_from_code, verify_small_spaces, verify_theorem)
+from dbelines import cli as cli_mod
 from dbelines import verify as verify_mod
 from dbelines.bitset import iter_pairs, pair_count
 from dbelines.structure import LAW_ORDER, law_violations
@@ -73,7 +71,7 @@ def test_criterion_01_theorem_exhaustive_n2_to_n7():
     start = time.monotonic()
     failures = {}
     for n in range(2, 8):
-        rep = verify_theorem(n, jobs=1)
+        rep = verify_theorem(n)
         assert rep.total_codes == 1 << pair_count(n)
         failures[n] = rep.dbe_failures
     elapsed = time.monotonic() - start
@@ -81,7 +79,7 @@ def test_criterion_01_theorem_exhaustive_n2_to_n7():
     report("C1", ok,
            f"every code n=2..7 covered by one orbit-weighted sweep of the "
            f"isomorphism classes per n, dbe_failures={failures}, "
-           f"{elapsed:.1f}s single worker (< 120s)")
+           f"{elapsed:.1f}s in one process (< 120s)")
 
 
 def test_criterion_02_theorem_n8():
@@ -185,19 +183,21 @@ def test_criterion_08_oracle_equivalence():
            f"({mismatches} mismatches)")
 
 
-def test_criterion_09_jobs_determinism():
-    outs = []
-    for jobs in ("1", "8"):
-        res = subprocess.run(
-            [sys.executable, "-m", "dbelines", "enumerate", "--n", "6",
-             "--json", "--jobs", jobs],
-            capture_output=True, timeout=600)
-        assert res.returncode == 0
-        outs.append(res.stdout)
-    ok = outs[0] == outs[1] and len(outs[0]) > 0
+def test_criterion_09_chunking_determinism(monkeypatch, capsys):
+    # the chunk size is the one scheduling choice left; the sample is folded
+    # from 3 chunks at the default 2^16 codes and from 35 at 2^12
+    trials = 140_000
+    argv = ["claims", "--n", "6", "--trials", str(trials), "--seed", "3", "--json"]
+    outs, chunks = [], []
+    for size in (verify_mod.CHUNK_CODES, 1 << 12):
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", size)
+        assert cli_mod.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        chunks.append(-(-trials // size))
+    ok = outs[0] == outs[1] and len(outs[0]) > 0 and min(chunks) > 1
     report("C9", ok,
-           f"verify_theorem(n=6) JSON byte-identical for --jobs 1 and "
-           f"--jobs 8 ({len(outs[0])} bytes)")
+           f"claims --n 6 --trials {trials} JSON byte-identical when folded "
+           f"from {chunks[0]} and from {chunks[1]} chunks ({len(outs[0])} bytes)")
 
 
 def test_criterion_10_min_lines_companion():

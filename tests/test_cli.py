@@ -197,13 +197,13 @@ class TestUsageErrors:
         assert "between 2 and 8" in res.stderr
 
     @pytest.mark.parametrize("argv", [
-        ["enumerate", "--n", "4", "--jobs", "-3"],
-        ["enumerate", "--n", "4", "--jobs", "0"],
+        ["min-lines", "--n", "4", "--jobs", "-3"],
+        ["enumerate", "--n", "1"],
         ["enumerate", "--n", "4", "--max-witnesses", "-1"],
         ["enumerate", "--n", "4", "--mode", "iso", "--max-witnesses", "-1"],
-        ["claims", "--n", "4", "--jobs", "0"],
+        ["claims", "--n", "1"],
         ["claims", "--n", "4", "--max-witnesses", "-1"],
-        ["claims", "--n", "4", "--trials", "10", "--jobs", "-1"],
+        ["claims", "--n", "4", "--trials", "-1"],
         ["claims", "--n", "4", "--trials", "10", "--max-witnesses", "-2"],
         ["min-lines", "--n", "4", "--jobs", "0"],
         ["random-metrics", "--trials", "10", "--max-witnesses", "-1"],
@@ -277,14 +277,6 @@ class TestEnumerate:
         assert json.loads(out)["results"]["total_codes"] == 12346
         assert "8/8 points" in err
 
-    def test_jobs_do_not_change_bytes(self):
-        # an exhaustive report sweeps the isomorphism classes in this
-        # process at any --jobs
-        a = run_cli("enumerate", "--n", "6", "--json", "--jobs", "1")
-        b = run_cli("enumerate", "--n", "6", "--json", "--jobs", "4")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
-
     def test_text_mentions_failures(self):
         res = run_cli("enumerate", "--n", "3")
         assert "dbe_failures: 0" in res.stdout
@@ -347,11 +339,7 @@ class TestClaims:
                 assert row[:instances_end].endswith(row.split()[1]), row
 
     def test_jobs_do_not_change_bytes(self):
-        # no run starts a process at any --jobs
-        a = run_cli("claims", "--n", "6", "--json", "--jobs", "1")
-        b = run_cli("claims", "--n", "6", "--json", "--jobs", "3")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
+        # min-lines alone still takes --jobs, and starts no process at any
         a = run_cli("min-lines", "--n", "6", "--json", "--jobs", "1")
         b = run_cli("min-lines", "--n", "6", "--json", "--jobs", "3")
         assert a.returncode == b.returncode == 0
@@ -394,23 +382,21 @@ class TestMinLines:
             f"min-lines: {m}/5 points" for m in range(2, 6)]
 
     def test_jobs_help_says_it_starts_no_process(self, capsys):
-        for sub in ("min-lines", "enumerate", "claims"):
-            with pytest.raises(SystemExit):
-                cli_mod.main([sub, "--help"])
-            assert "starts no process" in " ".join(capsys.readouterr().out.split())
+        with pytest.raises(SystemExit):
+            cli_mod.main(["min-lines", "--help"])
+        assert "starts no process" in " ".join(capsys.readouterr().out.split())
 
 
 def test_sweeps_leave_numpy_ma_and_random_unimported():
     # in a fresh interpreter numpy.ma costs about 20 ms and 0.5 MB on first
     # import (np.unique imports it), and numpy.random 5 MB; no sweep starts
-    # a process, not even a sample of three chunks at --jobs 2
+    # a process, not even a sample of three chunks
     script = ("import sys\n"
               "from dbelines import cli\n"
               "assert cli.main(['enumerate', '--n', '6', '--mode', 'iso', '--json']) == 0\n"
               "assert cli.main(['min-lines', '--n', '7', '--json']) == 0\n"
               "assert cli.main(['claims', '--n', '8', '--trials', '100', '--json']) == 0\n"
-              "assert cli.main(['claims', '--n', '6', '--trials', '140000', '--jobs', '2',\n"
-              "                 '--json']) == 0\n"
+              "assert cli.main(['claims', '--n', '6', '--trials', '140000', '--json']) == 0\n"
               "print([m for m in ('numpy.ma', 'numpy.random', 'multiprocessing')\n"
               "       if m in sys.modules])\n")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -522,14 +508,24 @@ class TestExitCodeTwo:
         assert cli_mod.main(["min-lines", "--n", "4", "--json"]) == 2
         assert cli_mod.main(["min-lines", "--n", "4"]) == 2
 
-    def test_jobs_only_on_sweeps(self, path3_file):
-        assert run_cli("analyze", path3_file, "--jobs", "3").returncode == 1
-        assert run_cli("witnesses", "--jobs", "2").returncode == 1
-        assert run_cli("random-metrics", "--trials", "5",
-                       "--jobs", "2").returncode == 1
-        for argv in (("enumerate", "--n", "3"), ("claims", "--n", "3"),
-                     ("min-lines", "--n", "3")):
-            assert run_cli(*argv, "--jobs", "2").returncode == 0, argv
+    def test_jobs_only_on_min_lines(self, path3_file, capsys):
+        # every other subcommand rejects --jobs as an unknown argument
+        for argv in (["enumerate", "--n", "3", "--jobs", "2"],
+                     ["enumerate", "--n", "4", "--jobs", "-3"],
+                     ["enumerate", "--n", "4", "--jobs", "0"],
+                     ["claims", "--n", "3", "--jobs", "2"],
+                     ["claims", "--n", "4", "--jobs", "0"],
+                     ["claims", "--n", "4", "--trials", "10", "--jobs", "-1"],
+                     ["analyze", path3_file, "--jobs", "2"],
+                     ["witnesses", "--jobs", "2"],
+                     ["random-metrics", "--trials", "5", "--jobs", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_mod.main([*argv, "--json"])
+            assert exc.value.code == 1, argv
+            out = capsys.readouterr()
+            assert out.out == "", argv
+            assert "unrecognized arguments: --jobs" in out.err, argv
+        assert cli_mod.main(["min-lines", "--n", "3", "--jobs", "2", "--json"]) == 0
 
 
 class TestExitCodeProperty:
@@ -542,9 +538,8 @@ class TestExitCodeProperty:
            jobs=st.integers(-2, 2), cap=st.integers(-2, 3),
            trials=st.integers(-3, 40))
     def test_exit_code(self, cmd, n, jobs, cap, trials):
-        args = {"enumerate": {"--n": n, "--jobs": jobs, "--max-witnesses": cap},
-                "claims": {"--n": n, "--jobs": jobs, "--max-witnesses": cap,
-                           "--trials": trials},
+        args = {"enumerate": {"--n": n, "--max-witnesses": cap},
+                "claims": {"--n": n, "--max-witnesses": cap, "--trials": trials},
                 "min-lines": {"--n": n, "--jobs": jobs},
                 "random-metrics": {"--trials": trials, "--max-witnesses": cap},
                 }[cmd]
@@ -564,7 +559,7 @@ class TestExitCodeProperty:
 
 
 class TestJobsProperty:
-    """--jobs never changes stdout."""
+    """--jobs, which only min-lines takes, never changes stdout."""
 
     serial: dict = {}
 
@@ -575,14 +570,13 @@ class TestJobsProperty:
             assert cli_mod.main(argv) == 0, (argv, err.getvalue())
         return out.getvalue()
 
-    # a 3000-code sample is one chunk, and no command starts a process
+    # the table is made in this process at any --jobs
     @settings(max_examples=10, deadline=None)
-    @given(cmd=st.sampled_from([("enumerate",), ("claims",), ("min-lines",),
-                                ("claims", "--trials", "3000")]),
-           as_json=st.booleans(), jobs=st.sampled_from([2, 3]))
-    @example(cmd=("claims", "--trials", "3000"), as_json=True, jobs=2)
-    def test_jobs_never_change_stdout(self, cmd, as_json, jobs):
-        argv = [*cmd, "--n", "6", *(["--json"] if as_json else [])]
+    @given(n=st.sampled_from([3, 6, 7]), as_json=st.booleans(),
+           jobs=st.sampled_from([2, 3]))
+    @example(n=7, as_json=True, jobs=2)
+    def test_jobs_never_change_stdout(self, n, as_json, jobs):
+        argv = ["min-lines", "--n", str(n), *(["--json"] if as_json else [])]
         key = tuple(argv)
         if key not in self.serial:
             self.serial[key] = self.stdout_of([*argv, "--jobs", "1"])

@@ -1,8 +1,10 @@
 """The package surface: every exported name resolves and README names it,
-and every attribute the benchmark tracer wraps exists."""
+no sweep takes a scheduling knob, and every attribute the benchmark tracer
+wraps exists."""
 
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -17,6 +19,16 @@ def test_exports_resolve_and_are_documented():
     for name in dbelines.__all__:
         assert hasattr(dbelines, name), name
         assert re.search(rf"\b{name}\b", text), name
+
+
+def test_sweeps_take_no_jobs():
+    # every sweep runs in one process, so none takes a worker count; what
+    # followed jobs is keyword-only, so a jobs passed by position is an error
+    for sweep in (dbelines.verify_theorem, dbelines.claims_sweep,
+                  dbelines.min_lines_table):
+        params = inspect.signature(sweep).parameters
+        assert "jobs" not in params, sweep.__name__
+        assert params["progress"].kind is inspect.Parameter.KEYWORD_ONLY, sweep.__name__
 
 
 def test_bench_tracer_targets_resolve():

@@ -238,12 +238,6 @@ class TestVerifyTheorem:
             row.min_lines_overall, row.argmin_overall,
             row.min_lines_no_universal, row.argmin_no_universal)
 
-    def test_iso_jobs_independence(self, monkeypatch):
-        # the classes are swept in this process, so jobs starts no pool
-        monkeypatch.setattr(multiprocessing, "Pool", None)
-        for jobs in (1, 2):
-            assert verify_theorem(6, mode="iso", jobs=jobs) == cached_report(6, "iso")
-
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_iso_witnesses_under_class_faults(self, n, monkeypatch):
         # the sweep of the ascending orbit minima, as one batch, lists the
@@ -268,9 +262,8 @@ class TestVerifyTheorem:
         sample = claims_sweep(6, trials=5000, seed=3)
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         assert labeled(5) == base
-        for jobs in (1, 2):
-            assert verify_theorem(6, mode="iso", jobs=jobs) == iso
-            assert claims_sweep(6, trials=5000, seed=3, jobs=jobs) == sample
+        assert verify_theorem(6, mode="iso") == iso
+        assert claims_sweep(6, trials=5000, seed=3) == sample
 
     def test_sample_chunks_equal_one_batch(self, monkeypatch):
         # the codes claims_sweep draws, swept as one batch; collapsed lines
@@ -318,19 +311,18 @@ class TestVerifyTheorem:
         assert rep.total_codes == sum(sizes) == 48
         assert max(sizes) <= 16
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_tasks_are_nonempty_and_cover_the_codes(self, jobs):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tasks_are_nonempty_and_cover_the_codes(self, seed):
         # every chunk holds a code, and the chunks hold the codes in order;
-        # no codes make no chunk, and _merge_chunks folds one empty sweep.
-        # jobs changes none of it: a sampled claims run is chunked the same
+        # no codes make no chunk, and _merge_chunks folds one empty sweep
         with pytest.MonkeyPatch.context() as mp:
             calls = recorded_chunks(mp)
             mp.setattr(verify_mod, "CHUNK_CODES", 16)
-            rep = claims_sweep(5, trials=33, seed=jobs, jobs=jobs)
+            rep = claims_sweep(5, trials=33, seed=seed)
         assert rep.total_codes == 33
         assert [part.size for part in calls] == [16, 16, 1]
         assert np.array_equal(np.concatenate(calls),
-                              verify_mod._sample_codes(random.Random(jobs), 5, 33))
+                              verify_mod._sample_codes(random.Random(seed), 5, 33))
         chunk = verify_mod.CHUNK_CODES
         for size, sizes in ((0, [0]), (1, [1]), (chunk, [chunk]),
                             (chunk + 1, [chunk, 1])):
@@ -453,12 +445,11 @@ class TestClassReports:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equal_the_labeled_sweep(self, n, monkeypatch):
-        # at n <= 7 both take verify_theorem's level; jobs starts no pool
+        # at n <= 7 both take verify_theorem's level, in this process
         want = cached_report(n)
         monkeypatch.setattr(multiprocessing, "Pool", None)
-        for jobs in (1, 2):
-            assert verify_theorem(n, jobs=jobs) == want
-            assert claims_sweep(n, jobs=jobs) == want
+        assert verify_theorem(n) == want
+        assert claims_sweep(n) == want
 
     @pytest.mark.parametrize("n, level", [(2, "full"), (4, "full"), (5, "full"),
                                           (5, "vector"), (5, "none"), (6, "full")])
