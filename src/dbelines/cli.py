@@ -207,7 +207,7 @@ def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     progress = _progress_printer("min-lines", "points", 1, timed=False)
-    rows = min_lines_table(2, args.n, progress=progress)
+    rows = min_lines_table(args.n, progress=progress)
     results = reports.min_lines_to_json(rows)
     text_lines = ["n   min_lines  argmin_code  min_no_universal  argmin_code"]
     for r in rows:
@@ -311,12 +311,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    start = time.monotonic()
     try:
+        # a usage error exits 1 (_CliParser.error) and --help exits 0
+        args = parser.parse_args(argv)
+        if args.subcommand is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        start = time.monotonic()
         report, failures, text_lines = _COMMANDS[args.subcommand](args)
     except ValueError as exc:
         # covers matrix format, metric axiom, 1-2 range and argument errors

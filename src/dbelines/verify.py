@@ -361,32 +361,27 @@ def _sample_codes(rng: random.Random, n: int, trials: int) -> np.ndarray:
     return codes
 
 
-def min_lines_table(n_lo: int, n_hi: int, *,
-                    progress: Progress = None) -> tuple[TheoremReport, ...]:
-    """Minimum distinct-line counts for each n in [n_lo, n_hi], ascending:
-    one level-"none" _class_report per n, in mode "iso" (a class weighs 1),
-    from one growth of sw.iso_classes to n_hi.
+def min_lines_table(n: int, *, progress: Progress = None) -> tuple[TheoremReport, ...]:
+    """Minimum distinct-line counts for each point count 2..n, ascending:
+    one level-"none" _class_report per point count, in mode "iso" (a class
+    weighs 1), from one growth of sw.iso_classes to n.
 
     A line count is the same for every relabeling of a space, so the least
-    counts are those of all 2^C(n,2) codes.  The smallest labeled code with
-    a least count is the least orbit minimum among the classes that reach
-    it, and only those classes go to sw.canonical_min.  Every row so has
-    the four fields of the labeled sweep; total_codes and dbe_failures
-    count classes.  The no-universal minimum is None when every space on n
-    points has a universal line (n = 2).  Warm, the table takes about 0.02 s
-    to n = 7 and 0.14 s to n = 8.  progress, if given, is called with
-    (n, n_hi) after each row.
+    counts are those of all 2^C(m,2) codes on m points.  The smallest
+    labeled code with a least count is the least orbit minimum among the
+    classes that reach it, and only those classes go to sw.canonical_min.
+    Every row so has the four fields of the labeled sweep; total_codes and
+    dbe_failures count classes.  The no-universal minimum is None when every
+    space on m points has a universal line (m = 2).  Warm, the table takes
+    about 0.02 s to n = 7 and 0.14 s to n = 8.  progress, if given, is
+    called with (m, n) after the row of m points.
     """
-    sw.check_point_count(n_lo)
-    sw.check_point_count(n_hi)
-    if n_lo > n_hi:
-        raise ValueError(f"empty point-count range {n_lo}..{n_hi}")
+    sw.check_point_count(n)
     rows = []
-    for n, reps, aut in sw.iso_classes(n_hi):
-        if n >= n_lo:
-            rows.append(_class_report(n, "iso", reps, aut, "none", 0))
-            if progress:
-                progress(n, n_hi)
+    for m, reps, aut in sw.iso_classes(n):
+        rows.append(_class_report(m, "iso", reps, aut, "none", 0))
+        if progress:
+            progress(m, n)
     return tuple(rows)
 
 

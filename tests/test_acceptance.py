@@ -201,7 +201,7 @@ def test_criterion_09_chunking_determinism(monkeypatch, capsys):
 
 
 def test_criterion_10_min_lines_companion():
-    rows = min_lines_table(2, 7)
+    rows = min_lines_table(7)
     ordered = [r.n for r in rows] == list(range(2, 8))
     bound_ok = all(r.min_lines_no_universal is None or
                    r.min_lines_no_universal >= r.n for r in rows)
@@ -226,7 +226,7 @@ def test_criterion_10b_min_lines_n8():
     v_all = dbe_verdict(space_from_code(8, rep.argmin_overall))
     v_nu = dbe_verdict(space_from_code(8, rep.argmin_no_universal))
     # the min-lines row, from one code per isomorphism class
-    row, = min_lines_table(8, 8)
+    row = min_lines_table(8)[-1]
     fields = ("min_lines_overall", "argmin_overall", "min_lines_no_universal",
               "argmin_no_universal")
     same_row = all(getattr(row, f) == getattr(rep, f) for f in fields)

@@ -74,23 +74,33 @@ class TestPlaneHelpers:
         table = rng.integers(0, 256, (4, m), dtype=np.uint8)
         assert np.array_equal(mask_table(mask_planes(table, 8), m), table)
 
-    @pytest.mark.parametrize("m", [1, 63, 65, 200])
+    @pytest.mark.parametrize("m", [0, 1, 63, 65, 200])
     def test_weighted_popcount_sums_lane_weights(self, m):
         # one weight per lane, up to 8!, and 0 past the batch, whose bits
-        # are set here too; a (2, 3, W) array, its first row and first plane
+        # are set here too; a (2, 3, W) array, its first row and first
+        # plane, W = 0 for the empty batch, and 300 full planes, more than
+        # a uint8 lane count holds
         rng = np.random.default_rng(m)
         width = 64 * -(-m // 64)
         weights = np.zeros(width, dtype=np.int64)
         weights[:m] = rng.integers(1, factorial(8) + 1, m)
-        weights[0] = factorial(8)
+        weights[:1] = factorial(8)
         flags = rng.random((2, 3, width)) < 0.4
         planes = planes_of(flags)
+        full = np.ones((2, 150, width), dtype=bool)
         cases = [(planes, flags), (planes[0], flags[0]), (planes[0, 0], flags[0, 0]),
-                 (planes[:, 1:], flags[:, 1:])]
+                 (planes[:, 1:], flags[:, 1:]), (planes_of(full), full)]
         with sw.weighted(weights):
             for plane, bits in cases:
+                # the per-lane counter against the flags and a direct unpack
+                leading = tuple(range(plane.ndim - 1))
+                direct = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=-1,
+                                       bitorder="little").sum(axis=leading)
+                per_lane = sw.lane_counts(plane)
+                assert np.array_equal(per_lane, bits.sum(axis=leading))
+                assert np.array_equal(per_lane, direct)
                 want = sum(int(weights[c]) * int(bits[..., c].sum()) for c in range(width))
-                assert sw.popcount(plane) == want
+                assert sw.popcount(plane) == want == int(per_lane @ weights)
         # unweighted again outside the block
         assert sw.popcount(planes) == flags.sum()
 

@@ -228,7 +228,7 @@ class TestVerifyTheorem:
 
     def test_iso_n8(self):
         iso = verify_theorem(8, mode="iso")
-        row = min_lines_table(8, 8)[0]
+        row = min_lines_table(8)[-1]
         assert (iso.total_codes, iso.dbe_failures) == (12346, 0)  # OEIS A000088
         assert list(iso.laws) == list(verify_mod.LAW_ORDER)
         for law, stat in iso.laws.items():
@@ -771,7 +771,7 @@ class TestSampleCodes:
 
 class TestMinLinesTable:
     def test_frozen_values(self):
-        rows = min_lines_table(2, 6)
+        rows = min_lines_table(6)
         assert [r.n for r in rows] == [2, 3, 4, 5, 6]
         for r in rows:
             assert (r.min_lines_overall, r.argmin_overall,
@@ -779,7 +779,7 @@ class TestMinLinesTable:
                 MIN_LINES_EXPECTED[r.n]
 
     def test_witnesses_reverify(self):
-        for r in min_lines_table(2, 5):
+        for r in min_lines_table(5):
             v = dbe_verdict(space_from_code(r.n, r.argmin_overall))
             assert v.line_count == r.min_lines_overall
             if r.argmin_no_universal is not None:
@@ -789,7 +789,7 @@ class TestMinLinesTable:
 
     def test_rows_equal_the_labeled_sweeps(self):
         # the representatives' table against the sweeps of all 2^C(n,2) codes
-        for r in min_lines_table(2, 7):
+        for r in min_lines_table(7):
             rep = cached_report(r.n)
             assert (r.min_lines_overall, r.argmin_overall, r.min_lines_no_universal,
                     r.argmin_no_universal) == \
@@ -816,8 +816,8 @@ class TestMinLinesTable:
         # the labeled sweep of all 2^28 codes gives the same row
         # (acceptance C10b, opt-in)
         calls = []
-        r, = min_lines_table(8, 8, progress=lambda m, n: calls.append((m, n)))
-        assert calls == [(8, 8)]
+        *_, r = min_lines_table(8, progress=lambda m, n: calls.append((m, n)))
+        assert calls == [(m, 8) for m in range(2, 9)]
         assert (r.n, r.min_lines_overall, r.argmin_overall,
                 r.min_lines_no_universal, r.argmin_no_universal) == \
             (8, 7, 297024, 12, 287761)
@@ -831,14 +831,14 @@ class TestMinLinesTable:
 
     def test_progress_once_per_row(self):
         calls = []
-        min_lines_table(3, 6, progress=lambda m, n: calls.append((m, n)))
-        assert calls == [(3, 6), (4, 6), (5, 6), (6, 6)]
+        min_lines_table(6, progress=lambda m, n: calls.append((m, n)))
+        assert calls == [(2, 6), (3, 6), (4, 6), (5, 6), (6, 6)]
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            min_lines_table(3, 2)
+            min_lines_table(1)
         with pytest.raises(ValueError):
-            min_lines_table(2, 9)
+            min_lines_table(9)
 
 
 class TestSixPointWitnesses:
