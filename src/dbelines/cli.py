@@ -36,10 +36,12 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _progress_printer(label: str, unit: str = "codes", step: int = PROGRESS_STEP,
-                      timed: bool = True):
-    """A progress callback printing to stderr every step units and at the
-    end; timed lines add the rate since the printer was made and an ETA."""
+def _progress_printer(label: str, unit: str = "codes"):
+    """A progress callback printing to stderr at the end and, in points,
+    every point, or else every PROGRESS_STEP units with the rate since the
+    printer was made and an ETA."""
+    timed = unit != "points"
+    step = PROGRESS_STEP if timed else 1
     state = {"next": step}
     start = time.monotonic()
 
@@ -79,8 +81,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     space = validate_metric(parse_distance_matrix(text))
     try:
         ots = as_one_two(space)
@@ -138,7 +139,7 @@ def _cmd_analyze(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
     # both modes report once per point added to the class representatives
-    progress = _progress_printer(f"enumerate n={args.n}", "points", 1, timed=False)
+    progress = _progress_printer(f"enumerate n={args.n}", "points")
     rep = verify_theorem(args.n, mode=args.mode,
                          max_witnesses=args.max_witnesses, progress=progress)
     results = reports.theorem_report_to_json(rep)
@@ -162,7 +163,7 @@ def _cmd_enumerate(args) -> tuple[dict, int, list[str]]:
 def _cmd_claims(args) -> tuple[dict, int, list[str]]:
     # a sample reports its codes, an exhaustive run its points
     progress = (_progress_printer(f"claims n={args.n}") if args.trials is not None
-                else _progress_printer(f"claims n={args.n}", "points", 1, timed=False))
+                else _progress_printer(f"claims n={args.n}", "points"))
     rep = claims_sweep(args.n, trials=args.trials, seed=args.seed,
                        max_witnesses=args.max_witnesses, progress=progress)
     results = reports.claims_report_to_json(rep, args.seed)
@@ -206,7 +207,7 @@ def _cmd_min_lines(args) -> tuple[dict, int, list[str]]:
     # one report per point count of the table
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
-    progress = _progress_printer("min-lines", "points", 1, timed=False)
+    progress = _progress_printer("min-lines", "points")
     rows = min_lines_table(args.n, progress=progress)
     results = reports.min_lines_to_json(rows)
     text_lines = ["n   min_lines  argmin_code  min_no_universal  argmin_code"]

@@ -33,9 +33,8 @@ The bits past m belong to no code.  They read as code 0, and valid_plane
 masks them out of every count.
 
 The planes of a batch (labels, distance-1, lines, equal lines, twins) and
-the large temporaries of the kernels that make them live in a Workspace,
-which keeps its buffers from batch to batch; a caller that passes none gets
-a fresh one, so its arrays alias nothing.
+the large temporaries of the kernels that make them live in the Workspace
+that the caller passes, which keeps its buffers from batch to batch.
 
 Two canonical forms name an isomorphism class.  refined_codes is the least
 code over the relabelings that keep the points sorted by an invariant key,
@@ -214,11 +213,10 @@ def set_lanes(plane: np.ndarray, cap: int) -> list[int]:
     return np.flatnonzero(unpack(plane))[:cap].tolist() if plane.any() else []
 
 
-def label_bits(n: int, codes: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def label_bits(n: int, codes: np.ndarray, ws: Workspace) -> np.ndarray:
     """(C(n,2), W) label planes: bit c of plane k is bit k of the c-th code,
     set when the k-th pair is at distance 2."""
     check_point_count(n)
-    ws = ws or Workspace()
     m = codes.size
     W = -(-m // 64)
     flat, = ws.scratch((64 * W,))
@@ -249,10 +247,9 @@ def label_bits(n: int, codes: np.ndarray, ws: Workspace | None = None) -> np.nda
     return rows[:pair_count(n)]
 
 
-def one_masks(n: int, bits: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def one_masks(n: int, bits: np.ndarray, ws: Workspace) -> np.ndarray:
     """(n, n, W) distance-1 planes: [p, q] is set where d(p, q) = 1; the
     diagonal is empty."""
-    ws = ws or Workspace()
     us, vs = _ends(n)
     out = ws.take("ones", (n, n, bits.shape[-1]))
     inverted, = ws.scratch(bits.shape)
@@ -262,14 +259,13 @@ def one_masks(n: int, bits: np.ndarray, ws: Workspace | None = None) -> np.ndarr
     return out
 
 
-def line_masks(n: int, bits: np.ndarray, ones: np.ndarray,
-               ws: Workspace | None = None) -> np.ndarray:
+def line_masks(n: int, bits: np.ndarray, ones: np.ndarray, ws: Workspace) -> np.ndarray:
     """(C(n,2), n, W) line planes: [k, w] is set where point w is on the
     line of the k-th pair (u, v).  For w outside {u, v}, with a and c the
     distance-1 planes of (u, w) and (v, w), that is a & c at distance 2 and
     a ^ c at distance 1 (line_of_fast, bit-sliced)."""
     us, vs = _ends(n)
-    lines = (ws or Workspace()).take("lines", (us.size, n, bits.shape[-1]))
+    lines = ws.take("lines", (us.size, n, bits.shape[-1]))
     for u in range(n - 1):
         k = _later(u, n)
         a, c, out = ones[u], ones[u + 1:], lines[k]
@@ -298,12 +294,11 @@ class EqualLines(NamedTuple):
 
 
 def distinct_counts(lines: np.ndarray, valid: np.ndarray,
-                    ws: Workspace | None = None) -> tuple[np.ndarray, EqualLines]:
+                    ws: Workspace) -> tuple[np.ndarray, EqualLines]:
     """int32 per code (64 per word): number of distinct lines, i.e. of edges
     whose line no earlier edge has, from lane_counts of the seen planes; and
     the equal-line planes restricted to valid, the plane of the batch's
     codes."""
-    ws = ws or Workspace()
     P, n, W = lines.shape
     seen = ws.take("seen", (P, W))
     seen.fill(0)
@@ -327,15 +322,14 @@ def universal_flags(n: int, lines: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(np.bitwise_and.reduce(lines, axis=1), axis=0)
 
 
-def class_size_stats(n: int, pairs: np.ndarray,
-                     ws: Workspace | None = None) -> np.ndarray:
+def class_size_stats(n: int, pairs: np.ndarray, ws: Workspace) -> np.ndarray:
     """(C(n,2), W) planes: edge k has exactly bound earlier classmates.  Of
     the edges of a class above the size bound, exactly one is set, so the
     set bits count the oversize classes.  A bit-sliced threshold counter:
     at_least[t, k] is set where edge k has at least t earlier classmates."""
     P, W = pair_count(n), pairs.shape[-1]
     bound = class_size_bound(n)
-    at_least, step = (ws or Workspace()).scratch((bound + 2, P, W), (P - 1, W))
+    at_least, step = ws.scratch((bound + 2, P, W), (P - 1, W))
     at_least[0] = ALL
     at_least[1:] = 0
     for j in range(P - 1):
@@ -348,11 +342,10 @@ def class_size_stats(n: int, pairs: np.ndarray,
 
 
 def twin_pair_flags(n: int, bits: np.ndarray, ones: np.ndarray,
-                    ws: Workspace | None = None) -> np.ndarray:
+                    ws: Workspace) -> np.ndarray:
     """(C(n,2), W) twin planes: pair (u, v) is at distance 2 and no third
     point w has d(u, w) != d(v, w).  The terms at w = u and w = v are the
     pair's distance-1 plane, which the label plane clears."""
-    ws = ws or Workspace()
     out = ws.take("twins", bits.shape)
     differ, = ws.scratch(ones[1:].shape)
     for u in range(n - 1):
@@ -429,7 +422,7 @@ def _line_law_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def distinct_line_counts(n: int, bits: np.ndarray, pairs: np.ndarray,
                          twins: np.ndarray, valid: np.ndarray,
-                         ws: Workspace | None = None) -> dict[str, LawCounts]:
+                         ws: Workspace) -> dict[str, LawCounts]:
     """Vector form of the three distinct-line laws of
     structure.law_violations, counted per law: each edge pair's labels
     (and, for two label-1 edges at a point, the twin plane of their other
@@ -442,7 +435,7 @@ def distinct_line_counts(n: int, bits: np.ndarray, pairs: np.ndarray,
     disjoint, label2, label1 = out.values()
     disjoint_rows, meeting_rows = groups = _line_law_rows(n)
     step = _block_rows(n, 4, groups)
-    at_j, at_k, at_outer, eq = (ws or Workspace()).scratch(*[(step, W)] * 4)
+    at_j, at_k, at_outer, eq = ws.scratch(*[(step, W)] * 4)
     for j, k, row in _blocks(disjoint_rows, step):
         differ = _gather(bits, j, at_j)
         differ ^= _gather(bits, k, at_k)
@@ -485,7 +478,7 @@ def _twin_law_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarray,
-                    ws: Workspace | None = None) -> dict[str, LawCounts]:
+                    ws: Workspace) -> dict[str, LawCounts]:
     """Vector form of the three twin laws of structure.law_violations,
     counted per law: twin-a on each pair xy outside the twin pair (u, v),
     twin-b and twin-c on the pairs wv and wu of each third point w.  The
@@ -504,8 +497,7 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarr
     step = _block_rows(n, 6, groups)
     active = np.bitwise_or.reduce(twins, axis=1) != 0
     split, third = (rows[:, active[rows[0]]] for rows in groups)
-    at_pair, at_wv, at_vu, at_vv, at_uu, at_uv = \
-        (ws or Workspace()).scratch(*[(step, W)] * 6)
+    at_pair, at_wv, at_vu, at_vv, at_uu, at_uv = ws.scratch(*[(step, W)] * 6)
     for pair, xy_u, xy_v in _blocks(split, step):
         differ = _gather(flat, xy_u, at_vu)
         differ ^= _gather(flat, xy_v, at_vv)
@@ -539,8 +531,7 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarr
 
 def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
                      equal: EqualLines, twin_free: np.ndarray,
-                     ws: Workspace | None = None) -> tuple[dict[str, int],
-                                                           dict[str, LawCounts]]:
+                     ws: Workspace) -> tuple[dict[str, int], dict[str, LawCounts]]:
     """Vector form of classify_class and of the full-cover and class-shape
     laws of structure.law_violations: (class-shape histogram, per-law
     counts).
@@ -559,7 +550,7 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
     us, vs = _ends(n)
     e = _edge_pairs(n)
     pairs, heads = equal
-    worst, cover = (ws or Workspace()).scratch((2, P, W), (P, n, W))
+    worst, cover = ws.scratch((2, P, W), (P, n, W))
     worst[:, P - 1] = 0  # the last edge has no later classmates
     for j in reversed(range(P - 1)):
         rows = _later(j, P)

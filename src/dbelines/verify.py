@@ -12,15 +12,16 @@ classes, which sw.weighted weighs per lane.  verify_theorem(n, "iso") and
 each min_lines_table row weigh a class by 1, so they report the orbit
 minima: their counts count classes.  Either way argmins and witnesses name
 labeled codes (_least, _orbit_witnesses).  Sampled claims are swept
-CHUNK_CODES codes at a time (_sweep), and the chunks are folded in order by
-an associative _merge (_merge_chunks), which takes the level's fields and
-laws from the first chunk; over range(2^C(n,2)) that is the labeled sweep,
-the tests' check of the class route.  A set of no codes is folded as the
-sweep of an empty batch.  Every minimum names the smallest labeled code
+CHUNK_CODES codes at a time (_sweep), each chunk in the run's mode, and
+the chunks are folded in order by an associative _merge, which takes the
+mode, level and laws from the first chunk; over range(2^C(n,2)) that is the
+labeled sweep, the tests' check of the class route.  A set of no codes is
+the sweep of an empty batch.  Every minimum names the smallest labeled code
 with the least count, so a report is identical for any chunk size or code
-order.  reports.py alone projects reports to JSON.
+order.  Every sweep's planes live in this process's one workspace
+(_workspace).  reports.py alone projects reports to JSON.
 
-Checker depth per sweep (_level for the exhaustive ones):
+Checker depth per sweep:
   full    line stats + all nine laws + class-shape histogram  (n <= 6,
           --mode iso at every n, and sampled claims)
   vector  line stats + seven laws, no full-cover, class-shape
@@ -33,7 +34,7 @@ Every sweep runs in this process.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import factorial, lcm
@@ -74,13 +75,13 @@ class LawStat:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Result of a sweep, from one chunk (mode "chunk") to a whole run
-    (mode "all", "iso" or "sample"): made by _sweep_codes alone and folded
-    by _merge.  A nonzero dbe_failures would be a counterexample and is
-    reported, never raised.  The level fixes which fields are None: "none"
-    (min-lines alone) has no laws, twin-free count or histogram, and only
-    "full" has the two class laws and the histogram.  laws lists its laws
-    in LAW_ORDER; mode "all" counts labeled codes, "iso" classes, each the
+    """Result of a sweep in mode "all", "iso" or "sample", of one batch or
+    of a whole run: made by _sweep_codes alone and folded by _merge.  A
+    nonzero dbe_failures would be a counterexample and is reported, never
+    raised.  The level fixes which fields are None: "none" (min-lines
+    alone) has no laws, twin-free count or histogram, and only "full" has
+    the two class laws and the histogram.  laws lists its laws in
+    LAW_ORDER; mode "all" counts labeled codes, "iso" classes, each the
     report of classes weighted by orbit size or by 1 (_class_report)."""
 
     n: int
@@ -125,22 +126,21 @@ def _least(counts: np.ndarray, codes: np.ndarray, n: Optional[int] = None):
     return int(low), int(tied.min())
 
 
-def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
-                 max_witnesses: int, ws: sw.Workspace | None = None,
+def _sweep_codes(n: int, mode: str, codes: np.ndarray, checkers: str,
+                 max_witnesses: int, ws: sw.Workspace,
                  weights: np.ndarray | None = None) -> TheoremReport:
-    """The report of one batch, in mode "chunk", with its laws in LAW_ORDER:
-    a merge takes n, mode, level and law keys from its left operand.  An
+    """The report of one batch, in mode, with its laws in LAW_ORDER: a
+    merge takes n, mode, level and law keys from its left operand.  An
     empty batch gives the zero report of the level.  The batch's planes live
-    in ws (a fresh workspace when None), and none of them is kept in the
-    report.  Without weights, the codes are labeled codes.  With weights,
-    they are one representative per isomorphism class, of any form, and a
-    class of weight w stands for the w least labeled codes of its orbit: w =
-    n!/|Aut| for the whole orbit, w = 1 for its minimum.  Its counts are
-    weighted (sw.weighted), each argmin names the smallest labeled code with
-    the least count (_least), and witnesses are the least codes that the
-    flagged classes stand for (_orbit_witnesses)."""
+    in ws, and none of them is kept in the report.  Without weights, the
+    codes are labeled codes.  With weights, they are one representative per
+    isomorphism class, of any form, and a class of weight w stands for the w
+    least labeled codes of its orbit: w = n!/|Aut| for the whole orbit, w =
+    1 for its minimum.  Its counts are weighted (sw.weighted), each argmin
+    names the smallest labeled code with the least count (_least), and
+    witnesses are the least codes that the flagged classes stand for
+    (_orbit_witnesses)."""
     m = codes.size
-    ws = ws or sw.Workspace()
     valid = sw.valid_plane(m)
     bits = sw.label_bits(n, codes, ws)
     ones = sw.one_masks(n, bits, ws)
@@ -183,7 +183,7 @@ def _sweep_codes(n: int, codes: np.ndarray, checkers: str,
                 for law in LAW_ORDER if (cnt := law_counts.get(law))}
 
     return TheoremReport(
-        n=n, mode="chunk", checker_level=checkers,
+        n=n, mode=mode, checker_level=checkers,
         total_codes=m if weights is None else int(weights.sum()),
         dbe_failures=int(fail_idx.size if weights is None else weights[fail_idx].sum()),
         failure_witnesses=witnesses(fail_idx),
@@ -243,43 +243,31 @@ def _merge(a: TheoremReport, b: TheoremReport, cap: int) -> TheoremReport:
         twin_free_codes=twin_free, class_counts_by_shape=hist, laws=laws)
 
 
-def _merge_chunks(n: int, mode: str, checkers: str,
-                  parts: list[TheoremReport],
-                  max_witnesses: int) -> TheoremReport:
-    """The fold of the parts in order, in the given mode.  No parts (an
-    empty sample) fold as the sweep of no codes, so the report still lists
-    every law of the level at 0."""
-    parts = parts or [_sweep_codes(n, np.empty(0, dtype=np.int64), checkers,
-                                   max_witnesses)]
-    return replace(reduce(lambda a, b: _merge(a, b, max_witnesses), parts),
-                   mode=mode)
-
-
 def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
            progress: Progress) -> TheoremReport:
-    """The merged report of codes, a range or an int64 array, swept
-    CHUNK_CODES at a time in this process; progress is called with (codes
-    done, total) after each chunk."""
+    """The report of codes, a range or an int64 array, swept CHUNK_CODES at
+    a time in this process and folded in order; progress is called with
+    (codes done, total) after each chunk.  No codes (an empty sample) give
+    the sweep of an empty batch, which still lists every law of the level
+    at 0."""
+    ws = _workspace()
     parts = []
     for lo in range(0, len(codes), CHUNK_CODES):
         chunk = codes[lo:lo + CHUNK_CODES]
         if isinstance(chunk, range):
             chunk = np.arange(chunk.start, chunk.stop, dtype=np.int64)
-        parts.append(_sweep_codes(n, chunk, checkers, max_witnesses, _workspace()))
+        parts.append(_sweep_codes(n, mode, chunk, checkers, max_witnesses, ws))
         if progress:
             progress(lo + chunk.size, len(codes))
-    return _merge_chunks(n, mode, checkers, parts, max_witnesses)
+    if not parts:
+        parts.append(_sweep_codes(n, mode, np.empty(0, dtype=np.int64), checkers,
+                                  max_witnesses, ws))
+    return reduce(lambda a, b: _merge(a, b, max_witnesses), parts)
 
 
 def _check_limits(max_witnesses: int) -> None:
     if max_witnesses < 0:
         raise ValueError(f"witness cap must be nonnegative, got {max_witnesses}")
-
-
-def _level(n: int) -> str:
-    """The checker level of an exhaustive sweep on n points, verify_theorem
-    and claims_sweep alike: "full" through n = 6, "vector" at n = 7, 8."""
-    return "full" if n <= 6 else "vector"
 
 
 def _class_report(n: int, mode: str, reps: np.ndarray, aut: np.ndarray,
@@ -288,18 +276,17 @@ def _class_report(n: int, mode: str, reps: np.ndarray, aut: np.ndarray,
     sweep: weighted by orbit size n!/|Aut| in mode "all", the report of all
     2^C(n,2) codes, and by 1 in mode "iso", that of the orbit minima."""
     weights = factorial(n) // aut if mode == "all" else np.ones_like(reps)
-    return replace(_sweep_codes(n, reps, checkers, max_witnesses, _workspace(),
-                                weights), mode=mode)
+    return _sweep_codes(n, mode, reps, checkers, max_witnesses, _workspace(), weights)
 
 
 def verify_theorem(n: int, mode: str = "all", *, max_witnesses: int = 100,
                    progress: Progress = None) -> TheoremReport:
-    """The report of all label codes on n points (mode "all"), at _level(n),
-    or of the least labeled code of each class (mode "iso"), at level
-    "full", whose counts count classes: one sweep of the classes of one
-    growth (_class_report), in this process, that calls progress with
-    (points, n) once per step of the growth.  Warm, verify_theorem(8, "iso")
-    takes about 0.1 s.
+    """The report of all label codes on n points (mode "all"), at level
+    "full" through n = 6 and "vector" at n = 7, 8, or of the least labeled
+    code of each class (mode "iso"), at level "full", whose counts count
+    classes: one sweep of the classes of one growth (_class_report), in
+    this process, that calls progress with (points, n) once per step of the
+    growth.  Warm, verify_theorem(8, "iso") takes about 0.1 s.
     """
     sw.check_point_count(n)
     _check_limits(max_witnesses)
@@ -308,8 +295,8 @@ def verify_theorem(n: int, mode: str = "all", *, max_witnesses: int = 100,
     for m, reps, aut in sw.iso_classes(n):
         if progress and m > 2:
             progress(m, n)
-    return _class_report(n, mode, reps, aut, "full" if mode == "iso" else _level(n),
-                         max_witnesses)
+    return _class_report(n, mode, reps, aut,
+                         "full" if mode == "iso" or n <= 6 else "vector", max_witnesses)
 
 
 def claims_sweep(n: int, trials: Optional[int] = None, seed: int = 0, *,
@@ -527,7 +514,7 @@ def verify_small_spaces(trials: int = 100_000, seed: int = 0,
                                  for row in rows)
                     examples.append(serialize_distance_matrix(DistanceMatrix(n, frac)))
             done += 1
-            if progress and done % 10_000 == 0:
+            if progress and (done % 10_000 == 0 or done == grand_total):
                 progress(done, grand_total)
         randoms.append((n, trials, fails))
     return SmallSpacesReport(seed, trials, tuple(exhaustive), tuple(randoms),

@@ -34,8 +34,7 @@ def brute_iso_report(n, least):
     relabelings, least (the orbit_minima fixture's), swept as one batch."""
     codes = np.arange(1 << pair_count(n), dtype=np.int64)
     codes = codes[least == codes]
-    return verify_mod._merge_chunks(
-        n, "iso", "full", [verify_mod._sweep_codes(n, codes, "full", 100)], 100)
+    return verify_mod._sweep_codes(n, "iso", codes, "full", 100, verify_mod._workspace())
 
 
 def run_cli(*args, timeout=600):
@@ -460,6 +459,15 @@ class TestRandomMetrics:
         a = run_cli("random-metrics", "--trials", "40", "--seed", "5", "--json")
         b = run_cli("random-metrics", "--trials", "40", "--seed", "5", "--json")
         assert a.stdout == b.stdout
+
+    def test_last_progress_line(self):
+        # 3 x 1234 trials is no multiple of the progress interval, and the
+        # run still ends with its final count
+        code, _, err = run_main(["random-metrics", "--trials", "1234"])
+        assert code == 0
+        progress = err.splitlines()[:-1]
+        assert len(progress) == 1
+        assert progress[0].startswith("random-metrics: 3702/3702 trials, ")
 
 
 class TestExitCodeTwo:

@@ -1,6 +1,6 @@
 """The package surface: every exported name resolves and README names it,
-no sweep takes a scheduling knob, and every attribute the benchmark tracer
-wraps exists."""
+no sweep takes a scheduling knob, every workspace is passed in, and every
+attribute the benchmark tracer wraps exists."""
 
 import importlib
 import importlib.util
@@ -29,6 +29,19 @@ def test_sweeps_take_no_jobs():
         params = inspect.signature(sweep).parameters
         assert "jobs" not in params, sweep.__name__
         assert params["progress"].kind is inspect.Parameter.KEYWORD_ONLY, sweep.__name__
+
+
+def test_workspaces_are_passed_in():
+    # a batch's planes live in the workspace its caller hands over, so no
+    # kernel, and not _sweep_codes, makes a fresh one when given none
+    from dbelines import sweep as sw
+    from dbelines import verify
+    takers = [f for _, f in inspect.getmembers(sw, inspect.isfunction)
+              if "ws" in inspect.signature(f).parameters]
+    assert {"label_bits", "class_law_counts"} <= {f.__name__ for f in takers}
+    for f in (verify._sweep_codes, *takers):
+        ws = inspect.signature(f).parameters["ws"]
+        assert ws.default is inspect.Parameter.empty, f.__name__
 
 
 def test_bench_tracer_targets_resolve():

@@ -4,7 +4,6 @@ import functools
 import multiprocessing
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from unittest import mock
@@ -66,7 +65,7 @@ def labeled(n, level=None, cap=100, progress=None):
     at verify_theorem's level unless given: what verify_theorem and
     claims_sweep report from the isomorphism classes."""
     return verify_mod._sweep(n, "all", range(1 << pair_count(n)),
-                             level or verify_mod._level(n), cap, progress)
+                             level or ("full" if n <= 6 else "vector"), cap, progress)
 
 
 def recorded_chunks(monkeypatch):
@@ -74,9 +73,9 @@ def recorded_chunks(monkeypatch):
     calls = []
     sweep_codes = verify_mod._sweep_codes
 
-    def recorded(n, codes, *args):
+    def recorded(n, mode, codes, *args):
         calls.append(codes.copy())
-        return sweep_codes(n, codes, *args)
+        return sweep_codes(n, mode, codes, *args)
 
     monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
     return calls
@@ -110,7 +109,7 @@ def edited_line_masks(edit):
     label code of each lane, and returns the planes of the edited table."""
     line_masks = sw.line_masks
 
-    def edited(n, bits, ones, ws=None):
+    def edited(n, bits, ones, ws):
         table = mask_table(line_masks(n, bits, ones, ws), 64 * bits.shape[-1])
         edit(table, codes_of(bits))
         return mask_planes(table, n)
@@ -249,8 +248,7 @@ class TestVerifyTheorem:
         monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
         for cap in (0, 1, 3, 100):
             rep = verify_theorem(n, mode="iso", max_witnesses=cap)
-            brute = verify_mod._merge_chunks(
-                n, "iso", "full", [verify_mod._sweep_codes(n, minima, "full", cap)], cap)
+            brute = verify_mod._sweep_codes(n, "iso", minima, "full", cap, sw.Workspace())
             assert rep == brute
             assert rep.dbe_failures == chosen.size
             assert len(rep.failure_witnesses) == min(cap, chosen.size)
@@ -279,8 +277,7 @@ class TestVerifyTheorem:
             lines[:, np.isin(lane_codes, bad)] = 0b11
 
         monkeypatch.setattr(sw, "line_masks", edited_line_masks(collapse))
-        whole = verify_mod._merge_chunks(
-            n, "sample", "full", [verify_mod._sweep_codes(n, codes, "full", cap)], cap)
+        whole = verify_mod._sweep_codes(n, "sample", codes, "full", cap, sw.Workspace())
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         rep = claims_sweep(n, trials=trials, seed=seed, max_witnesses=cap)
         assert rep == whole
@@ -292,10 +289,11 @@ class TestVerifyTheorem:
         # a sampled run never sweeps more than one chunk of codes at a time,
         # and a labeled sweep of 2^28 codes holds one chunk's codes at a
         # time, as an int64 array cut from the range
-        empty = verify_mod._sweep_codes(8, np.empty(0, dtype=np.int64), "vector", 100)
+        empty = verify_mod._sweep_codes(8, "all", np.empty(0, dtype=np.int64), "vector",
+                                        100, sw.Workspace())
         sizes = []
 
-        def counted(n, codes, *args):
+        def counted(n, mode, codes, *args):
             assert codes.dtype == np.int64
             sizes.append(codes.size)
             return empty
@@ -314,7 +312,7 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tasks_are_nonempty_and_cover_the_codes(self, seed):
         # every chunk holds a code, and the chunks hold the codes in order;
-        # no codes make no chunk, and _merge_chunks folds one empty sweep
+        # no codes make no chunk, and _sweep folds one empty sweep
         with pytest.MonkeyPatch.context() as mp:
             calls = recorded_chunks(mp)
             mp.setattr(verify_mod, "CHUNK_CODES", 16)
@@ -383,17 +381,15 @@ class TestVerifyTheorem:
     @example(batch=(6, np.repeat(np.arange(0, 21 * 401, 401), 3)[::-1].copy()))
     def test_tail_word_counts_nothing(self, batch):
         # the bits past a batch's last code read as code 0 and must add
-        # nothing: one sweep of the batch equals the merge of its one-code
+        # nothing: one sweep of the batch equals the fold of its one-code
         # sweeps, in any code order, since a batch and a merge both break a
         # tie of least counts by the smaller code
         n, codes = batch
         cap = codes.size
-        whole = verify_mod._merge_chunks(
-            n, "sample", "full", [verify_mod._sweep_codes(n, codes, "full", cap)], cap)
-        alone = verify_mod._merge_chunks(
-            n, "sample", "full",
-            [verify_mod._sweep_codes(n, codes[i:i + 1], "full", cap)
-             for i in range(codes.size)], cap)
+        whole = verify_mod._sweep_codes(n, "sample", codes, "full", cap, sw.Workspace())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, "CHUNK_CODES", 1)
+            alone = verify_mod._sweep(n, "sample", codes, "full", cap, None)
         assert whole == alone
         assert whole.total_codes == codes.size and 0 in codes
 
@@ -508,14 +504,16 @@ LEVEL_LAWS = {
 
 
 class TestOneReportBuilder:
-    """_sweep_codes builds every report: the sweep of no codes is the
-    report of an empty sample, and a merge keeps the chunk's laws in order."""
+    """_sweep_codes builds every report, in the mode it is given: the sweep
+    of no codes is the report of an empty sample, and a merge keeps the
+    chunk's laws in order."""
 
     @pytest.mark.parametrize("level", ["none", "vector", "full"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_empty_batch(self, n, level):
-        rep = verify_mod._sweep_codes(n, np.empty(0, dtype=np.int64), level, 5)
-        assert (rep.n, rep.mode, rep.checker_level) == (n, "chunk", level)
+        none = np.empty(0, dtype=np.int64)
+        rep = verify_mod._sweep_codes(n, "sample", none, level, 5, sw.Workspace())
+        assert (rep.n, rep.mode, rep.checker_level) == (n, "sample", level)
         assert (rep.total_codes, rep.dbe_failures, rep.failure_witnesses) == (0, 0, ())
         assert rep.min_lines_overall is rep.argmin_overall is None
         assert rep.min_lines_no_universal is rep.argmin_no_universal is None
@@ -530,18 +528,16 @@ class TestOneReportBuilder:
             assert list(rep.class_counts_by_shape.values()) == [0, 0, 0]
         else:
             assert rep.class_counts_by_shape is None
-        assert verify_mod._merge_chunks(n, "sample", level, [], 5) == \
-            replace(rep, mode="sample")
+        assert verify_mod._sweep(n, "sample", none, level, 5, None) == rep
 
     @pytest.mark.parametrize("level", ["none", "vector", "full"])
-    def test_merge_keeps_the_chunk_law_order(self, level):
+    def test_merge_keeps_the_chunk_law_order(self, level, monkeypatch):
         n = 7
         codes = np.random.default_rng(90).integers(0, 1 << pair_count(n), 300)
-        chunk = verify_mod._sweep_codes(n, codes, level, 5)
-        halves = [verify_mod._sweep_codes(n, part, level, 5)
-                  for part in (codes[:130], codes[130:])]
-        merged = verify_mod._merge_chunks(n, "sample", level, halves, 5)
-        assert merged == replace(chunk, mode="sample")
+        chunk = verify_mod._sweep_codes(n, "sample", codes, level, 5, sw.Workspace())
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", 130)
+        merged = verify_mod._sweep(n, "sample", codes, level, 5, None)
+        assert merged == chunk
         if level == "none":
             assert merged.laws is None
         else:
@@ -587,7 +583,7 @@ class Unshared(sw.Workspace):
 
 
 def unshared_sweep(n, codes, checkers):
-    return verify_mod._sweep_codes(n, codes, checkers, 5, Unshared())
+    return verify_mod._sweep_codes(n, "all", codes, checkers, 5, Unshared())
 
 
 class TestWorkspaceReuse:
@@ -599,8 +595,8 @@ class TestWorkspaceReuse:
         ws = sw.Workspace()
         for seed, (n, size) in enumerate(MIXED_BATCHES[::order]):
             codes = sweep_batch(n, size, seed)
-            kept = verify_mod._sweep_codes(n, codes, checkers, 5, ws)
-            fresh = verify_mod._sweep_codes(n, codes, checkers, 5)
+            kept = verify_mod._sweep_codes(n, "all", codes, checkers, 5, ws)
+            fresh = verify_mod._sweep_codes(n, "all", codes, checkers, 5, sw.Workspace())
             assert kept == fresh == unshared_sweep(n, codes, checkers)
 
     @pytest.mark.parametrize("n, size", [(4, 1), (6, 65), (7, 200), (8, 127)])
@@ -610,19 +606,20 @@ class TestWorkspaceReuse:
         # a kernel ORs into must be cleared before they are read
         codes = sweep_batch(n, size, n)
         ws = sw.Workspace()
-        verify_mod._sweep_codes(8, sweep_batch(8, 1 << 10, 0), "full", 0, ws)
+        verify_mod._sweep_codes(8, "all", sweep_batch(8, 1 << 10, 0), "full", 0, ws)
         poison(ws)
-        kept = verify_mod._sweep_codes(n, codes, "full", 5, ws)
+        kept = verify_mod._sweep_codes(n, "all", codes, "full", 5, ws)
         assert kept == unshared_sweep(n, codes, "full")
 
     def test_same_shape_allocates_nothing(self):
         ws = sw.Workspace()
-        first = verify_mod._sweep_codes(7, sweep_batch(7, 1 << 12, 1), "full", 5, ws)
+        first = verify_mod._sweep_codes(7, "all", sweep_batch(7, 1 << 12, 1), "full", 5,
+                                        ws)
         grown = buffer_addresses(ws)
         assert {"bits", "ones", "lines", "seen", "pairs", "twins",
                 "scratch"} <= set(grown)
         for seed, size in ((2, 1 << 12), (3, 100)):
-            verify_mod._sweep_codes(7, sweep_batch(7, size, seed), "full", 5, ws)
+            verify_mod._sweep_codes(7, "all", sweep_batch(7, size, seed), "full", 5, ws)
             assert buffer_addresses(ws) == grown
         # nothing in a report is a plane that the next batch overwrites
         assert not any(isinstance(v, np.ndarray) for v in vars(first).values())
@@ -633,9 +630,9 @@ class TestWorkspaceReuse:
         grown = []
         sweep_codes = verify_mod._sweep_codes
 
-        def recorded(n, codes, checkers, cap, chunk_ws):
+        def recorded(n, mode, codes, checkers, cap, chunk_ws):
             assert chunk_ws is ws
-            report = sweep_codes(n, codes, checkers, cap, chunk_ws)
+            report = sweep_codes(n, mode, codes, checkers, cap, chunk_ws)
             grown.append(buffer_addresses(ws))
             return report
 
@@ -807,9 +804,10 @@ class TestMinLinesTable:
         reps = np.array(sorted(largest.values()), dtype=np.int64)
         rep = cached_report(n)
         want = (rep.argmin_overall, rep.argmin_no_universal)
-        got = verify_mod._sweep_codes(n, reps, "none", 0, weights=np.ones_like(reps))
+        got = verify_mod._sweep_codes(n, "iso", reps, "none", 0, sw.Workspace(),
+                                      np.ones_like(reps))
         assert (got.argmin_overall, got.argmin_no_universal) == want
-        plain = verify_mod._sweep_codes(n, reps, "none", 0)
+        plain = verify_mod._sweep_codes(n, "all", reps, "none", 0, sw.Workspace())
         assert (plain.argmin_overall, plain.argmin_no_universal) != want
 
     def test_n8_row(self):
