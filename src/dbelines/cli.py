@@ -24,8 +24,6 @@ from .structure import (classify_class, equiv_classes, law_violations,
 from .verify import (claims_sweep, min_lines_table, six_point_witnesses,
                      verify_small_spaces, verify_theorem)
 
-PROGRESS_STEP = 1 << 20
-
 
 class _CliParser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit 1, not 2."""
@@ -37,22 +35,18 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _progress_printer(label: str, unit: str = "codes"):
-    """A progress callback printing to stderr at the end and, in points,
-    every point, or else every PROGRESS_STEP units with the rate since the
-    printer was made and an ETA."""
+    """A progress callback printing to stderr on every call, which its
+    callers make once per growth step, chunk or 10,000 trials; in any unit
+    but points, with the rate since the printer was made and an ETA."""
     timed = unit != "points"
-    step = PROGRESS_STEP if timed else 1
-    state = {"next": step}
     start = time.monotonic()
 
     def cb(done: int, total: int) -> None:
-        if done >= state["next"] or done == total:
-            state["next"] = done + step
-            line = f"{label}: {done}/{total} {unit}"
-            if timed:
-                rate = done / max(time.monotonic() - start, 1e-9)
-                line += f", {rate:.3g} {unit}/s, ETA {(total - done) / rate:.1f} s"
-            print(line, file=sys.stderr)
+        line = f"{label}: {done}/{total} {unit}"
+        if timed:
+            rate = done / max(time.monotonic() - start, 1e-9)
+            line += f", {rate:.3g} {unit}/s, ETA {(total - done) / rate:.1f} s"
+        print(line, file=sys.stderr)
 
     return cb
 

@@ -40,13 +40,12 @@ Two canonical forms name an isomorphism class.  refined_codes is the least
 code over the relabelings that keep the points sorted by an invariant key,
 with the class's automorphism count beside it, and iso_classes grows the
 classes with it from the joins that give the new point the largest degree.
-It relabels each distinct sorted code once, in blocks of (code, relabeling)
-rows that span cell patterns, and a code of one cell once per point that it
-individualizes: 35,916 relabelings for the 2690 candidates of the n = 7
-growth step, 10,960 of them in the 56 branches of its 8 one-cell codes,
-which all 5040 relabelings would take 40,320.
-canonical_min is the least code over all n! relabelings, through the same
-blocks with one cell: the form every report prints, needed only for the
+It relabels each distinct sorted code of several cells once, in blocks of
+(code, relabeling) rows that span cell patterns: 24,956 relabelings for the
+2690 candidates of the n = 7 growth step.  least_codes searches the least
+codes over all n! relabelings, filling the positions from the last one
+down.  It serves the 8 one-cell codes of that step, the class witnesses,
+and canonical_min: the form every report prints, needed only for the
 classes that a report names.
 
 The scalar implementations in lines/structure (law_violations for the
@@ -72,9 +71,7 @@ from .bitset import iter_pairs, pair_count, pair_index
 from .structure import ClassShape, class_size_bound
 
 # label_bits folds two codes into one uint64 word, so a code may have at
-# most 32 pair bits: C(8, 2) = 28.  canonical_min also tries all n!
-# relabelings, from the cached int8 relabel table of _cell_tables: 62,391 x
-# 28 entries, 1.7 MiB, at n = 8.
+# most 32 pair bits: C(8, 2) = 28.
 ENUM_MAX_POINTS = 8
 
 ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -599,8 +596,8 @@ _KEY_CODES = 256
 # _least_relabelings relabels at most this many (code, permutation) rows at a
 # time.  A row takes its C(n,2) int8 pair sources twice (gathered, then
 # transposed) and 41 bytes of int64 and bool temporaries: 83 bytes, 332 KiB
-# for a block, at n = 7.  A code with more rows goes alone and reads its
-# sources in place: 17 bytes a row, 670 KiB for 40320 rows at n = 8.
+# for a block, at n = 7.  A code with more rows, which only the 5040 of a
+# (7, 1)-cell code at n = 8 are, goes alone: 97 bytes a row, 477 KiB.
 _RELABEL_ROWS = 1 << 12
 
 
@@ -619,12 +616,16 @@ def _pair_indices(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @cache
 def _cell_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The transposed _cell_sources tables of all 2^(n-1) cut patterns,
-    stacked into one (columns, C(n,2)) int8 table (8431 columns, 173 KiB,
-    at n = 7; 62,391, 1.7 MiB, at n = 8), and the first column of each
-    pattern's, with the column count appended.  A pattern's columns are
-    those of the n! permutations, in itertools order, that map each cell
-    onto itself, i.e. points 0..i onto themselves at each cut i."""
+    """The relabel tables of all 2^(n-1) cell patterns, stacked into one
+    (columns, C(n,2)) int8 table (3391 columns, 70 KiB, at n = 7; 22,071,
+    0.6 MiB, at n = 8), and the first column of each pattern's, with the
+    column count appended.  The cells are runs of consecutive points, and
+    bit i of cuts is set where a cell ends after point i.  Pattern cuts has
+    a column per permutation perm, in itertools order, that maps points
+    0..i onto themselves at each cut i, holding pair_index(perm[i], perm[j],
+    n) at entry pair_index(i, j, n): bit k of the relabeled code is the
+    code's bit at entry k.  One cell, cuts = 0, has no columns (least_codes
+    searches it)."""
     perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8,
                         count=factorial(n) * n).reshape(-1, n)
     us, vs = _ends(n)
@@ -632,28 +633,20 @@ def _cell_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     # bit i is set where the permutation maps points 0..i onto themselves
     closed = (np.maximum.accumulate(perms[:, :-1], axis=1) == np.arange(n - 1)) \
         @ (1 << np.arange(n - 1))
-    tables = [every[(closed & cuts) == cuts] for cuts in range(1 << n - 1)]
+    tables = [every[(closed & cuts) == cuts] if cuts else every[:0]
+              for cuts in range(1 << n - 1)]
     return np.concatenate(tables), np.cumsum([0] + [len(t) for t in tables])
-
-
-def _cell_sources(n: int, cuts: int) -> np.ndarray:
-    """(C(n,2), q) int8 table of the q relabelings that map every cell onto
-    itself: column p holds pair_index(perm[i], perm[j], n) at row
-    pair_index(i, j, n), for the p-th such permutation perm in itertools
-    order, so bit k of the p-th relabeled code is bit sources[k, p] of the
-    code.  The cells are runs of consecutive points, and bit i of cuts is
-    set where a cell ends after point i; cuts = 0 is one cell, so every
-    relabeling."""
-    table, first = _cell_tables(n)
-    return table[first[cuts]:first[cuts + 1]].T
 
 
 def _least_relabelings(n: int, codes: np.ndarray,
                        cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 per code: its least relabeling over the columns of
-    _cell_sources(n, cut) of its cuts, and how many columns give that code.
-    A code has a row per column, and the codes go through in blocks of
-    consecutive codes with at most _RELABEL_ROWS rows, or of one code."""
+    """int64 per code: its least relabeling over the _cell_tables columns
+    of its cuts, which are not 0, and how many columns give that code.  A
+    code has a row per column, and the codes go through in blocks of
+    consecutive codes with at most _RELABEL_ROWS rows, or of one code.  A
+    block gathers its rows' pair sources in one call, whatever cell patterns
+    it spans, and is relabeled one pair bit at a time, in int64; a code's
+    least relabeling and tie count are reductions over its rows."""
     table, first = _cell_tables(n)
     rows = np.diff(first)[cuts]
     ends = np.cumsum(rows)
@@ -662,87 +655,111 @@ def _least_relabelings(n: int, codes: np.ndarray,
     while lo < codes.size:
         hi = int(np.searchsorted(ends, ends[lo] - rows[lo] + _RELABEL_ROWS, "right"))
         hi = max(hi, lo + 1)
-        best[lo:hi], count[lo:hi] = _least_in_block(table, first[cuts[lo:hi]],
-                                                    rows[lo:hi], codes[lo:hi])
+        span = rows[lo:hi]
+        starts = np.cumsum(span) - span
+        columns = np.repeat(first[cuts[lo:hi]] - starts, span)
+        columns += np.arange(columns.size)
+        sources = np.take(table, columns, axis=0).T.copy()
+        block = np.repeat(codes[lo:hi], span)
+        relabeled, bit = np.zeros_like(block), np.empty_like(block)
+        for k, source in enumerate(sources):
+            np.right_shift(block, source, out=bit)
+            bit &= 1
+            bit <<= k
+            relabeled |= bit
+        best[lo:hi] = low = np.minimum.reduceat(relabeled, starts)
+        count[lo:hi] = np.add.reduceat(relabeled == np.repeat(low, span), starts)
         lo = hi
     return best, count
 
 
-def _relabeled(codes: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """int64 per column of a (C(n,2), q) sources table: the c-th code, or
-    the one code, relabeled by column c, one pair bit at a time."""
-    relabeled = np.zeros(sources.shape[1], dtype=np.int64)
-    bit = np.empty_like(relabeled)
-    for k, source in enumerate(sources):
-        np.right_shift(codes, source, out=bit)
-        bit &= 1
-        bit <<= k
-        relabeled |= bit
-    return relabeled
+# the row of a placed point in a least_codes state, above every prefix
+_PLACED = 1 << 60
 
 
-def _least_in_block(table: np.ndarray, first: np.ndarray, span: np.ndarray,
-                    codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_least_relabelings of one block, whose c-th code has span[c] rows,
-    relabeled by the table rows from first[c] on.  The block gathers its
-    rows' pair sources in one call, whatever cell patterns it spans, and is
-    relabeled one pair bit at a time, in int64; a code's least relabeling
-    and tie count are reductions over its rows."""
-    starts = np.cumsum(span) - span
-    lone = codes.size == 1  # then its rows are a run of table, and it broadcasts
-    if lone:
-        sources = table[first[0]:][:span[0]].T
-    else:
-        columns = np.repeat(first - starts, span)
-        columns += np.arange(columns.size)
-        sources = np.take(table, columns, axis=0).T.copy()
-        codes = np.repeat(codes, span)
-    relabeled = _relabeled(codes, sources)
-    low = np.minimum.reduceat(relabeled, starts)
-    tied = relabeled == (low if lone else np.repeat(low, span))
-    return low, np.add.reduceat(tied, starts)
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """The indices where the rows of a sorted array change, 0 first."""
+    new = np.empty(keys.shape[0], dtype=bool)
+    new[:1] = True
+    differ = keys[1:] != keys[:-1]
+    new[1:] = differ if keys.ndim == 1 else differ.any(axis=1)
+    return new.nonzero()[0]
+
+
+def least_codes(n: int, codes: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The k least distinct relabelings of each code (its whole orbit if
+    that is smaller), ascending, one code after another, int64; and per
+    code |Aut|, the number of the n! relabelings that give its least.  A
+    batch holds at most 2^(60 - C(n,2)) codes: 2^32 at n = 8.
+
+    The bits of position p to later positions outweigh all earlier bits, so
+    a search fills the positions from n - 1 down, and the point placed at p
+    adds a digit: its labels to the placed points, the first most
+    significant.  A state holds a prefix (its code's index, then digits), a
+    row per point of its labels to the placed points (_PLACED once placed)
+    and how many permutations reach it.  A step extends each state by each
+    unplaced point, whose row is its digit, and keeps the children whose
+    prefix is among the k least of their code, as those of its k least
+    codes are.  Children with equal prefix and rows have equal completions,
+    so they merge and add up their counts.  At the end a state is a code,
+    and the count of the least is |Aut|: the relabelings that reach a code
+    form a coset of the automorphisms."""
+    us, vs = _ends(n)
+    m = codes.size
+    far = np.zeros((m, n, n), dtype=np.int64)  # far[c, u]: u's labels in code c
+    far[:, us, vs] = far[:, vs, us] = codes[:, None] >> np.arange(us.size) & 1
+    far.reshape(m, n * n)[:, ::n + 1] = _PLACED  # placing u makes its row _PLACED
+    # the states after the first step, which places each point
+    states = np.empty((m * n, n + 1), dtype=np.int64)  # the prefix, then the rows
+    states[:, 0] = group = np.arange(m).repeat(n)  # the index of the code
+    states[:, 1:] = far.reshape(m * n, n)
+    count = np.ones(m * n, dtype=np.int64)
+    for d in range(1, n):  # d points placed, so each row has d bits
+        shift = d * (d + 1) // 2  # the digit bits of a child's prefix
+        child = states[:, :1] << d | states[:, 1:]
+        if k == 1:  # the states of a code are a run, and every code has one
+            least = np.minimum.reduceat(child.min(axis=1), _starts(group))
+            keep = child <= least[group, None]
+        else:
+            values = child.flatten()
+            values.sort()
+            distinct = values[_starts(values)]
+            index = distinct >> shift
+            rank = np.arange(distinct.size) - index.searchsorted(index)
+            kept = distinct[(rank < k) & (distinct < _PLACED)]
+            keep = kept[np.minimum(kept.searchsorted(child), kept.size - 1)] == child
+        s, u = keep.nonzero()
+        states = states[s]
+        states[:, 0] = child[s, u]
+        rows = states[:, 1:]
+        rows <<= 1
+        rows |= far[group[s], u]
+        np.minimum(rows, _PLACED, out=rows)
+        order = np.lexsort(states.T[::-1])  # by prefix, then rows
+        states = states[order]
+        starts = _starts(states)
+        states = states[starts]
+        count = np.add.reduceat(count[s[order]], starts)
+        group = states[:, 0] >> shift
+    return states[:, 0] & (1 << shift) - 1, count[_starts(group)]
 
 
 def canonical_min(n: int, codes: np.ndarray) -> np.ndarray:
-    """int64 per code: minimum label code over all n! relabelings, the
-    _least_relabelings of one cell.  The reports call it only on the few
-    classes that reach a least line count or break a law: at most 7 codes
-    per call on every real sweep through n = 8.  Warm, a code takes about
-    0.4 ms at n = 7 and 2 ms at n = 8 (best of 9, one core).
-    """
+    """int64 per code: its least relabeling (least_codes).  The reports call
+    it only on the few classes that reach a least line count or break a
+    law: at most 7 codes per call on every real sweep through n = 8.  Warm,
+    a call of 1 (7) codes takes about 0.19 (0.37) ms at n = 7, 0.22 (0.5) at 8."""
     check_point_count(n)
-    return _least_relabelings(n, codes, np.zeros_like(codes))[0]
+    return least_codes(n, codes)[0]
 
 
-def orbit(n: int, code: int) -> np.ndarray:
-    """The distinct codes of the n! relabelings of code, ascending, int64:
-    the labeled codes of its isomorphism class, canonical_min first."""
-    check_point_count(n)
-    return np.unique(_relabeled(np.int64(code), _cell_sources(n, 0)))
-
-
-def _walks(adjacent: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """int64 per point p: for k = 1, 2, 3, the sum of start[q] over the
-    walks of length k from p to q, in 10-bit fields with k = 1 highest.
-    adjacent is a (codes, n, n) distance-1 tensor and start (codes, n).
-    Every field stays below 2^10 to n = 10: with all-ones starts, the third
-    is at most 9^3 = 729."""
-    key = np.zeros(start.shape, dtype=np.int64)
-    for _ in range(3):
-        start = (adjacent @ start[..., None])[..., 0]
-        key <<= 10
-        key |= start
-    return key
-
-
-def _sorted_by_key(n: int, codes: np.ndarray,
-                   points: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_by_key(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per code, the code relabeled with its points sorted by the keys of
-    refined_codes, int64, and the cuts of its cells (_cell_sources), uint8:
-    all 8 cut bits fit at n = 9.  With points, the key of each code gains a
-    last field for its point x: is the point x, then the walks of length 1, 2
-    and 3 from the point to x.  The field sits below the first key, so it
-    only splits cells."""
+    refined_codes, int64, and the cuts of its cells (_cell_tables), uint8:
+    all 8 cut bits fit at n = 9.  A key holds, in 10-bit fields, a point's
+    number of walks of length 1, 2 and 3, the first highest: its degree,
+    the sum of its neighbours' degrees, and the sum of theirs.  Every field
+    stays below 2^10 to n = 10: the third is at most 9^3 = 729."""
     us, vs = _ends(n)
     shifts = np.arange(us.size)
     by_key = np.empty_like(codes)
@@ -751,11 +768,12 @@ def _sorted_by_key(n: int, codes: np.ndarray,
         block = codes[lo:lo + _KEY_CODES, None]
         adjacent = np.zeros((block.shape[0], n, n), dtype=np.int64)
         adjacent[:, us, vs] = adjacent[:, vs, us] = 1 - ((block >> shifts) & 1)
-        # degree, the sum of the neighbours' degrees, and the sum of theirs
-        keys = _walks(adjacent, np.ones((block.shape[0], n), dtype=np.int64))
-        if points is not None:
-            mark = (np.arange(n) == points[lo:lo + _KEY_CODES, None]).astype(np.int64)
-            keys = keys << 31 | mark << 30 | _walks(adjacent, mark)
+        walks = np.ones((block.shape[0], n, 1), dtype=np.int64)
+        keys = np.zeros((block.shape[0], n), dtype=np.int64)
+        for _ in range(3):
+            walks = adjacent @ walks
+            keys <<= 10
+            keys |= walks[..., 0]
         order = np.argsort(keys, axis=1, kind="stable")
         keys = np.take_along_axis(keys, order, axis=1)
         cuts[lo:lo + _KEY_CODES] = ((keys[:, 1:] != keys[:, :-1])
@@ -773,23 +791,14 @@ def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of its distance-1 neighbours' degrees, and the sum of their second keys.
     The code is relabeled with its points sorted by key, and a cell is a run
     of equal keys.  The canonical code is the least relabeling of that code
-    over the permutations that map every cell onto itself (_cell_sources of
-    the cell pattern), taken once per distinct sorted code; where all keys
-    differ, it is the sorted code.  Keys are invariant under relabeling, so
+    over the permutations that map every cell onto itself (_cell_tables),
+    taken once per distinct sorted code.  Where all keys differ, it is the
+    sorted code; where all are equal, one cell, it is the least of all n!
+    relabelings (least_codes).  Keys are invariant under relabeling, so
     isomorphic codes get one canonical code.  The permutations that reach it
     form a coset of the automorphism group, since every automorphism
-    preserves the keys, so their number is |Aut|.
-
-    A sorted code of one cell (all keys equal) is not relabeled n! ways but
-    individualized: for each point x, a branch sorts the points by their key
-    and a last field that marks x (_sorted_by_key with points), so x is last,
-    and relabels over the branch's cells.  The canonical code is the least
-    branch minimum.  A permutation valid in branch x maps point n - 1 onto x,
-    so no permutation is in two branches, and an automorphism a carries the
-    valid permutations of branch x onto those of branch a(x): the coset that
-    reaches the minimum lies in the branches, and |Aut| is the sum of the
-    tie counts of the branches that reach it.  Unlike canonical_min, the code
-    need not be the least of its class.
+    preserves the keys, so their number is |Aut|.  Unlike canonical_min,
+    the code need not be the least of its class.
     """
     check_point_count(n)
     by_key, cuts = _sorted_by_key(n, codes)
@@ -801,15 +810,11 @@ def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.searchsorted(canon, by_key)
     cut, aut = np.empty(canon.size, dtype=np.uint8), np.ones_like(canon)
     cut[inverse] = cuts
-    # the discrete pattern has one relabeling, and one cell is individualized
+    # the discrete pattern has one relabeling, and one cell is searched
     coarse = (cut != (1 << n - 1) - 1) & (cut != 0)
     canon[coarse], aut[coarse] = _least_relabelings(n, canon[coarse], cut[coarse])
-    one_cell = np.flatnonzero(cut == 0)
-    branches = _sorted_by_key(n, np.repeat(canon[one_cell], n),
-                              np.tile(np.arange(n), one_cell.size))
-    least, ties = (a.reshape(-1, n) for a in _least_relabelings(n, *branches))
-    canon[one_cell] = low = least.min(axis=1)
-    aut[one_cell] = np.where(least == low[:, None], ties, 0).sum(axis=1)
+    one_cell = cut == 0
+    canon[one_cell], aut[one_cell] = least_codes(n, canon[one_cell])
     return canon[inverse], aut[inverse]
 
 

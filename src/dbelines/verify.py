@@ -197,8 +197,8 @@ def _orbit_witnesses(n: int, reps: np.ndarray, weights: np.ndarray,
                      cap: int) -> tuple[int, ...]:
     """The cap smallest codes that the classes reps, one code per class,
     stand for, ascending: the weights[i] least labeled codes of the orbit
-    (sw.orbit) of reps[i].  Orbits are taken in order of their minima,
-    until the next minimum is above the cap-th code found."""
+    of reps[i] (sw.least_codes).  Orbits are taken in order of their
+    minima, until the next minimum is above the cap-th code found."""
     if not cap or not reps.size:
         return ()
     least = sw.canonical_min(n, reps)
@@ -206,7 +206,8 @@ def _orbit_witnesses(n: int, reps: np.ndarray, weights: np.ndarray,
     for i in np.argsort(least):
         if found.size == cap and least[i] > found[-1]:
             break
-        found = np.union1d(found, sw.orbit(n, reps[i])[:weights[i]])[:cap]
+        codes, _ = sw.least_codes(n, reps[i:i + 1], min(weights[i], cap))
+        found = np.union1d(found, codes)[:cap]
     return tuple(found.tolist())
 
 

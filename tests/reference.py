@@ -162,6 +162,25 @@ def ref_canonical_code(n: int, code: int) -> int:
     return best
 
 
+def ref_least_relabelings(n: int, codes) -> tuple[np.ndarray, np.ndarray]:
+    """(least relabeling, automorphism count) of each of a 1-d array of
+    codes, int64, by brute force over all n! permutations, one permutation
+    at a time with every code at once: the permutation moves the bit of
+    pair (i, j) to the bit of pair (perm[i], perm[j]), and an automorphism
+    gives the code back."""
+    codes = np.asarray(codes, dtype=np.int64)
+    pairs = list(combinations(range(n), 2))
+    bits = np.array([(codes >> ref_pair_bit(i, j, n)) & 1 for i, j in pairs])
+    least = np.full(codes.shape, np.iinfo(np.int64).max)
+    aut = np.zeros(codes.shape, dtype=np.int64)
+    for perm in permutations(range(n)):
+        moved = [ref_pair_bit(perm[i], perm[j], n) for i, j in pairs]
+        relabeled = (bits << np.array(moved)[:, None]).sum(axis=0)
+        np.minimum(least, relabeled, out=least)
+        aut += relabeled == codes
+    return least, aut
+
+
 def mask_of(points) -> int:
     """Mask from an iterable of point indices."""
     m = 0

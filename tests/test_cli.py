@@ -469,6 +469,15 @@ class TestRandomMetrics:
         assert len(progress) == 1
         assert progress[0].startswith("random-metrics: 3702/3702 trials, ")
 
+    def test_progress_every_10000_trials(self):
+        # a line per 10,000 trials, where a default run of 300,000 would
+        # otherwise stay silent until its end
+        code, _, err = run_main(["random-metrics", "--trials", "10000"])
+        assert code == 0
+        progress = err.splitlines()[:-1]
+        assert [line.split(",")[0] for line in progress] == [
+            f"random-metrics: {done}/30000 trials" for done in (10000, 20000, 30000)]
+
 
 class TestExitCodeTwo:
     def test_injected_dbe_failure(self, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from dbelines.structure import (LAW_ORDER, ClassShape, EdgePair, are_twins,
 
 from reference import (family_of, lanes, mask_planes, mask_table, planes_of,
                        ref_canonical_code, ref_class_shape, ref_law_counts,
-                       ref_pair_bit, ref_rows_from_code)
+                       ref_least_relabelings, ref_pair_bit, ref_rows_from_code)
 
 
 def random_codes(n, count, seed):
@@ -703,25 +703,6 @@ class TestScalarLawPass:
         assert len(fired) == 6 and all(fired.values()), fired
 
 
-def float_relabel_minima(n, codes):
-    """int64 least relabeling of each code, as the row minimum of one float64
-    product: column p of the weights holds 2^b at row k, where permutation p
-    sends pair bit k to pair bit b.  Exact in float64: every partial sum is a
-    sum of distinct powers of two below 2^28 < 2^53."""
-    pairs = list(combinations(range(n), 2))
-    rows = np.array([ref_pair_bit(i, j, n) for i, j in pairs])
-    bit_of = np.zeros((n, n), dtype=np.int64)
-    for (i, j), k in zip(pairs, rows):
-        bit_of[i, j] = bit_of[j, i] = k
-    perms = np.array(list(permutations(range(n))))
-    first, second = np.array(pairs).T
-    targets = bit_of[perms[:, first], perms[:, second]]  # (n!, C(n,2))
-    weights = np.zeros((len(pairs), perms.shape[0]))
-    weights[rows[:, None], np.arange(perms.shape[0])] = np.exp2(targets.T)
-    bits = (codes[:, None] >> np.arange(len(pairs))) & 1
-    return (bits.astype(np.float64) @ weights).min(axis=1).astype(np.int64)
-
-
 class TestCanonicalKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_scalar(self, n):
@@ -737,9 +718,8 @@ class TestCanonicalKernel:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_blocks_equal_single_codes(self, n):
-        # two _RELABEL_ROWS blocks and one code more, shuffled, with repeats:
-        # 2 * 170 + 1 codes at n = 4, 11 at n = 6, and 3 at n = 7, 8, where a
-        # code has more rows than a block and goes alone
+        # a batch, shuffled, with repeats, equals its codes one at a time:
+        # 2 * 170 + 1 codes at n = 4, 11 at n = 6, and 3 at n = 7, 8
         per_block = max(1, sw._RELABEL_ROWS // factorial(n))
         rng = np.random.default_rng(70 + n)
         pool = random_codes(n, per_block + 1, seed=60 + n)
@@ -750,25 +730,46 @@ class TestCanonicalKernel:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_float_product_equals_integer_path(self, n):
-        # 65 codes through the int64 relabelings of canonical_min against
-        # one float64 product over all n! relabelings, built here from
-        # itertools.permutations
+        # 65 codes through the search of canonical_min against the brute
+        # force over all n! relabelings of tests/reference.py
         codes = random_codes(n, 65, seed=80 + n)
-        assert sw.canonical_min(n, codes).tolist() == float_relabel_minima(n, codes).tolist()
+        least, _ = ref_least_relabelings(n, codes)
+        assert sw.canonical_min(n, codes).tolist() == least.tolist()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_orbit_equals_brute_relabelings(self, n):
-        # every code to n = 4; at n = 5 the two constant codes and 40 more
+        # least_codes gives the k least codes of the orbit, and the number
+        # of relabelings that give the least, for k = 1, 7 and the whole
+        # orbit: every code to n = 4; at n = 5 the two constant codes and 40
+        # more; and a batch of all of them gives each code's, in order
         top = (1 << pair_count(n)) - 1
         codes = all_codes(n) if n <= 4 else \
             np.concatenate([[0, top], random_codes(n, 40, seed=45)])
-        least = sw.canonical_min(n, codes)
-        for code, low in zip(codes.tolist(), least.tolist()):
-            got = sw.orbit(n, code)
-            assert got.dtype == np.int64
-            assert got.tolist() == sorted({relabeled(n, code, perm)
-                                           for perm in permutations(range(n))})
-            assert got[0] == low
+        prefixes, auts = [], []
+        for code in codes.tolist():
+            relabelings = Counter(relabeled(n, code, perm)
+                                  for perm in permutations(range(n)))
+            orbit = sorted(relabelings)
+            for k in (1, 7, len(orbit)):
+                got, ties = sw.least_codes(n, np.array([code]), k)
+                assert got.dtype == ties.dtype == np.int64
+                assert got.tolist() == orbit[:k]
+                assert ties.tolist() == [relabelings[orbit[0]]]
+            prefixes += orbit[:7]
+            auts.append(relabelings[orbit[0]])
+        got, ties = sw.least_codes(n, codes, 7)
+        assert got.tolist() == prefixes and ties.tolist() == auts
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ties_are_the_growth_aut(self, n, grown):
+        # the tie count of least_codes is |Aut| of iso_classes: on every
+        # class to n = 7, and on the 22 one-cell classes at n = 8
+        reps, aut = grown[n]
+        if n == 8:
+            one_cell = sw._sorted_by_key(n, reps)[1] == 0
+            reps, aut = reps[one_cell], aut[one_cell]
+            assert reps.size == 22
+        np.testing.assert_array_equal(sw.least_codes(n, reps)[1], aut)
 
     def test_empty_batch(self):
         out = sw.canonical_min(6, np.zeros(0, dtype=np.int64))
@@ -916,11 +917,14 @@ class TestRefinedCodes:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cell_sources_equal_brute_tables(self, n):
-        # every cell pattern to n = 7; at n = 8 one cell, a split-off first
-        # point, two cuts, a split-off last point, and all points apart
-        patterns = range(1 << n - 1) if n <= 7 else (0, 1, 5, 64, 127)
+        # one cell has no columns, since least_codes searches it; then every
+        # other cell pattern to n = 7, and at n = 8 a split-off first point,
+        # two cuts, a split-off last point, and all points apart
+        table, first = sw._cell_tables(n)
+        assert table.dtype == np.int8 and first[0] == first[1] == 0
+        patterns = range(1, 1 << n - 1) if n <= 7 else (1, 5, 64, 127)
         for cuts in patterns:
-            np.testing.assert_array_equal(sw._cell_sources(n, cuts),
+            np.testing.assert_array_equal(table[first[cuts]:first[cuts + 1]].T,
                                           brute_cell_sources(n, cuts), str(cuts))
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -935,17 +939,20 @@ class TestRefinedCodes:
         np.testing.assert_array_equal(aut[first], grown[n][1])
 
     @pytest.mark.parametrize("n", [6, 7, 8])
-    def test_one_cell_classes_are_individualized(self, n, grown):
+    def test_one_cell_classes_get_orbit_minima(self, n, grown):
         # the classes whose first refinement leaves one cell (the regular
-        # spaces): |Aut| over the branches equals the tie count over all n!
-        # relabelings, and relabeled codes share the refined code
-        reps, _ = grown[n]
-        codes = reps[sw._sorted_by_key(n, reps)[1] == 0]
+        # spaces) get their least relabeling and |Aut| by brute force over
+        # all n! relabelings, and relabeled codes share the refined code
+        reps, growth_aut = grown[n]
+        one_cell = sw._sorted_by_key(n, reps)[1] == 0
+        codes = reps[one_cell]
         assert codes.size == {6: 8, 7: 6, 8: 22}[n]  # regular graphs
+        least, brute_aut = ref_least_relabelings(n, codes)
+        np.testing.assert_array_equal(codes, least)
+        np.testing.assert_array_equal(growth_aut[one_cell], brute_aut)
         canon, aut = sw.refined_codes(n, codes)
         np.testing.assert_array_equal(canon, codes)
-        ties = sw._least_relabelings(n, codes, np.zeros_like(codes))[1]
-        np.testing.assert_array_equal(aut, ties)
+        np.testing.assert_array_equal(aut, brute_aut)
         rng = random.Random(n)
         for code in codes.tolist():
             moved = np.array([relabeled(n, code, rng.sample(range(n), n))
@@ -982,18 +989,11 @@ class TestRefinedCodes:
         cut = cuts[first]
         discrete, one_cell = cut == (1 << 6) - 1, cut == 0
         assert discrete.any() and one_cell.any()
-        counts = np.diff(sw._cell_tables(7)[1])
-        span = counts[cut[~discrete & ~one_cell]]
-        # each one-cell code has a branch per point, whose cells split it
-        branch_cuts = sw._sorted_by_key(7, np.repeat(distinct[one_cell], 7),
-                                        np.tile(np.arange(7), one_cell.sum()))[1]
-        branch_span = counts[branch_cuts]
+        span = np.diff(sw._cell_tables(7)[1])[cut[~discrete & ~one_cell]]
         # 1000 rows: blocks of several codes, whose cell patterns differ and
         # whose rows fall short of the budget; no code reaches 1000 rows
-        largest = max(span.sum(), branch_span.sum())
-        budget = {"one": 1, "uneven": 1000, "all": int(largest) + 1}[rows]
-        assert max(span.max(), branch_span.max()) < 1000 < min(span.sum(),
-                                                                branch_span.sum())
+        budget = {"one": 1, "uneven": 1000, "all": int(span.sum()) + 1}[rows]
+        assert span.max() < 1000 < span.sum()
         canon, aut = sw.refined_codes(7, codes)
         monkeypatch.setattr(sw, "_RELABEL_ROWS", budget)
         got_canon, got_aut = sw.refined_codes(7, codes)
@@ -1002,23 +1002,28 @@ class TestRefinedCodes:
 
     @pytest.mark.parametrize("rows", ["one", "uneven", "all"])
     def test_lone_codes_change_nothing(self, rows, grown, monkeypatch):
-        # canonical_min of the six one-cell classes on 7 points: 5040 rows a
-        # code, more than a block, so each goes alone and reads its sources
-        # in place, except in one block of all their rows
-        reps, _ = grown[7]
-        codes = reps[sw._sorted_by_key(7, reps)[1] == 0]
-        assert codes.size == 6 and factorial(7) > sw._RELABEL_ROWS
+        # the classes on 8 points whose sorted code has cells of 7 points
+        # and 1: 5040 rows a code, more than a block, so each goes alone,
+        # except in one block of all their rows
+        reps, aut = grown[8]
+        by_key, cuts = sw._sorted_by_key(8, reps)
+        lone = (cuts == 1) | (cuts == 1 << 6)
+        codes, cuts = by_key[lone], cuts[lone]
+        assert codes.size > 1 and factorial(7) > sw._RELABEL_ROWS
         budget = {"one": 1, "uneven": 1000, "all": codes.size * factorial(7)}[rows]
-        least = sw.canonical_min(7, codes)
+        least, ties = sw._least_relabelings(8, codes, cuts)
+        np.testing.assert_array_equal(least, reps[lone])
+        np.testing.assert_array_equal(ties, aut[lone])
         monkeypatch.setattr(sw, "_RELABEL_ROWS", budget)
-        np.testing.assert_array_equal(sw.canonical_min(7, codes), least)
+        got_least, got_ties = sw._least_relabelings(8, codes, cuts)
+        np.testing.assert_array_equal(got_least, least)
+        np.testing.assert_array_equal(got_ties, ties)
 
     def test_warm_temporaries(self, growth_candidates):
         # a warm call on the n = 7 step: beside its two int64 outputs, its
         # temporaries peak under 512 KiB, a block of _RELABEL_ROWS rows
-        # (332 KiB), of coarse codes or of one-cell branches alike, and two
-        # int64 arrays over the 2690 candidates (42 KiB); blocks of 2^16
-        # rows would take 5 MiB
+        # (332 KiB) and two int64 arrays over the 2690 candidates (42 KiB);
+        # blocks of 2^16 rows would take 5 MiB
         codes = growth_candidates[7]
         sw.refined_codes(7, codes)
         tracemalloc.start()
