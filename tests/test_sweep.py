@@ -718,12 +718,13 @@ class TestCanonicalKernel:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_blocks_equal_single_codes(self, n):
-        # a batch, shuffled, with repeats, equals its codes one at a time:
-        # 2 * 170 + 1 codes at n = 4, 11 at n = 6, and 3 at n = 7, 8
-        per_block = max(1, sw._RELABEL_ROWS // factorial(n))
+        # a batch of 41 codes drawn from 21, so shuffled and with repeats,
+        # equals its codes one at a time: least_codes keeps the states of
+        # each batch position apart, even where two positions hold one code
         rng = np.random.default_rng(70 + n)
-        pool = random_codes(n, per_block + 1, seed=60 + n)
-        codes = rng.choice(pool, 2 * per_block + 1)
+        pool = random_codes(n, 21, seed=60 + n)
+        codes = rng.choice(pool, 41)
+        assert np.unique(codes).size < codes.size
         vec = sw.canonical_min(n, codes)
         singles = [int(sw.canonical_min(n, codes[i:i + 1])[0]) for i in range(codes.size)]
         assert vec.tolist() == singles
