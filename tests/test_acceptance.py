@@ -36,7 +36,8 @@ def n8_labeled():
     # exhaustive routes, with its wall time
     if "n8" not in _CACHE:
         start = time.monotonic()
-        rep = verify_mod._sweep(8, "all", range(1 << 28), "vector", 100, None)
+        rep = verify_mod._sweep(8, "all", range(1 << 28), "vector", 100,
+                                verify_mod._workspace())
         _CACHE["n8"] = rep, time.monotonic() - start
     return _CACHE["n8"]
 

@@ -34,7 +34,7 @@ def brute_iso_report(n, least):
     relabelings, least (the orbit_minima fixture's), swept as one batch."""
     codes = np.arange(1 << pair_count(n), dtype=np.int64)
     codes = codes[least == codes]
-    return verify_mod._sweep_codes(n, "iso", codes, "full", 100, verify_mod._workspace())
+    return verify_mod._sweep(n, "iso", codes, "full", 100, verify_mod._workspace())
 
 
 def run_cli(*args, timeout=600):

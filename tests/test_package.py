@@ -33,13 +33,13 @@ def test_sweeps_take_no_jobs():
 
 def test_workspaces_are_passed_in():
     # a batch's planes live in the workspace its caller hands over, so no
-    # kernel, and not _sweep_codes, makes a fresh one when given none
+    # kernel, and not _sweep, makes a fresh one when given none
     from dbelines import sweep as sw
     from dbelines import verify
     takers = [f for _, f in inspect.getmembers(sw, inspect.isfunction)
               if "ws" in inspect.signature(f).parameters]
     assert {"label_bits", "class_law_counts"} <= {f.__name__ for f in takers}
-    for f in (verify._sweep_codes, *takers):
+    for f in (verify._sweep, *takers):
         ws = inspect.signature(f).parameters["ws"]
         assert ws.default is inspect.Parameter.empty, f.__name__
 

@@ -730,7 +730,7 @@ class TestCanonicalKernel:
         assert vec.tolist() == singles
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_float_product_equals_integer_path(self, n):
+    def test_canonical_min_equals_brute_relabelings(self, n):
         # 65 codes through the search of canonical_min against the brute
         # force over all n! relabelings of tests/reference.py
         codes = random_codes(n, 65, seed=80 + n)
@@ -738,7 +738,7 @@ class TestCanonicalKernel:
         assert sw.canonical_min(n, codes).tolist() == least.tolist()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_orbit_equals_brute_relabelings(self, n):
+    def test_least_codes_equal_brute_relabelings(self, n):
         # least_codes gives the k least codes of the orbit, and the number
         # of relabelings that give the least, for k = 1, 7 and the whole
         # orbit: every code to n = 4; at n = 5 the two constant codes and 40
@@ -917,7 +917,7 @@ class TestRefinedCodes:
         assert counts == [2, 4, 11, 34, 156, 1044, 12346]
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_cell_sources_equal_brute_tables(self, n):
+    def test_cell_tables_equal_brute_sources(self, n):
         # one cell has no columns, since least_codes searches it; then every
         # other cell pattern to n = 7, and at n = 8 a split-off first point,
         # two cuts, a split-off last point, and all points apart

@@ -65,19 +65,21 @@ def labeled(n, level=None, cap=100, progress=None):
     at verify_theorem's level unless given: what verify_theorem and
     claims_sweep report from the isomorphism classes."""
     return verify_mod._sweep(n, "all", range(1 << pair_count(n)),
-                             level or ("full" if n <= 6 else "vector"), cap, progress)
+                             level or ("full" if n <= 6 else "vector"), cap,
+                             verify_mod._workspace(), progress=progress)
 
 
 def recorded_chunks(monkeypatch):
-    """The codes of every _sweep_codes call from here on, in call order."""
+    """The codes of every sw.label_bits call from here on, in call order:
+    the chunks of the sweeps, since no other kernel reads codes."""
     calls = []
-    sweep_codes = verify_mod._sweep_codes
+    label_bits = sw.label_bits
 
-    def recorded(n, mode, codes, *args):
+    def recorded(n, codes, ws):
         calls.append(codes.copy())
-        return sweep_codes(n, mode, codes, *args)
+        return label_bits(n, codes, ws)
 
-    monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
+    monkeypatch.setattr(sw, "label_bits", recorded)
     return calls
 
 
@@ -248,7 +250,7 @@ class TestVerifyTheorem:
         monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
         for cap in (0, 1, 3, 100):
             rep = verify_theorem(n, mode="iso", max_witnesses=cap)
-            brute = verify_mod._sweep_codes(n, "iso", minima, "full", cap, sw.Workspace())
+            brute = verify_mod._sweep(n, "iso", minima, "full", cap, sw.Workspace())
             assert rep == brute
             assert rep.dbe_failures == chosen.size
             assert len(rep.failure_witnesses) == min(cap, chosen.size)
@@ -277,7 +279,7 @@ class TestVerifyTheorem:
             lines[:, np.isin(lane_codes, bad)] = 0b11
 
         monkeypatch.setattr(sw, "line_masks", edited_line_masks(collapse))
-        whole = verify_mod._sweep_codes(n, "sample", codes, "full", cap, sw.Workspace())
+        whole = verify_mod._sweep(n, "sample", codes, "full", cap, sw.Workspace())
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 64)
         rep = claims_sweep(n, trials=trials, seed=seed, max_witnesses=cap)
         assert rep == whole
@@ -288,19 +290,29 @@ class TestVerifyTheorem:
     def test_sweeps_ship_and_hold_one_chunk(self, monkeypatch):
         # a sampled run never sweeps more than one chunk of codes at a time,
         # and a labeled sweep of 2^28 codes holds one chunk's codes at a
-        # time, as an int64 array cut from the range
-        empty = verify_mod._sweep_codes(8, "all", np.empty(0, dtype=np.int64), "vector",
-                                        100, sw.Workspace())
+        # time, as an int64 array cut from the range.  The plane kernels are
+        # stubbed so that no plane is computed: every code reads as 8
+        # distinct lines, one of them universal.
         sizes = []
 
-        def counted(n, mode, codes, *args):
+        def label_bits(n, codes, ws):
             assert codes.dtype == np.int64
             sizes.append(codes.size)
-            return empty
+            return np.zeros((pair_count(n), -(-codes.size // 64)), dtype=np.uint64)
 
-        monkeypatch.setattr(verify_mod, "_sweep_codes", counted)
-        verify_mod._sweep(8, "all", range(1 << 28), "vector", 100, None)
+        for name, stub in (
+                ("label_bits", label_bits),
+                ("one_masks", lambda n, bits, ws: None),
+                ("line_masks", lambda n, bits, ones, ws: bits),
+                ("distinct_counts", lambda lines, valid, ws:
+                    (np.full(64 * valid.size, 8, dtype=np.int32), None)),
+                ("universal_flags", lambda n, lines: np.full(lines.shape[-1], sw.ALL))):
+            monkeypatch.setattr(sw, name, stub)
+        rep = verify_mod._sweep(8, "all", range(1 << 28), "none", 100, sw.Workspace())
         assert sum(sizes) == 1 << 28 and max(sizes) == verify_mod.CHUNK_CODES
+        assert (rep.total_codes, rep.dbe_failures, rep.min_lines_overall,
+                rep.argmin_overall, rep.min_lines_no_universal) == \
+            (1 << 28, 0, 8, 0, None)
         monkeypatch.undo()
         calls = recorded_chunks(monkeypatch)
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 16)
@@ -312,7 +324,7 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tasks_are_nonempty_and_cover_the_codes(self, seed):
         # every chunk holds a code, and the chunks hold the codes in order;
-        # no codes make no chunk, and _sweep folds one empty sweep
+        # no codes sweep one empty batch
         with pytest.MonkeyPatch.context() as mp:
             calls = recorded_chunks(mp)
             mp.setattr(verify_mod, "CHUNK_CODES", 16)
@@ -328,7 +340,8 @@ class TestVerifyTheorem:
             for codes in (range(size), shuffled):
                 with pytest.MonkeyPatch.context() as mp:
                     calls = recorded_chunks(mp)
-                    rep = verify_mod._sweep(8, "sample", codes, "none", 0, None)
+                    rep = verify_mod._sweep(8, "sample", codes, "none", 0,
+                                            verify_mod._workspace())
                 assert rep.total_codes == size
                 assert [part.size for part in calls] == sizes
                 assert [int(c) for part in calls for c in part] == list(codes)
@@ -381,15 +394,15 @@ class TestVerifyTheorem:
     @example(batch=(6, np.repeat(np.arange(0, 21 * 401, 401), 3)[::-1].copy()))
     def test_tail_word_counts_nothing(self, batch):
         # the bits past a batch's last code read as code 0 and must add
-        # nothing: one sweep of the batch equals the fold of its one-code
-        # sweeps, in any code order, since a batch and a merge both break a
-        # tie of least counts by the smaller code
+        # nothing: one sweep of the batch equals its sweep one code per
+        # chunk, in any code order, since a batch and the minimum over its
+        # chunks both break a tie of least counts by the smaller code
         n, codes = batch
         cap = codes.size
-        whole = verify_mod._sweep_codes(n, "sample", codes, "full", cap, sw.Workspace())
+        whole = verify_mod._sweep(n, "sample", codes, "full", cap, sw.Workspace())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify_mod, "CHUNK_CODES", 1)
-            alone = verify_mod._sweep(n, "sample", codes, "full", cap, None)
+            alone = verify_mod._sweep(n, "sample", codes, "full", cap, sw.Workspace())
         assert whole == alone
         assert whole.total_codes == codes.size and 0 in codes
 
@@ -459,13 +472,48 @@ class TestClassReports:
         big = int(size[np.isin(reps, chosen)].max()) + 1
         monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
         for cap in (0, 1, 3, big):
-            rep = verify_mod._class_report(n, "all", reps, aut, level, cap)
+            rep = verify_mod._sweep(n, "all", reps, level, cap, verify_mod._workspace(),
+                                    size)
             assert rep == labeled(n, level, cap=cap)
             assert rep.dbe_failures == flagged
             assert rep.failure_witnesses == rep.failure_witnesses[:cap]
             assert len(rep.failure_witnesses) == min(cap, flagged)
             if rep.laws is not None:
                 assert rep.total_law_violations > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_class_chunks_equal_one_batch(self, n, chunk, monkeypatch):
+        # every class report swept chunk classes at a time equals its sweep
+        # as one batch (the default chunk holds every class set to n = 8).
+        # To n = 6 the classes chosen as in the test above are faulted, and
+        # the caps reach past every witness; n = 7 runs unfaulted.
+        def reports(cap):
+            return (verify_theorem(n, max_witnesses=cap),
+                    verify_theorem(n, mode="iso", max_witnesses=cap),
+                    claims_sweep(n, max_witnesses=cap))
+
+        caps = (100,)
+        if n <= 6:
+            *_, (_, reps, aut) = sw.iso_classes(n)
+            size = factorial(n) // aut
+            chosen = np.unique([0, reps[np.argmax(size)], reps[reps.size // 2]])
+            flagged = int(size[np.isin(reps, chosen)].sum())
+            caps = (0, 1, 3, flagged + 1)
+            monkeypatch.setattr(sw, "line_masks", class_faults(n, chosen))
+        whole = {cap: reports(cap) for cap in caps}
+        table = min_lines_table(n)
+        assert verify_mod.CHUNK_CODES >= ISO_CLASSES[n]
+        monkeypatch.setattr(verify_mod, "CHUNK_CODES", chunk)
+        for cap in caps:
+            assert reports(cap) == whole[cap], cap
+        assert min_lines_table(n) == table
+        if n <= 6:
+            full, iso, _ = whole[caps[-1]]
+            assert full.dbe_failures == len(full.failure_witnesses) == flagged
+            assert full.total_law_violations > 0
+            assert iso.dbe_failures == len(iso.failure_witnesses) == chosen.size
+            assert table[-1].dbe_failures == chosen.size
 
     def test_one_level_at_n8(self):
         # both routes sweep at "vector"; acceptance C2b checks them against
@@ -504,15 +552,18 @@ LEVEL_LAWS = {
 
 
 class TestOneReportBuilder:
-    """_sweep_codes builds every report, in the mode it is given: the sweep
-    of no codes is the report of an empty sample, and a merge keeps the
-    chunk's laws in order."""
+    """_sweep builds every report, in the mode it is given: the sweep of no
+    codes is the report of an empty sample, and a report swept in chunks
+    keeps the laws of one batch in order."""
 
     @pytest.mark.parametrize("level", ["none", "vector", "full"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_empty_batch(self, n, level):
         none = np.empty(0, dtype=np.int64)
-        rep = verify_mod._sweep_codes(n, "sample", none, level, 5, sw.Workspace())
+        calls = []
+        rep = verify_mod._sweep(n, "sample", none, level, 5, sw.Workspace(),
+                                progress=lambda done, total: calls.append(done))
+        assert calls == []
         assert (rep.n, rep.mode, rep.checker_level) == (n, "sample", level)
         assert (rep.total_codes, rep.dbe_failures, rep.failure_witnesses) == (0, 0, ())
         assert rep.min_lines_overall is rep.argmin_overall is None
@@ -528,15 +579,16 @@ class TestOneReportBuilder:
             assert list(rep.class_counts_by_shape.values()) == [0, 0, 0]
         else:
             assert rep.class_counts_by_shape is None
-        assert verify_mod._sweep(n, "sample", none, level, 5, None) == rep
+        assert verify_mod._sweep(n, "sample", range(0), level, 5,
+                                 verify_mod._workspace()) == rep
 
     @pytest.mark.parametrize("level", ["none", "vector", "full"])
     def test_merge_keeps_the_chunk_law_order(self, level, monkeypatch):
         n = 7
         codes = np.random.default_rng(90).integers(0, 1 << pair_count(n), 300)
-        chunk = verify_mod._sweep_codes(n, "sample", codes, level, 5, sw.Workspace())
+        chunk = verify_mod._sweep(n, "sample", codes, level, 5, sw.Workspace())
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 130)
-        merged = verify_mod._sweep(n, "sample", codes, level, 5, None)
+        merged = verify_mod._sweep(n, "sample", codes, level, 5, verify_mod._workspace())
         assert merged == chunk
         if level == "none":
             assert merged.laws is None
@@ -583,7 +635,7 @@ class Unshared(sw.Workspace):
 
 
 def unshared_sweep(n, codes, checkers):
-    return verify_mod._sweep_codes(n, "all", codes, checkers, 5, Unshared())
+    return verify_mod._sweep(n, "all", codes, checkers, 5, Unshared())
 
 
 class TestWorkspaceReuse:
@@ -595,8 +647,8 @@ class TestWorkspaceReuse:
         ws = sw.Workspace()
         for seed, (n, size) in enumerate(MIXED_BATCHES[::order]):
             codes = sweep_batch(n, size, seed)
-            kept = verify_mod._sweep_codes(n, "all", codes, checkers, 5, ws)
-            fresh = verify_mod._sweep_codes(n, "all", codes, checkers, 5, sw.Workspace())
+            kept = verify_mod._sweep(n, "all", codes, checkers, 5, ws)
+            fresh = verify_mod._sweep(n, "all", codes, checkers, 5, sw.Workspace())
             assert kept == fresh == unshared_sweep(n, codes, checkers)
 
     @pytest.mark.parametrize("n, size", [(4, 1), (6, 65), (7, 200), (8, 127)])
@@ -606,40 +658,40 @@ class TestWorkspaceReuse:
         # a kernel ORs into must be cleared before they are read
         codes = sweep_batch(n, size, n)
         ws = sw.Workspace()
-        verify_mod._sweep_codes(8, "all", sweep_batch(8, 1 << 10, 0), "full", 0, ws)
+        verify_mod._sweep(8, "all", sweep_batch(8, 1 << 10, 0), "full", 0, ws)
         poison(ws)
-        kept = verify_mod._sweep_codes(n, "all", codes, "full", 5, ws)
+        kept = verify_mod._sweep(n, "all", codes, "full", 5, ws)
         assert kept == unshared_sweep(n, codes, "full")
 
     def test_same_shape_allocates_nothing(self):
         ws = sw.Workspace()
-        first = verify_mod._sweep_codes(7, "all", sweep_batch(7, 1 << 12, 1), "full", 5,
-                                        ws)
+        first = verify_mod._sweep(7, "all", sweep_batch(7, 1 << 12, 1), "full", 5, ws)
         grown = buffer_addresses(ws)
         assert {"bits", "ones", "lines", "seen", "pairs", "twins",
                 "scratch"} <= set(grown)
         for seed, size in ((2, 1 << 12), (3, 100)):
-            verify_mod._sweep_codes(7, "all", sweep_batch(7, size, seed), "full", 5, ws)
+            verify_mod._sweep(7, "all", sweep_batch(7, size, seed), "full", 5, ws)
             assert buffer_addresses(ws) == grown
         # nothing in a report is a plane that the next batch overwrites
         assert not any(isinstance(v, np.ndarray) for v in vars(first).values())
 
     def test_chunks_share_the_process_workspace(self, monkeypatch):
-        # the second of two equal chunks reuses the first one's buffers
+        # the second of two equal chunks reuses the first one's buffers: the
+        # buffers as the second chunk starts are those that the sweep ends with
         ws = verify_mod._workspace()
         grown = []
-        sweep_codes = verify_mod._sweep_codes
+        label_bits = sw.label_bits
 
-        def recorded(n, mode, codes, checkers, cap, chunk_ws):
+        def recorded(n, codes, chunk_ws):
             assert chunk_ws is ws
-            report = sweep_codes(n, mode, codes, checkers, cap, chunk_ws)
             grown.append(buffer_addresses(ws))
-            return report
+            return label_bits(n, codes, chunk_ws)
 
-        monkeypatch.setattr(verify_mod, "_sweep_codes", recorded)
+        monkeypatch.setattr(sw, "label_bits", recorded)
         monkeypatch.setattr(verify_mod, "CHUNK_CODES", 1 << 12)
-        verify_mod._sweep(7, "all", range(1 << 13), "vector", 5, None)
-        assert len(grown) == 2 and grown[0] == grown[1]
+        verify_mod._sweep(7, "all", range(1 << 13), "vector", 5, ws)
+        grown.append(buffer_addresses(ws))
+        assert len(grown) == 3 and grown[1] == grown[2]
         assert verify_mod._workspace() is ws
 
 
@@ -804,10 +856,10 @@ class TestMinLinesTable:
         reps = np.array(sorted(largest.values()), dtype=np.int64)
         rep = cached_report(n)
         want = (rep.argmin_overall, rep.argmin_no_universal)
-        got = verify_mod._sweep_codes(n, "iso", reps, "none", 0, sw.Workspace(),
-                                      np.ones_like(reps))
+        got = verify_mod._sweep(n, "iso", reps, "none", 0, sw.Workspace(),
+                                np.ones_like(reps))
         assert (got.argmin_overall, got.argmin_no_universal) == want
-        plain = verify_mod._sweep_codes(n, "all", reps, "none", 0, sw.Workspace())
+        plain = verify_mod._sweep(n, "all", reps, "none", 0, sw.Workspace())
         assert (plain.argmin_overall, plain.argmin_no_universal) != want
 
     def test_n8_row(self):
