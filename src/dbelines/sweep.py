@@ -22,12 +22,13 @@ one class exactly when their lines are equal, and line equality is
 transitive, so each class aggregates onto its head, the first edge of the
 class, through the head's equal-line planes; the class laws are evaluated
 there.  Violations are counted with np.bitwise_count (popcount), and a
-law's witnesses are the set bits of the OR of its bad planes.  Inside
-weighted(), popcount instead unpacks the planes into one count per lane
-(lane_counts) and weighs each lane, so a batch of one code per isomorphism
-class, weighted by orbit size, counts every labeled code of those classes.
-lane_counts also gives the per-code distinct-line count, and unpack the
-universal flag, for the argmins.
+law's witnesses are the set bits of the OR of its bad planes.  Every
+counting kernel takes the batch's lane weights as its last argument and
+hands them to popcount; given weights, popcount instead unpacks the planes
+into one count per lane (lane_counts) and weighs each lane, so a batch of
+one code per isomorphism class, weighted by orbit size, counts every
+labeled code of those classes.  lane_counts also gives the per-code
+distinct-line count, and unpack the universal flag, for the argmins.
 
 The bits past m belong to no code.  They read as code 0, and valid_plane
 masks them out of every count.
@@ -58,8 +59,6 @@ larger n.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, combinations, permutations
@@ -167,24 +166,6 @@ def unpack(plane: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, bitorder="little").view(bool)
 
 
-# lane weights of the counts of the batch in sweep (see weighted)
-_lane_weights: ContextVar[np.ndarray | None] = ContextVar("lane_weights", default=None)
-
-
-@contextmanager
-def weighted(weights: np.ndarray | None) -> Iterator[None]:
-    """Inside the block, popcount counts a set bit of lane c weights[c]
-    times, for every kernel at once; weights has one int64 entry per lane
-    of the batch's words, 0 past the batch.  None counts each bit once.  A
-    batch of one code per isomorphism class, weighted by orbit size, so
-    gets every count of all their labeled codes."""
-    token = _lane_weights.set(weights)
-    try:
-        yield
-    finally:
-        _lane_weights.reset(token)
-
-
 def lane_counts(planes: np.ndarray) -> np.ndarray:
     """int32 per lane (64 per word) of the last axis: in how many of the
     planes, over all leading axes, its bit is set.  The unpacked bits are
@@ -198,9 +179,12 @@ def lane_counts(planes: np.ndarray) -> np.ndarray:
     return counts
 
 
-def popcount(planes: np.ndarray) -> int:
-    """Number of set bits over all planes, weighted per lane (weighted)."""
-    weights = _lane_weights.get()
+def popcount(planes: np.ndarray, weights: np.ndarray | None) -> int:
+    """Number of set bits over all planes, a set bit of lane c counted
+    weights[c] times; weights has one int64 entry per lane of the planes'
+    words, 0 past the batch, and None counts each bit once.  A batch of one
+    code per isomorphism class, weighted by orbit size, so gets every count
+    of all their labeled codes."""
     if weights is None:
         return int(np.bitwise_count(planes).sum())
     return int(lane_counts(planes) @ weights)
@@ -356,15 +340,17 @@ def twin_pair_flags(n: int, bits: np.ndarray, ones: np.ndarray,
 
 @dataclass
 class LawCounts:
-    """Aggregated checker output for one law over one batch."""
+    """Aggregated checker output for one law over one batch, its counts
+    weighted by the batch's lane weights (popcount)."""
 
     instances: int
     violations: int
     bad: np.ndarray  # plane of the violating codes
+    weights: np.ndarray | None
 
 
-def _new_counts(W: int) -> LawCounts:
-    return LawCounts(0, 0, np.zeros(W, dtype=np.uint64))
+def _new_counts(W: int, weights: np.ndarray | None) -> LawCounts:
+    return LawCounts(0, 0, np.zeros(W, dtype=np.uint64), weights)
 
 
 def _flag(cnt: LawCounts, bad: np.ndarray) -> None:
@@ -372,13 +358,13 @@ def _flag(cnt: LawCounts, bad: np.ndarray) -> None:
     # so the count is taken only when some bit is set
     any_bad = np.bitwise_or.reduce(bad, axis=tuple(range(bad.ndim - 1)))
     if any_bad.any():
-        cnt.violations += popcount(bad)
+        cnt.violations += popcount(bad, cnt.weights)
         cnt.bad |= any_bad
 
 
 def _tally(cnt: LawCounts, applicable: np.ndarray, breaks: np.ndarray) -> None:
     # in place: applicable becomes its violations, where it meets breaks
-    cnt.instances += popcount(applicable)
+    cnt.instances += popcount(applicable, cnt.weights)
     applicable &= breaks
     _flag(cnt, applicable)
 
@@ -419,16 +405,17 @@ def _line_law_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distinct_line_counts(n: int, bits: np.ndarray, pairs: np.ndarray,
-                         twins: np.ndarray, valid: np.ndarray,
-                         ws: Workspace) -> dict[str, LawCounts]:
+                         twins: np.ndarray, valid: np.ndarray, ws: Workspace,
+                         weights: np.ndarray | None) -> dict[str, LawCounts]:
     """Vector form of the three distinct-line laws of
     structure.law_violations, counted per law: each edge pair's labels
     (and, for two label-1 edges at a point, the twin plane of their other
     ends) give the plane where the law applies, and its violations are
     where that plane meets the pair's equal-line plane.  The pairs go
-    through in blocks of _line_law_rows columns, gathered into scratch."""
+    through in blocks of _line_law_rows columns, gathered into scratch.
+    Counts are weighted by weights, one per lane (popcount)."""
     W = bits.shape[-1]
-    out = {law: _new_counts(W) for law in
+    out = {law: _new_counts(W, weights) for law in
            ("disjoint-diff-label", "adjacent-label2", "adjacent-label1-nontwin")}
     disjoint, label2, label1 = out.values()
     disjoint_rows, meeting_rows = groups = _line_law_rows(n)
@@ -476,7 +463,7 @@ def _twin_law_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarray,
-                    ws: Workspace) -> dict[str, LawCounts]:
+                    ws: Workspace, weights: np.ndarray | None) -> dict[str, LawCounts]:
     """Vector form of the three twin laws of structure.law_violations,
     counted per law: twin-a on each pair xy outside the twin pair (u, v),
     twin-b and twin-c on the pairs wv and wu of each third point w.  The
@@ -484,11 +471,11 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarr
     through in blocks, gathered into scratch.  For each w the planes where
     the labels of wu and wv are 2 (far, twin-c) and 1 (near, twin-b) split
     the twin plane, so twin-b's instances are the rest of (n - 2) twin
-    planes."""
+    planes.  Counts are weighted by weights, one per lane (popcount)."""
     P, W = twins.shape
-    out = {law: _new_counts(W) for law in ("twin-a", "twin-b", "twin-c")}
+    out = {law: _new_counts(W, weights) for law in ("twin-a", "twin-b", "twin-c")}
     twin_a, twin_b, twin_c = out.values()
-    total = popcount(twins)
+    total = popcount(twins, weights)
     twin_a.instances = pair_count(n - 2) * total
     flat = lines.reshape(P * n, W)
     groups = _twin_law_rows(n)
@@ -505,7 +492,7 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarr
         near = _gather(twins, pair, at_pair)
         far = _gather(bits, wv, at_wv)
         far &= near
-        twin_c.instances += popcount(far)
+        twin_c.instances += popcount(far, weights)
         near ^= far
         # the lines of wv and of wu, each at u and at v
         on_vu, on_vv, on_uu, on_uv = (_gather(flat, rows, buf) for rows, buf in
@@ -528,11 +515,12 @@ def twin_law_counts(n: int, bits: np.ndarray, lines: np.ndarray, twins: np.ndarr
 
 
 def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
-                     equal: EqualLines, twin_free: np.ndarray,
-                     ws: Workspace) -> tuple[dict[str, int], dict[str, LawCounts]]:
+                     equal: EqualLines, twin_free: np.ndarray, ws: Workspace,
+                     weights: np.ndarray | None
+                     ) -> tuple[dict[str, int], dict[str, LawCounts]]:
     """Vector form of classify_class and of the full-cover and class-shape
     laws of structure.law_violations: (class-shape histogram, per-law
-    counts).
+    counts), both weighted by weights, one per lane (popcount).
 
     Two classmates rule out a uniform matching when they share a point or
     differ in label, and also an alternating 4-cycle subset when they share
@@ -560,9 +548,9 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
         found[1] |= differ ^ (eq & e.meet[rows])
         np.bitwise_or.reduce(found, axis=1, out=worst[:, j])
     alt, other = worst
-    hist = {ClassShape.UNIFORM_MATCHING.value: popcount(heads & ~(alt | other)),
-            ClassShape.ALT_C4_SUBSET.value: popcount(heads & alt & ~other),
-            ClassShape.OTHER.value: popcount(heads & other)}
+    hist = {ClassShape.UNIFORM_MATCHING.value: popcount(heads & ~(alt | other), weights),
+            ClassShape.ALT_C4_SUBSET.value: popcount(heads & alt & ~other, weights),
+            ClassShape.OTHER.value: popcount(heads & other, weights)}
 
     cover.fill(0)
     cover[np.arange(P), us] = cover[np.arange(P), vs] = ALL
@@ -572,20 +560,22 @@ def class_law_counts(n: int, bits: np.ndarray, lines: np.ndarray,
         cover[:k, vs[k]] |= col
     covers = heads & np.bitwise_and.reduce(cover, axis=1)
     universal = np.bitwise_and.reduce(lines, axis=1)
-    laws = {"full-cover": _new_counts(W), "class-shape": _new_counts(W)}
+    laws = {"full-cover": _new_counts(W, weights), "class-shape": _new_counts(W, weights)}
     _tally(laws["full-cover"], covers, ~universal)
     _tally(laws["class-shape"], heads & twin_free, other)
     return hist, laws
 
 
 def size_bound_counts(twin_free: np.ndarray, universal: np.ndarray,
-                      heads: np.ndarray, oversize: np.ndarray) -> LawCounts:
+                      heads: np.ndarray, oversize: np.ndarray,
+                      weights: np.ndarray | None) -> LawCounts:
     """Class-size law on twin-free, no-universal codes, one instance per
     class: a code's classes are its set bits in heads, the head planes of
-    distinct_counts."""
+    distinct_counts.  Counts are weighted by weights, one per lane
+    (popcount)."""
     applicable = twin_free & ~universal
-    cnt = _new_counts(applicable.shape[-1])
-    cnt.instances = popcount(heads & applicable)
+    cnt = _new_counts(applicable.shape[-1], weights)
+    cnt.instances = popcount(heads & applicable, weights)
     _flag(cnt, oversize & applicable)
     return cnt
 

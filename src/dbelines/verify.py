@@ -8,7 +8,7 @@ w stands for the w least labeled codes of its orbit.  verify_theorem(n) and
 exhaustive claims_sweep(n) weigh a class by its orbit size n!/|Aut|, so they
 report all 2^C(n,2) codes: each count they report is invariant under
 relabeling, so by orbit-stabilizer it is a sum over the classes, which
-sw.weighted weighs per lane.  verify_theorem(n, "iso") and each
+the counting kernels weigh per lane.  verify_theorem(n, "iso") and each
 min_lines_table row weigh a class by 1, so they report the orbit minima:
 their counts count classes.  Either way argmins and witnesses name labeled
 codes (_least, _orbit_witnesses).  Sampled claims sweep their codes
@@ -154,7 +154,8 @@ def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
     codes.  With weights, they are one representative per isomorphism
     class, of any form, and a class of weight w stands for the w least
     labeled codes of its orbit: w = n!/|Aut| for the whole orbit, w = 1 for
-    its minimum.  Its counts are weighted (sw.weighted), each argmin names
+    its minimum.  Its counts are weighted: each chunk hands its lane
+    weights to the counting kernels (sw.popcount).  Each argmin names
     the smallest labeled code with the least count (_least), and witnesses
     are the least codes that the flagged classes stand for
     (_orbit_witnesses).  The chunks only add up counts, take minima and
@@ -188,24 +189,23 @@ def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
                                classes_of)
 
         if checkers != "none":
-            with sw.weighted(None if weights is None
-                             else np.pad(weights[lo:lo + m], (0, -m % 64))):
-                twins = sw.twin_pair_flags(n, bits, ones, ws)
-                twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
-                oversize = sw.class_size_stats(n, equal.pairs, ws)
+            lanes = None if weights is None else np.pad(weights[lo:lo + m], (0, -m % 64))
+            twins = sw.twin_pair_flags(n, bits, ones, ws)
+            twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
+            oversize = sw.class_size_stats(n, equal.pairs, ws)
 
-                law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins,
-                                                     valid, ws)
-                law_counts.update(sw.twin_law_counts(n, bits, lines, twins, ws))
-                law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
-                                                                equal.heads, oversize)
-                if checkers == "full":
-                    shapes, class_counts = sw.class_law_counts(n, bits, lines, equal,
-                                                               twin_free, ws)
-                    law_counts.update(class_counts)
-                    for tag, cnt in shapes.items():
-                        hist[tag] = hist.get(tag, 0) + cnt
-                twin_free_codes += sw.popcount(twin_free)
+            law_counts = sw.distinct_line_counts(n, bits, equal.pairs, twins,
+                                                 valid, ws, lanes)
+            law_counts.update(sw.twin_law_counts(n, bits, lines, twins, ws, lanes))
+            law_counts["class-size"] = sw.size_bound_counts(twin_free, universal,
+                                                            equal.heads, oversize, lanes)
+            if checkers == "full":
+                shapes, class_counts = sw.class_law_counts(n, bits, lines, equal,
+                                                           twin_free, ws, lanes)
+                law_counts.update(class_counts)
+                for tag, cnt in shapes.items():
+                    hist[tag] = hist.get(tag, 0) + cnt
+            twin_free_codes += sw.popcount(twin_free, lanes)
             for law in LAW_ORDER:
                 if cnt := law_counts.get(law):
                     stat = laws.setdefault(law, [0, 0, []])

@@ -2,10 +2,11 @@
 
 All assertions are exact; no tolerances exist anywhere in this package.
 The exhaustive reports come from one orbit-weighted sweep of the
-isomorphism classes, which C2 runs at n = 8 in under a second.  The two
-opt-in items, C2b and C10b, check them against the labeled sweep of all
-2^28 codes at level "vector" (set DBELINES_RUN_N8=1; about 1 min in one
-process).
+isomorphism classes, which C2 runs at n = 8 in under a second.  C11
+checks their headline numbers against a scalar pass over the same classes
+(lines and structure instead of the sweep kernels).  The two opt-in items,
+C2b and C10b, check them against the labeled sweep of all 2^28 codes at
+level "vector" (set DBELINES_RUN_N8=1; about 1 min in one process).
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s`.
 """
@@ -13,7 +14,9 @@ Run with `python3 -m pytest tests/test_acceptance.py -v -s`.
 import os
 import random
 import time
+from math import factorial
 
+import numpy as np
 import pytest
 
 from dbelines import (all_lines, claims_sweep, dbe_verdict, line_of,
@@ -21,8 +24,12 @@ from dbelines import (all_lines, claims_sweep, dbe_verdict, line_of,
                       space_from_code, verify_small_spaces, verify_theorem)
 from dbelines import cli as cli_mod
 from dbelines import verify as verify_mod
+from dbelines import sweep as sw
 from dbelines.bitset import iter_pairs, pair_count
-from dbelines.structure import LAW_ORDER, law_violations
+from dbelines.structure import (LAW_ORDER, ClassShape, classify_class, equiv_classes,
+                                law_violations, twin_pairs)
+
+from reference import ref_least_relabelings
 
 RUN_N8 = os.environ.get("DBELINES_RUN_N8") == "1"
 needs_n8 = pytest.mark.skipif(
@@ -239,3 +246,65 @@ def test_criterion_10b_min_lines_n8():
            f"n=8: min_lines_overall={rep.min_lines_overall}, "
            f"min_lines_no_universal={rep.min_lines_no_universal} >= 8, "
            f"witnesses re-verify, min-lines row equal: {same_row}")
+
+
+
+def scalar_class_route(n, reps, aut):
+    """The headline fields of verify_theorem(n) from the scalar lines and
+    structure code on one code per isomorphism class, each weighted by its
+    orbit size n!/|Aut|; an argmin is the least orbit minimum of the tied
+    classes, by brute force.  At n <= 6 also the weighted class-shape
+    histogram; at n <= 7 also the number of classes that break some law."""
+    weights = (factorial(n) // aut).tolist()
+    counts = np.empty(reps.size, dtype=np.int64)
+    universal = np.empty(reps.size, dtype=bool)
+    hist = dict.fromkeys((shape.value for shape in ClassShape), 0)
+    failures = twin_free = broken = 0
+    for i, (code, w) in enumerate(zip(reps.tolist(), weights)):
+        space = space_from_code(n, code)
+        family = all_lines(space)
+        verdict = family.verdict()
+        counts[i], universal[i] = verdict.line_count, verdict.has_universal
+        failures += w * (not verdict.holds)
+        twin_free += w * (not twin_pairs(space))
+        if n <= 7:
+            broken += any(law_violations(space, family).values())
+        if n <= 6:
+            for cls in equiv_classes(family, space):
+                hist[classify_class(space, cls).value] += w
+
+    def least(kept):
+        if not kept.any():
+            return None, None
+        low = counts[kept].min()
+        tied = reps[kept & (counts == low)]
+        return int(low), int(ref_least_relabelings(n, tied)[0].min())
+
+    (low, argmin), (low_nu, argmin_nu) = least(np.ones_like(universal)), least(~universal)
+    fields = dict(total_codes=sum(weights), dbe_failures=failures,
+                  min_lines_overall=low, argmin_overall=argmin,
+                  min_lines_no_universal=low_nu, argmin_no_universal=argmin_nu,
+                  twin_free_codes=twin_free,
+                  class_counts_by_shape=hist if n <= 6 else None)
+    return fields, broken
+
+
+def test_criterion_11_scalar_class_route():
+    # the second route to every exhaustive headline number: the scalar code
+    # on each class representative, against the kernels' weighted report
+    start = time.monotonic()
+    differ, broken = {}, {}
+    for n, reps, aut in sw.iso_classes(8):
+        fields, broken[n] = scalar_class_route(n, reps, aut)
+        rep = verify_theorem(n)
+        differ[n] = [f for f, v in fields.items() if getattr(rep, f) != v]
+    elapsed = time.monotonic() - start
+    ok = not any(differ.values()) and not any(broken.values())
+    report("C11", ok,
+           f"n=2..8: total_codes, dbe_failures, both minima and argmins, "
+           f"twin_free_codes and (n<=6) the shape histogram from all_lines, "
+           f"twin_pairs and classify_class on every class, weighted by "
+           f"n!/|Aut|, equal verify_theorem(n) (fields differing: {differ}); "
+           f"n=8 minima {fields['min_lines_overall']}/{fields['argmin_overall']}, "
+           f"{fields['min_lines_no_universal']}/{fields['argmin_no_universal']}; "
+           f"classes breaking a law at n<=7: {sum(broken.values())}; {elapsed:.1f}s")

@@ -1,6 +1,6 @@
 """The package surface: every exported name resolves and README names it,
-no sweep takes a scheduling knob, every workspace is passed in, and every
-attribute the benchmark tracer wraps exists."""
+no sweep takes a scheduling knob, every workspace and lane weight is passed
+in, and every attribute the benchmark tracer wraps exists."""
 
 import importlib
 import importlib.util
@@ -42,6 +42,21 @@ def test_workspaces_are_passed_in():
     for f in (verify._sweep, *takers):
         ws = inspect.signature(f).parameters["ws"]
         assert ws.default is inspect.Parameter.empty, f.__name__
+
+
+def test_lane_weights_are_passed_in():
+    # a count is weighted by the weights its caller hands over, never by
+    # state that outlives the call, so each counting kernel takes them last
+    # and with no default, and the sweep module holds no context variable
+    from dbelines import sweep as sw
+    for f in (sw.popcount, sw.distinct_line_counts, sw.twin_law_counts,
+              sw.class_law_counts, sw.size_bound_counts):
+        params = list(inspect.signature(f).parameters.values())
+        assert params[-1].name == "weights", f.__name__
+        assert params[-1].default is inspect.Parameter.empty, f.__name__
+    source = inspect.getsource(sw)
+    for module in ("contextvars", "contextlib"):
+        assert not re.search(rf"^\s*(import|from)\s+{module}\b", source, re.M), module
 
 
 def test_bench_tracer_targets_resolve():

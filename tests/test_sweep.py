@@ -67,7 +67,7 @@ class TestPlaneHelpers:
         for plane, row in zip(planes, flags):
             assert np.array_equal(sw.unpack(plane)[:m], row)
             assert not sw.unpack(plane)[m:].any()
-            assert sw.popcount(plane) == row.sum()
+            assert sw.popcount(plane, None) == row.sum()
             for cap in (0, 1, 5, m):
                 assert sw.set_lanes(plane, cap) == np.flatnonzero(row)[:cap].tolist()
         assert np.array_equal(lanes(sw.valid_plane(m), 64 * planes.shape[1]),
@@ -91,19 +91,18 @@ class TestPlaneHelpers:
         full = np.ones((2, 150, width), dtype=bool)
         cases = [(planes, flags), (planes[0], flags[0]), (planes[0, 0], flags[0, 0]),
                  (planes[:, 1:], flags[:, 1:]), (planes_of(full), full)]
-        with sw.weighted(weights):
-            for plane, bits in cases:
-                # the per-lane counter against the flags and a direct unpack
-                leading = tuple(range(plane.ndim - 1))
-                direct = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=-1,
-                                       bitorder="little").sum(axis=leading)
-                per_lane = sw.lane_counts(plane)
-                assert np.array_equal(per_lane, bits.sum(axis=leading))
-                assert np.array_equal(per_lane, direct)
-                want = sum(int(weights[c]) * int(bits[..., c].sum()) for c in range(width))
-                assert sw.popcount(plane) == want == int(per_lane @ weights)
-        # unweighted again outside the block
-        assert sw.popcount(planes) == flags.sum()
+        for plane, bits in cases:
+            # the per-lane counter against the flags and a direct unpack
+            leading = tuple(range(plane.ndim - 1))
+            direct = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=-1,
+                                   bitorder="little").sum(axis=leading)
+            per_lane = sw.lane_counts(plane)
+            assert np.array_equal(per_lane, bits.sum(axis=leading))
+            assert np.array_equal(per_lane, direct)
+            want = sum(int(weights[c]) * int(bits[..., c].sum()) for c in range(width))
+            assert sw.popcount(plane, weights) == want == int(per_lane @ weights)
+        # None counts each bit once
+        assert sw.popcount(planes, None) == flags.sum()
 
 
 class TestDecodeKernels:
@@ -455,7 +454,7 @@ class TestLawKernels:
                                  (sw.twin_law_counts, (n, bits, lines, twins))):
                 tracemalloc.start()
                 try:
-                    kernel(*args, ws)
+                    kernel(*args, ws, None)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -470,7 +469,7 @@ class TestLawKernels:
         universal = sw.universal_flags(n, lines)
         oversize = sw.class_size_stats(n, equal.pairs, sw.Workspace())
         twin_free = twin_free_plane(n, bits, ones, m)
-        cnt = sw.size_bound_counts(twin_free, universal, equal.heads, oversize)
+        cnt = sw.size_bound_counts(twin_free, universal, equal.heads, oversize, None)
         assert cnt.violations == 0
         applicable = lanes(twin_free & ~universal, m)
         assert applicable.sum() > 0
@@ -486,8 +485,8 @@ def label_law_counts(n, codes, table=None):
         lines = mask_planes(table, n)
     valid = sw.valid_plane(codes.size)
     counts = sw.distinct_line_counts(n, bits, equal_lines(lines, codes.size).pairs,
-                                     twins, valid, sw.Workspace())
-    counts.update(sw.twin_law_counts(n, bits, lines, twins, sw.Workspace()))
+                                     twins, valid, sw.Workspace(), None)
+    counts.update(sw.twin_law_counts(n, bits, lines, twins, sw.Workspace(), None))
     return counts
 
 
@@ -499,7 +498,7 @@ def kernel_class_counts(n, codes, table=None):
     if table is not None:
         lines = mask_planes(table, n)
     return sw.class_law_counts(n, bits, lines, equal_lines(lines, codes.size),
-                               twin_free, sw.Workspace())
+                               twin_free, sw.Workspace(), None)
 
 
 def scalar_class_counts(n, code):
@@ -516,6 +515,69 @@ def scalar_class_counts(n, code):
         cover_inst += cover == full_mask(n)
     shape_inst = 0 if twin_pairs(space) else len(classes)
     return hist, cover_inst, shape_inst
+
+
+def weighted_counts(n, codes, table, weights):
+    """Every count of the four counting kernels on a batch of codes, on
+    their real lines or on the given table of line masks, each lane
+    weighted by weights (None counts each once): ({law: (instances,
+    violations)}, {law: bad plane}, class-shape histogram, twin-free
+    count)."""
+    ws = sw.Workspace()
+    bits, ones, lines = batch(n, codes)
+    if table is not None:
+        lines = mask_planes(table, n)
+    valid = sw.valid_plane(codes.size)
+    twins = sw.twin_pair_flags(n, bits, ones, ws)
+    twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
+    equal = sw.distinct_counts(lines, valid, ws)[1]
+    counts = sw.distinct_line_counts(n, bits, equal.pairs, twins, valid, ws, weights)
+    counts.update(sw.twin_law_counts(n, bits, lines, twins, ws, weights))
+    counts["class-size"] = sw.size_bound_counts(
+        twin_free, sw.universal_flags(n, lines), equal.heads,
+        sw.class_size_stats(n, equal.pairs, ws), weights)
+    hist, class_counts = sw.class_law_counts(n, bits, lines, equal, twin_free, ws,
+                                             weights)
+    counts.update(class_counts)
+    return ({law: (cnt.instances, cnt.violations) for law, cnt in counts.items()},
+            {law: cnt.bad for law, cnt in counts.items()}, hist,
+            sw.popcount(twin_free, weights))
+
+
+class TestWeightedCounts:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_lane_weights_sum_one_code_batches(self, n):
+        # a weighted batch counts lane c weights[c] times: every law's
+        # instances and violations, the class-shape histogram and the
+        # twin-free count equal the weighted sum of the counts of the
+        # one-code batches [c], on real lines and on a merged table that
+        # breaks every law; the weights leave the bad planes as they are
+        codes = random_codes(n, 150, seed=170 + n)
+        m = codes.size
+        rng = np.random.default_rng(180 + n)
+        weights = np.zeros(64 * -(-m // 64), dtype=np.int64)
+        weights[:m] = rng.integers(1, factorial(n) + 1, m)
+        weights[:1] = factorial(n)
+        real = mask_table(batch(n, codes)[2], m)
+        for table in (None, merge_lines(real, rng)):
+            laws, bad, hist, twin_free = weighted_counts(n, codes, table, weights)
+            want_laws = dict.fromkeys(laws, (0, 0))
+            want_hist, want_twin_free = Counter(), 0
+            for ci in range(m):
+                one = None if table is None else table[:, ci:ci + 1]
+                got = weighted_counts(n, codes[ci:ci + 1], one, None)
+                w = int(weights[ci])
+                for law, (inst, viol) in got[0].items():
+                    want_laws[law] = (want_laws[law][0] + w * inst,
+                                      want_laws[law][1] + w * viol)
+                want_hist.update({tag: w * cnt for tag, cnt in got[2].items()})
+                want_twin_free += w * got[3]
+            assert laws == want_laws
+            assert hist == {tag: want_hist[tag] for tag in hist}
+            assert twin_free == want_twin_free > 0
+            unweighted = weighted_counts(n, codes, table, None)[1]
+            assert all(np.array_equal(bad[law], unweighted[law]) for law in bad)
+        assert all(viol > 0 for _, viol in laws.values()), laws
 
 
 class TestClassLawKernel:
@@ -664,10 +726,10 @@ class TestScalarLawPass:
             planes = mask_planes(lines, n)
             ws = sw.Workspace()
             distinct, equal = sw.distinct_counts(planes, sw.valid_plane(m), ws)
-            _, kernel = sw.class_law_counts(n, bits, planes, equal, twin_free, ws)
+            _, kernel = sw.class_law_counts(n, bits, planes, equal, twin_free, ws, None)
             kernel["class-size"] = sw.size_bound_counts(
                 twin_free, sw.universal_flags(n, planes), equal.heads,
-                sw.class_size_stats(n, equal.pairs, ws))
+                sw.class_size_stats(n, equal.pairs, ws), None)
             for law, cnt in kernel.items():
                 assert cnt.violations == sum(found[law]), law
                 assert np.flatnonzero(lanes(cnt.bad, m)).tolist() == \
