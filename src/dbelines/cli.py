@@ -260,7 +260,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--mode", choices=("all", "iso"), default="all",
                    help="visit all codes or one per isomorphism class")
     p.add_argument("--max-witnesses", type=int, default=100,
-                   help="cap on stored failure codes")
+                   help="cap on each witness list")
 
     p = sub.add_parser("claims",
                        help="per-law traceability over all codes or a sample")
@@ -268,7 +268,8 @@ def _build_parser() -> _CliParser:
     p.add_argument("--trials", type=int, default=None,
                    help="sample this many random codes instead of sweeping")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--max-witnesses", type=int, default=100)
+    p.add_argument("--max-witnesses", type=int, default=100,
+                   help="cap on each witness list")
 
     p = sub.add_parser("witnesses",
                        help="construct the six decisive 6-point spaces and "
@@ -289,7 +290,8 @@ def _build_parser() -> _CliParser:
     p.add_argument("--trials", type=int, default=100_000,
                    help="random matrices per point count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-witnesses", type=int, default=100)
+    p.add_argument("--max-witnesses", type=int, default=100,
+                   help="cap on failure examples")
 
     return parser
 

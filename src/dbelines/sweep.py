@@ -190,11 +190,6 @@ def popcount(planes: np.ndarray, weights: np.ndarray | None) -> int:
     return int(lane_counts(planes) @ weights)
 
 
-def set_lanes(plane: np.ndarray, cap: int) -> list[int]:
-    """Ascending indices of the first cap set bits of a plane."""
-    return np.flatnonzero(unpack(plane))[:cap].tolist() if plane.any() else []
-
-
 def label_bits(n: int, codes: np.ndarray, ws: Workspace) -> np.ndarray:
     """(C(n,2), W) label planes: bit c of plane k is bit k of the c-th code,
     set when the k-th pair is at distance 2."""
@@ -790,11 +785,7 @@ def refined_codes(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     check_point_count(n)
     by_key, cuts = _sorted_by_key(n, codes)
     # by_key fixes its keys, so its cuts: each distinct one is relabeled once
-    canon = np.sort(by_key, kind="stable")
-    keep = np.ones(canon.size, dtype=bool)
-    keep[1:] = canon[1:] != canon[:-1]
-    canon = canon[keep]
-    inverse = np.searchsorted(canon, by_key)
+    canon, inverse = np.unique(by_key, return_inverse=True)
     cut, aut = np.empty(canon.size, dtype=np.uint8), np.ones_like(canon)
     cut[inverse] = cuts
     # the discrete pattern has one relabeling, and one cell is searched

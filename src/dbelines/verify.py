@@ -10,16 +10,16 @@ report all 2^C(n,2) codes: each count they report is invariant under
 relabeling, so by orbit-stabilizer it is a sum over the classes, which
 the counting kernels weigh per lane.  verify_theorem(n, "iso") and each
 min_lines_table row weigh a class by 1, so they report the orbit minima:
-their counts count classes.  Either way argmins and witnesses name labeled
-codes (_least, _orbit_witnesses).  Sampled claims sweep their codes
+their counts count classes.  Sampled claims sweep their codes
 unweighted; over range(2^C(n,2)) that is the labeled sweep, the tests'
 check of the class route.  A set of no codes is the sweep of an empty
-batch.  The chunks add up counts, take (count, code) minima and collect
-the flagged codes, and the witnesses are listed once at the end; every
-minimum names the smallest labeled code with the least count, so a report
-is identical for any chunk size or code order.  Every sweep's planes live
-in this process's one workspace (_workspace).  reports.py alone projects
-reports to JSON.
+batch.  Every code a report names is a labeled code, named by one rule
+(_smallest): an argmin is the smallest code with the least count, and a
+witness list holds the smallest flagged codes, ascending and each once.
+Each chunk names its own smallest codes and the chunks add up counts, so
+a report is identical for any chunk size or code order.  Every sweep's
+planes live in this process's one workspace (_workspace).  reports.py
+alone projects reports to JSON.
 
 Checker depth per sweep:
   full    line stats + all nine laws + class-shape histogram  (n <= 6,
@@ -66,7 +66,8 @@ Progress = Optional[Callable[[int, int], None]]
 
 @dataclass(frozen=True)
 class LawStat:
-    """Instances checked, violations found, and violating codes (capped)."""
+    """Instances checked, violations found, and the smallest violating
+    labeled codes, ascending and each once, at most max_witnesses."""
 
     instances: int
     violations: int
@@ -81,7 +82,9 @@ class TheoremReport:
     (min-lines alone) has no laws, twin-free count or histogram, and only
     "full" has the two class laws and the histogram.  laws lists its laws in
     LAW_ORDER; mode "all" counts labeled codes, "iso" classes, each the
-    report of classes weighted by orbit size or by 1."""
+    report of classes weighted by orbit size or by 1.  An argmin is the
+    smallest labeled code with the least count; failure_witnesses are
+    listed as LawStat.witnesses are."""
 
     n: int
     mode: str
@@ -110,37 +113,27 @@ def _workspace() -> sw.Workspace:
     return sw.Workspace()
 
 
-def _least(counts: np.ndarray, codes: np.ndarray, n: Optional[int] = None) -> list:
-    """[(least count, smallest code with it)], so that no tie is broken by
-    code order; [] when there is no code.  Given n, the codes stand for
-    their isomorphism classes on n points, and the code named is the
-    smallest labeled code of the tied classes: the least of their orbit
-    minima."""
-    if counts.size == 0:
-        return []
-    low = counts.min()
-    tied = codes[counts == low]
-    if n is not None:
-        tied = sw.canonical_min(n, tied)
-    return [(int(low), int(tied.min()))]
-
-
-def _orbit_witnesses(n: int, reps: np.ndarray, weights: np.ndarray,
-                     cap: int) -> tuple[int, ...]:
-    """The cap smallest codes that the classes reps, one code per class,
-    stand for, ascending: the weights[i] least labeled codes of the orbit
-    of reps[i] (sw.least_codes).  Orbits are taken in order of their
+def _smallest(n: int, codes: np.ndarray, weights: np.ndarray | None,
+              cap: int) -> list[int]:
+    """The cap smallest distinct labeled codes that codes stand for,
+    ascending.  Without weights a code stands for itself; with weights,
+    codes[i] is a class and stands for the weights[i] least labeled codes of
+    its orbit (sw.least_codes), and orbits are taken in order of their
     minima, until the next minimum is above the cap-th code found."""
-    if not cap or not reps.size:
-        return ()
-    least = sw.canonical_min(n, reps)
+    if not cap or not codes.size:
+        return []
+    if cap == 1:
+        return [int((codes if weights is None else sw.canonical_min(n, codes)).min())]
+    if weights is None:
+        return np.unique(codes)[:cap].tolist()
+    least = sw.canonical_min(n, codes)
     found = np.empty(0, dtype=np.int64)
     for i in np.argsort(least):
         if found.size == cap and least[i] > found[-1]:
             break
-        codes, _ = sw.least_codes(n, reps[i:i + 1], min(weights[i], cap))
-        found = np.union1d(found, codes)[:cap]
-    return tuple(found.tolist())
+        orbit, _ = sw.least_codes(n, codes[i:i + 1], min(weights[i], cap))
+        found = np.union1d(found, orbit)[:cap]
+    return found.tolist()
 
 
 def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
@@ -155,22 +148,25 @@ def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
     class, of any form, and a class of weight w stands for the w least
     labeled codes of its orbit: w = n!/|Aut| for the whole orbit, w = 1 for
     its minimum.  Its counts are weighted: each chunk hands its lane
-    weights to the counting kernels (sw.popcount).  Each argmin names
-    the smallest labeled code with the least count (_least), and witnesses
-    are the least codes that the flagged classes stand for
-    (_orbit_witnesses).  The chunks only add up counts, take minima and
-    collect the indices of flagged codes, and the witnesses come from those
-    indices at the end, so the report is the same for any chunk size."""
-    classes_of = None if weights is None else n
-    # the first cap flagged labeled codes of a chunk; every flagged class
-    cap = max_witnesses if weights is None else None
-    failures, fail_idx, overall, no_universal = 0, [], [], []
+    weights to the counting kernels (sw.popcount).  Every code the report
+    names comes from one rule, _smallest: each chunk names the smallest
+    codes that its lanes tied at a least count, or flagged, stand for, at
+    most max_witnesses per list.  The chunks only add up counts and keep
+    the least (count, code) and the smallest codes of each list, so the
+    report is the same for any chunk size or code order."""
+    failures, fail_codes, overall, no_universal = 0, [], [], []
     twin_free_codes, hist, laws = 0, {}, {}
+
+    def smallest(flagged: np.ndarray, cap: int) -> list[int]:
+        # the cap smallest codes that the chunk's flagged lanes stand for
+        return _smallest(n, chunk[flagged], None if part is None else part[flagged], cap)
+
     for lo in range(0, max(len(codes), 1), CHUNK_CODES):
         chunk = codes[lo:lo + CHUNK_CODES]
         if isinstance(chunk, range):
             chunk = np.arange(chunk.start, chunk.stop, dtype=np.int64)
         m = chunk.size
+        part = None if weights is None else weights[lo:lo + m]
         valid = sw.valid_plane(m)
         bits = sw.label_bits(n, chunk, ws)
         ones = sw.one_masks(n, bits, ws)
@@ -180,16 +176,17 @@ def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
 
         counts = distinct[:m]
         has_universal = sw.unpack(universal)[:m]
-        failed = np.flatnonzero((counts < n) & ~has_universal)
-        failures += int(failed.size if weights is None
-                        else weights[lo + failed].sum())
-        fail_idx += (lo + failed[:cap]).tolist()
-        overall += _least(counts, chunk, classes_of)
-        no_universal += _least(counts[~has_universal], chunk[~has_universal],
-                               classes_of)
+        failed = (counts < n) & ~has_universal
+        failures += int(np.count_nonzero(failed) if part is None else part[failed].sum())
+        fail_codes += smallest(failed, max_witnesses)
+        for best, among in ((overall, np.ones(m, dtype=bool)),
+                            (no_universal, ~has_universal)):
+            if among.any():
+                low = counts[among].min()
+                best.append((int(low), *smallest(among & (counts == low), 1)))
 
         if checkers != "none":
-            lanes = None if weights is None else np.pad(weights[lo:lo + m], (0, -m % 64))
+            lanes = None if part is None else np.pad(part, (0, -m % 64))
             twins = sw.twin_pair_flags(n, bits, ones, ws)
             twin_free = valid & ~np.bitwise_or.reduce(twins, axis=0)
             oversize = sw.class_size_stats(n, equal.pairs, ws)
@@ -211,28 +208,26 @@ def _sweep(n: int, mode: str, codes, checkers: str, max_witnesses: int,
                     stat = laws.setdefault(law, [0, 0, []])
                     stat[0] += cnt.instances
                     stat[1] += cnt.violations
-                    stat[2] += [lo + i for i in sw.set_lanes(cnt.bad, cap)]
+                    stat[2] += smallest(sw.unpack(cnt.bad)[:m], max_witnesses)
         if progress and m:
             progress(lo + m, len(codes))
 
-    def witnesses(idx: list[int]) -> tuple[int, ...]:
-        if weights is None:
-            return tuple(int(codes[i]) for i in idx[:max_witnesses])
-        return _orbit_witnesses(n, codes[idx], weights[idx], max_witnesses)
+    def witnesses(found: list[int]) -> tuple[int, ...]:
+        return tuple(sorted(set(found))[:max_witnesses])
 
     overall = min(overall, default=(None, None))
     no_universal = min(no_universal, default=(None, None))
     return TheoremReport(
         n=n, mode=mode, checker_level=checkers,
         total_codes=len(codes) if weights is None else int(weights.sum()),
-        dbe_failures=failures, failure_witnesses=witnesses(fail_idx),
+        dbe_failures=failures, failure_witnesses=witnesses(fail_codes),
         min_lines_overall=overall[0], argmin_overall=overall[1],
         min_lines_no_universal=no_universal[0],
         argmin_no_universal=no_universal[1],
         twin_free_codes=None if checkers == "none" else twin_free_codes,
         class_counts_by_shape=hist or None,
-        laws={law: LawStat(inst, viol, witnesses(idx))
-              for law, (inst, viol, idx) in laws.items()} or None)
+        laws={law: LawStat(inst, viol, witnesses(found))
+              for law, (inst, viol, found) in laws.items()} or None)
 
 
 def _check_limits(max_witnesses: int) -> None:

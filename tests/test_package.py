@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves and README names it,
 no sweep takes a scheduling knob, every workspace and lane weight is passed
-in, and every attribute the benchmark tracer wraps exists."""
+in, every attribute the benchmark tracer wraps exists, and every sweep
+function has a caller."""
 
 import importlib
 import importlib.util
@@ -59,14 +60,33 @@ def test_lane_weights_are_passed_in():
         assert not re.search(rf"^\s*(import|from)\s+{module}\b", source, re.M), module
 
 
-def test_bench_tracer_targets_resolve():
-    # the benchmark tracer wraps these attributes by name; a renamed or
-    # deleted one would otherwise fail only the benchmark's own tests
+def bench_targets():
+    """TARGETS of bench/tracing.py: (module, attribute, span name)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for modname, attr, _ in tracing.TARGETS:
+    return tracing.TARGETS
+
+
+def test_bench_tracer_targets_resolve():
+    # the benchmark tracer wraps these attributes by name; a renamed or
+    # deleted one would otherwise fail only the benchmark's own tests
+    targets = bench_targets()
+    assert targets
+    for modname, attr, _ in targets:
         assert callable(getattr(importlib.import_module(modname), attr, None)), \
             f"{modname}.{attr}"
+
+
+def test_sweep_functions_have_callers():
+    # a helper whose last caller is gone fails here: every function that
+    # dbelines.sweep defines is called from the package or wrapped by the
+    # benchmark tracer
+    from dbelines import sweep as sw
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in Path(dbelines.__file__).parent.glob("*.py"))
+    traced = {attr for modname, attr, _ in bench_targets() if modname == sw.__name__}
+    for name, f in inspect.getmembers(sw, inspect.isfunction):
+        if f.__module__ == sw.__name__ and name not in traced:
+            assert re.search(rf"(?<!def )\b{name}\(", source), name

@@ -268,7 +268,7 @@ class TestVerifyTheorem:
     def test_sample_chunks_equal_one_batch(self, monkeypatch):
         # the codes claims_sweep draws, swept as one batch; collapsed lines
         # at a few sampled codes put law witnesses in several 64-code chunks,
-        # in sample order rather than code order
+        # drawn out of code order, and they are still listed ascending
         n, trials, seed, cap = 6, 5000, 3, 100
         rng = random.Random(seed)
         codes = np.array([rng.randrange(1 << pair_count(n)) for _ in range(trials)],
@@ -285,7 +285,34 @@ class TestVerifyTheorem:
         assert rep == whole
         assert rep.total_law_violations > 0
         witnesses = rep.laws["disjoint-diff-label"].witnesses
-        assert set(witnesses) == set(bad.tolist()) and list(witnesses) != sorted(witnesses)
+        assert witnesses == tuple(sorted(set(bad.tolist())))
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_sample_witnesses_are_ascending_and_distinct(self, monkeypatch, chunk):
+        # 20 draws on 3 points repeat codes out of order; with every line
+        # collapsed each code fails, and each witness list is ascending and
+        # names a code once, as the labeled sweep of the distinct drawn codes
+        # names them, whatever the chunk size
+        n, trials, seed, cap = 3, 20, 1, 10
+        drawn = verify_mod._sample_codes(random.Random(seed), n, trials)
+        assert drawn.tolist() == [2, 1, 4, 1, 7, 7, 7, 6, 3, 1, 7, 0, 6, 6, 0, 7, 4, 3, 1, 5]
+
+        def collapse(lines, lane_codes):
+            lines[:] = 0b11
+
+        monkeypatch.setattr(sw, "line_masks", edited_line_masks(collapse))
+        distinct = verify_mod._sweep(n, "sample", np.unique(drawn), "full", cap,
+                                     sw.Workspace())
+        if chunk:
+            monkeypatch.setattr(verify_mod, "CHUNK_CODES", chunk)
+        rep = claims_sweep(n, trials=trials, seed=seed, max_witnesses=cap)
+        assert rep.dbe_failures == trials
+        assert rep.failure_witnesses == tuple(range(8)) == distinct.failure_witnesses
+        assert rep.laws["class-shape"].witnesses == (0, 3, 5, 6)
+        for law, stat in rep.laws.items():
+            assert stat.witnesses == tuple(sorted(set(stat.witnesses))), law
+            assert stat.witnesses == distinct.laws[law].witnesses, law
+            assert bool(stat.witnesses) == bool(stat.violations), law
 
     def test_sweeps_ship_and_hold_one_chunk(self, monkeypatch):
         # a sampled run never sweeps more than one chunk of codes at a time,
@@ -531,15 +558,23 @@ class TestClassReports:
         reps = np.array(sorted(set(least.tolist())), dtype=np.int64)[1::3]
         refined, aut = sw.refined_codes(n, reps)
         whole = codes[np.isin(least, reps)]
+        # without weights a code stands for itself, and a repeat counts once
+        repeated = np.tile(whole[::-1], 2)
         for cap in (0, 1, 2, 7, 40, whole.size + 1):
+            assert verify_mod._smallest(n, repeated, None, cap) == whole[:cap].tolist()
             # a weight of n!/|Aut| stands for the whole orbit, 1 for its minimum
-            assert verify_mod._orbit_witnesses(n, refined, factorial(n) // aut, cap) == \
-                tuple(whole[:cap].tolist())
-            assert verify_mod._orbit_witnesses(n, refined, np.ones_like(aut), cap) == \
-                tuple(reps[:cap].tolist())
+            assert verify_mod._smallest(n, refined, factorial(n) // aut, cap) == \
+                whole[:cap].tolist()
+            assert verify_mod._smallest(n, refined, np.ones_like(aut), cap) == \
+                reps[:cap].tolist()
             two = np.sort(np.concatenate([codes[least == r][:2] for r in reps]))
-            assert verify_mod._orbit_witnesses(n, refined, np.full_like(aut, 2), cap) == \
-                tuple(two[:cap].tolist())
+            assert verify_mod._smallest(n, refined, np.full_like(aut, 2), cap) == \
+                two[:cap].tolist()
+        # cap 1 names the least orbit minimum, whatever the weights and the
+        # order of the classes
+        for weights in (factorial(n) // aut, np.ones_like(aut)):
+            assert verify_mod._smallest(n, refined[::-1], weights[::-1], 1) == [reps[0]]
+            assert verify_mod._smallest(n, refined[-2:], weights[-2:], 1) == [reps[-2]]
 
 
 # the laws each checker level reports, in report order
