@@ -70,8 +70,9 @@ import numpy as np
 from .bitset import iter_pairs, pair_count, pair_index
 from .structure import ClassShape, class_size_bound
 
-# label_bits folds two codes into one uint64 word, so a code may have at
-# most 32 pair bits: C(8, 2) = 28.
+# verify._sample_codes takes one 32-bit Mersenne Twister word per draw, so
+# C(n, 2) < 32; and a labeled exhaustive range at n = 9 (2^36 codes) would
+# take hours (ROADMAP item 4).
 ENUM_MAX_POINTS = 8
 
 ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -192,25 +193,21 @@ def popcount(planes: np.ndarray, weights: np.ndarray | None) -> int:
 
 def label_bits(n: int, codes: np.ndarray, ws: Workspace) -> np.ndarray:
     """(C(n,2), W) label planes: bit c of plane k is bit k of the c-th code,
-    set when the k-th pair is at distance 2."""
+    set when the k-th pair is at distance 2.  A code may have up to 64 pair
+    bits."""
     check_point_count(n)
     m = codes.size
     W = -(-m // 64)
     flat, = ws.scratch((64 * W,))
     flat[:m] = codes
     flat[m:] = 0
-    block = flat.reshape(W, 64)
-    # rows[i, w] holds code 64w + i in its low half and code 64w + 32 + i in
-    # its high half; transposing each 32 x 32 bit block of both halves
+    # rows[i, w] holds code 64w + i; transposing each 64 x 64 bit block
     # (Hacker's Delight 7-3) leaves bit k of the 64 codes in rows[k]
-    high = block[:, 32:]
-    high <<= 32
-    high |= block[:, :32]
-    rows = ws.take("bits", (32, W))
-    rows[...] = high.T
-    j, mask = 16, 0x0000_FFFF_0000_FFFF
+    rows = ws.take("bits", (64, W))
+    rows[...] = flat.reshape(W, 64).T
+    j, mask = 32, 0x0000_0000_FFFF_FFFF
     while j:
-        halves = rows.reshape(16 // j, 2, j, W)
+        halves = rows.reshape(32 // j, 2, j, W)
         lo, hi = halves[:, 0], halves[:, 1]
         t, = ws.scratch(lo.shape)
         np.right_shift(lo, j, out=t)

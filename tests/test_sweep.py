@@ -134,10 +134,24 @@ class TestDecodeKernels:
         self.check_against_rows(n, random_codes(n, 300, seed=90 + n))
 
     def test_high_codes_of_a_word(self):
-        # codes 32..63 of each word take the high half of the packed word
+        # lanes 32..63 of every word, with the top pair bit set
         n = 8
         codes = random_codes(n, 128, seed=98) | (1 << 27)
         self.check_against_rows(n, codes)
+
+    @pytest.mark.parametrize("n, m", [(9, 1000), (10, 1001), (11, 937)])
+    def test_up_to_64_pair_bits(self, n, m, monkeypatch):
+        # more than 32 pair bits, with the point bound raised for this test only
+        monkeypatch.setattr(sw, "ENUM_MAX_POINTS", 11)
+        codes = random_codes(n, m, seed=80 + n)
+        bits = sw.label_bits(n, codes, sw.Workspace())
+        W = -(-m // 64)
+        assert bits.shape == (pair_count(n), W) and bits.dtype == np.uint64
+        labels = lanes(bits, 64 * W)
+        assert not labels[:, m:].any()
+        for ci, code in enumerate(codes.tolist()):
+            want = [(code >> k) & 1 == 1 for k in range(pair_count(n))]
+            assert labels[:, ci].tolist() == want, (n, code)
 
 
 class TestWorkspace:
